@@ -12,6 +12,14 @@ integrated in light-cone variables u = t - x, v = t + x so the profile's
 light-cone kink lies on panel boundaries; in 1+2 the transverse coordinate is
 integrated first and tabulated over the invariant w = u v.  Momenta are given
 by invariant magnitude: timelike k oscillates along t, spacelike along x.
+
+Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
+product rule on panels over [-L, L] in u and in v.  The window and the phase
+factor over the axes into two weight vectors, so only f(u v) is evaluated on
+the 2-d node grid, and only on the cell pairs that can meet the profile's
+support.  A `WindowConfig` holds the eta schedule, one box halfwidth L per
+eta, the extrapolation order and the tolerances; the panels follow from the
+profile and the momentum.
 """
 
 from __future__ import annotations
@@ -22,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .kernels import MomentumChar, MomentumMagnitude
-from .profiles import RadialProfile
+from .profiles import RadialProfile, complex_pchip
 from .quadrature import (
     QuadConfig,
     QuadResult,
@@ -144,13 +151,13 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
 class WindowConfig:
     """Window schedule for the Cartesian oracle.
 
-    One box halfwidth and per-axis node budget per eta; halfwidths grow as
-    eta shrinks so the window always dominates the truncation.
+    One box halfwidth per eta; halfwidths grow as eta shrinks so the window
+    always dominates the truncation.  The panels inside each box follow from
+    the profile and the momentum.
     """
 
     eta_schedule: tuple
     box_halfwidth: tuple
-    nodes_per_axis: tuple
     extrapolation_order: int = 3
     abs_tol: float = 1e-5
     rel_tol: float = 1e-3
@@ -161,41 +168,46 @@ class WindowConfig:
             raise ValueError("eta_schedule must contain positive values")
         if any(b >= a for a, b in zip(etas, etas[1:])):
             raise ValueError("eta_schedule must be strictly decreasing")
-        if len(self.box_halfwidth) != len(etas) or len(self.nodes_per_axis) != len(etas):
-            raise ValueError("per-eta fields must match the schedule length")
+        if len(self.box_halfwidth) != len(etas):
+            raise ValueError("box_halfwidth must match the schedule length")
         if any(b <= 0 for b in self.box_halfwidth):
             raise ValueError("box halfwidths must be positive")
         if any(b2 < b1 for b1, b2 in zip(self.box_halfwidth, self.box_halfwidth[1:])):
             raise ValueError("box halfwidths must grow as eta shrinks")
+        if self.extrapolation_order < 0:
+            raise ValueError("extrapolation_order must be nonnegative")
         object.__setattr__(self, "eta_schedule", etas)
         object.__setattr__(self, "box_halfwidth", tuple(float(b) for b in self.box_halfwidth))
-        object.__setattr__(self, "nodes_per_axis", tuple(int(m) for m in self.nodes_per_axis))
 
 
 _GLN = 16
 _GL_NODES = np.polynomial.legendre.leggauss(_GLN)
+_BLOCK = 2048   # cell pairs per f(u v) evaluation; bounds the working set
 
 
-def _axis_edges_support(L: float, kappa: float, support_w: float) -> np.ndarray:
-    """Positive half-axis edges: geometric cascade near 0, oscillation-
-    limited uniform panels beyond."""
+def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
+    """Panel edges on [-L, L] for one window.
+
+    Compact profiles: a geometric cascade away from 0, then oscillation-
+    limited uniform panels, mirrored so that u = 0 and v = 0 (the light-cone
+    kink) are panel edges.  Unbounded profiles: uniform panels that resolve
+    both the momentum phase and the profile phase over the whole box.
+    """
     w_osc = 6.0 / (math.pi * max(kappa, 0.1))
-    w0 = min(w_osc, max(support_w / L, 1e-12))
-    edges = [0.0, w0]
-    w = w0
+    if profile.support_radius is None:
+        q = max(profile.phase_scale, 0.25)
+        n = max(2, int(math.ceil(2.0 * L / min(w_osc, 10.0 / (q * L)))))
+        return np.linspace(-L, L, n + 1)
+    w = min(w_osc, max(profile.support_radius ** 2 / L, 1e-12))
+    half = [0.0, w]
     while 2.0 * w <= w_osc * 1.5 and w < L:
         w = min(2.0 * w, L)
-        edges.append(w)
-    w = edges[-1]
+        half.append(w)
     while w < L:
         w = min(L, w + w_osc)
-        edges.append(w)
-    return np.asarray(edges)
-
-
-def _axis_edges_uniform(L: float, width: float) -> np.ndarray:
-    n = max(2, int(math.ceil(2.0 * L / width)))
-    return np.linspace(-L, L, n + 1)
+        half.append(w)
+    half = np.asarray(half)
+    return np.concatenate([-half[::-1], half[1:]])
 
 
 def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
@@ -206,8 +218,8 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
     """Default window schedule for a profile and momentum.
 
     Compactly supported profiles afford a deep schedule (the masked support
-    mesh is cheap); unbounded profiles use a shallower one with the node
-    count needed to resolve the profile phase over the whole box.
+    mesh is cheap); unbounded profiles, integrated over the whole box, use a
+    shallower one.  `k` and `dims` do not change the schedule.
     """
     compact = profile.support_radius is not None
     if eta0 is None:
@@ -219,20 +231,8 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
     if trunc is None:
         trunc = 1e-12 if compact else 1e-9
     etas = tuple(eta0 * 2.0 ** (-j) for j in range(n_etas))
-    halfwidths = []
-    nodes = []
-    for eta in etas:
-        L = math.sqrt(2.0 * math.log(1.0 / trunc) / eta)
-        halfwidths.append(L)
-        if compact:
-            edges = _axis_edges_support(L, k.value, profile.support_radius ** 2)
-            nodes.append(2 * (len(edges) - 1) * _GLN)
-        else:
-            q = max(profile.phase_scale, 0.25)
-            width = min(6.0 / (math.pi * max(k.value, 0.1)), 10.0 / (q * L))
-            nodes.append((len(_axis_edges_uniform(L, width)) - 1) * _GLN)
-    return WindowConfig(etas, tuple(halfwidths), tuple(nodes),
-                        extrapolation_order=extrapolation_order)
+    halfwidths = tuple(math.sqrt(2.0 * math.log(1.0 / trunc) / eta) for eta in etas)
+    return WindowConfig(etas, halfwidths, extrapolation_order=extrapolation_order)
 
 
 def profile_on_invariant(profile: RadialProfile) -> Callable:
@@ -252,54 +252,32 @@ def profile_on_invariant(profile: RadialProfile) -> Callable:
     return fw
 
 
-def _quadrant_cells(edges: np.ndarray, su: int, sv: int, reach: Callable):
-    """Cell index pairs of one quadrant whose (u v)-range passes `reach`."""
-    a, b = edges[:-1], edges[1:]
-    if su > 0:
-        ua, ub = a, b
-    else:
-        ua, ub = -b[::-1], -a[::-1]
-    if sv > 0:
-        va, vb = a, b
-    else:
-        va, vb = -b[::-1], -a[::-1]
-    umin = np.minimum(np.abs(ua), np.abs(ub))
-    vmin = np.minimum(np.abs(va), np.abs(vb))
-    UM, VM = np.meshgrid(umin, vmin, indexing="ij")
-    mask = reach(su * sv * UM * VM)
-    iu, iv = np.nonzero(mask)
-    return (ua, ub, va, vb, iu, iv)
+def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
+                     edges: np.ndarray, keep: Callable):
+    """One windowed (u, v)-plane integral on the cells edges x edges.
 
-
-def _window_integral(eta: float, kappa: float, char: MomentumChar,
-                     fw_cells: Callable, edges: np.ndarray, reach: Callable,
-                     chunk: int = 2048):
-    """One windowed (u, v)-plane integral with the given per-cell integrand."""
+    The Gaussian window and the phase factor over the axes into the node
+    weights pu and pv; only fw(u v) couples them.  It is evaluated only on
+    the cell pairs whose signed (min|u|) (min|v|), the value of u v nearest 0
+    on the cell, passes `keep`.  Returns (value, evaluations).
+    """
     xg, wg = _GL_NODES
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * xg[None, :]
+    window = half[:, None] * wg[None, :] * np.exp(-eta * nodes ** 2 / 2.0)
+    # timelike k oscillates along t = (u + v)/2, spacelike along x = (v - u)/2
+    sign_u = 1.0 if k.char is MomentumChar.SPACELIKE else -1.0
+    pu = window * np.exp(sign_u * 1j * math.pi * k.value * nodes)
+    pv = window * np.exp(-1j * math.pi * k.value * nodes)
+    nearest = np.clip(0.0, a, b)
+    iu, iv = np.nonzero(keep(nearest[:, None] * nearest[None, :]))
     total = 0.0 + 0.0j
-    evals = 0
-    for su in (1, -1):
-        for sv in (1, -1):
-            ua, ub, va, vb, iu, iv = _quadrant_cells(edges, su, sv, reach)
-            for c0 in range(0, len(iu), chunk):
-                sl = slice(c0, c0 + chunk)
-                uc = 0.5 * (ua + ub)[iu[sl]]
-                uh = 0.5 * (ub - ua)[iu[sl]]
-                vc = 0.5 * (va + vb)[iv[sl]]
-                vh = 0.5 * (vb - va)[iv[sl]]
-                U = (uc[:, None] + uh[:, None] * xg[None, :])[:, :, None]
-                V = (vc[:, None] + vh[:, None] * xg[None, :])[:, None, :]
-                wgt = (uh[:, None] * wg[None, :])[:, :, None] \
-                    * (vh[:, None] * wg[None, :])[:, None, :]
-                g = fw_cells(U * V)
-                g = g * np.exp(-eta * (U * U + V * V) / 2.0)
-                if char is MomentumChar.TIMELIKE:
-                    g = g * np.exp(-1j * math.pi * kappa * (U + V))
-                else:
-                    g = g * np.exp(-1j * math.pi * kappa * (V - U))
-                total += (g * wgt).sum()
-                evals += g.size
-    return 0.5 * total, evals
+    for c0 in range(0, len(iu), _BLOCK):
+        bu, bv = iu[c0:c0 + _BLOCK], iv[c0:c0 + _BLOCK]
+        g = fw(nodes[bu][:, :, None] * nodes[bv][:, None, :])
+        total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
+    return 0.5 * total, len(iu) * _GLN * _GLN
 
 
 def _extrapolate_window(samples, w: WindowConfig, evals: int) -> QuadResult:
@@ -314,39 +292,15 @@ def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
                      w: WindowConfig) -> QuadResult:
     """Windowed evaluation of the defining integral on R^{1,1}."""
     fw = profile_on_invariant(f)
-    compact = f.support_radius is not None
-    support_w = f.support_radius ** 2 if compact else None
+    support_w = math.inf if f.support_radius is None else f.support_radius ** 2
+
+    def keep(wmin):
+        return np.abs(wmin) <= support_w
+
     samples = []
     evals = 0
-    for eta, L, budget in zip(w.eta_schedule, w.box_halfwidth, w.nodes_per_axis):
-        if compact:
-            # light-cone kink lies exactly on the u = 0 / v = 0 panel edges
-            edges_half = _axis_edges_support(L, k.value, support_w)
-            val, ne = _window_integral(
-                eta, k.value, k.char, fw, edges_half,
-                lambda wmin: np.abs(wmin) <= support_w)
-        else:
-            # the oscillation factorizes over the axes; only f(uv) couples them
-            width = 2.0 * L * _GLN / max(budget, _GLN)
-            edges = _axis_edges_uniform(L, width)
-            xg, wg = _GL_NODES
-            a, b = edges[:-1], edges[1:]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-            wts = (half[:, None] * wg[None, :]).ravel()
-            sign_u = 1.0 if k.char is MomentumChar.SPACELIKE else -1.0
-            pu = wts * np.exp(-eta * nodes ** 2 / 2.0
-                              + sign_u * 1j * math.pi * k.value * nodes)
-            pv = wts * np.exp(-eta * nodes ** 2 / 2.0
-                              - 1j * math.pi * k.value * nodes)
-            total = 0.0 + 0.0j
-            ne = 0
-            for c0 in range(0, len(nodes), 2048):
-                sl = slice(c0, c0 + 2048)
-                ph = fw(np.outer(nodes[sl], nodes))
-                total += (pu[sl, None] * pv[None, :] * ph).sum()
-                ne += ph.size
-            val = 0.5 * total
+    for eta, L in zip(w.eta_schedule, w.box_halfwidth):
+        val, ne = _window_integral(eta, k, fw, _axis_edges(f, L, k.value), keep)
         samples.append((eta, val))
         evals += ne
     return _extrapolate_window(samples, w, evals)
@@ -379,15 +333,7 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
         vals = fw((grid[:, None] - nodes ** 2).ravel()).reshape(nodes.shape)
         vals = vals * np.exp(-eta * nodes ** 2)
         Y += 2.0 * (vals * wg[None, :]).sum(axis=1) * half
-    re = PchipInterpolator(grid, Y.real, extrapolate=False)
-    im = PchipInterpolator(grid, Y.imag, extrapolate=False)
-
-    def table(wv):
-        wa = np.asarray(wv, dtype=float)
-        out = np.nan_to_num(re(wa), nan=0.0) + 1j * np.nan_to_num(im(wa), nan=0.0)
-        return out
-
-    return table, w_cut
+    return complex_pchip(grid, Y), w_cut
 
 
 def cartesian_ft_1p2(f: RadialProfile, k: MomentumMagnitude,
@@ -407,15 +353,12 @@ def cartesian_ft_1p2(f: RadialProfile, k: MomentumMagnitude,
     evals = 0
     for eta, L in zip(w.eta_schedule, w.box_halfwidth):
         table, w_cut = _transverse_table(fw, support_w, eta)
-        edges_half = _axis_edges_support(L, k.value, support_w)
 
-        def masked_reach(signed_min, _cut=w_cut):
+        def keep(wmin, _cut=w_cut):
             # keep cells whose uv-range meets [-support_w, w_cut]
-            return np.where(signed_min >= 0, signed_min <= _cut,
-                            np.abs(signed_min) <= support_w)
+            return np.where(wmin >= 0, wmin <= _cut, np.abs(wmin) <= support_w)
 
-        val, ne = _window_integral(eta, k.value, k.char, table,
-                                   edges_half, masked_reach)
+        val, ne = _window_integral(eta, k, table, _axis_edges(f, L, k.value), keep)
         samples.append((eta, val))
         evals += ne
     return _extrapolate_window(samples, w, evals)

@@ -126,9 +126,22 @@ def builtin_profile(name: str) -> RadialProfile:
 # CSV-tabulated profiles
 
 
+def complex_pchip(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Monotone cubic interpolant of complex samples y(x); zero outside
+    [x[0], x[-1]]."""
+    interp = PchipInterpolator(x, np.column_stack([y.real, y.imag]),
+                               extrapolate=False)
+
+    def f(xq):
+        v = np.nan_to_num(interp(np.asarray(xq, dtype=float)), nan=0.0)
+        return v[..., 0] + 1j * v[..., 1]
+
+    return f
+
+
 def _interp_branch(s: np.ndarray, vals: np.ndarray) -> Callable:
     if len(s) == 1:
-        lo = hi = s[0]
+        lo = s[0]
         only = vals[0]
 
         def f(x):
@@ -136,16 +149,7 @@ def _interp_branch(s: np.ndarray, vals: np.ndarray) -> Callable:
             return np.where(xa == lo, only, 0.0 + 0.0j)
 
         return f
-    re = PchipInterpolator(s, vals.real, extrapolate=False)
-    im = PchipInterpolator(s, vals.imag, extrapolate=False)
-    lo, hi = s[0], s[-1]
-
-    def f(x):
-        xa = np.asarray(x, dtype=float)
-        out = np.nan_to_num(re(xa), nan=0.0) + 1j * np.nan_to_num(im(xa), nan=0.0)
-        return np.where((xa < lo) | (xa > hi), 0.0 + 0.0j, out)
-
-    return f
+    return complex_pchip(s, vals)
 
 
 def profile_from_csv(source) -> RadialProfile:

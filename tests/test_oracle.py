@@ -62,17 +62,19 @@ class TestAngularIdentities:
 class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.2), (10.0, 10.0), (100, 100))
+            WindowConfig((0.1, 0.2), (10.0, 10.0))
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.05), (10.0, 5.0), (100, 100))  # shrinking box
+            WindowConfig((0.1, 0.05), (10.0, 5.0))  # shrinking box
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.05), (10.0,), (100, 100))
+            WindowConfig((0.1, 0.05), (10.0,))
+        with pytest.raises(ValueError):
+            WindowConfig((0.02, 0.01), (40.0, 50.0), extrapolation_order=-1)
 
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")
         w = window_config_for(profile, MomentumMagnitude(1.0, TL))
         assert all(b2 >= b1 for b1, b2 in zip(w.box_halfwidth, w.box_halfwidth[1:]))
-        assert len(w.eta_schedule) == len(w.nodes_per_axis)
+        assert len(w.eta_schedule) == len(w.box_halfwidth)
 
 
 class TestCartesian1p1:
@@ -85,13 +87,14 @@ class TestCartesian1p1:
 
     def test_gaussian_oscillatory_window_validation(self):
         # the window prescription reproduces the closed-form transform of
-        # exp(i s^2) to 1e-2 relative
+        # exp(i s^2) to 1e-2 relative; spacelike k gives pi e^{+i pi^2 k^2}
         profile = builtin_profile("gauss_oscillatory")
-        mom = MomentumMagnitude(0.5, TL)
-        w = window_config_for(profile, mom)
-        res = cartesian_ft_1p1(profile, mom, w)
-        ref = gaussian_reference(0.5)
-        assert abs(res.value - ref) <= 1e-2 * abs(ref)
+        for char, ref in ((TL, gaussian_reference(0.5)),
+                          (SL, gaussian_reference(0.5).conjugate())):
+            mom = MomentumMagnitude(0.5, char)
+            w = window_config_for(profile, mom)
+            res = cartesian_ft_1p1(profile, mom, w)
+            assert abs(res.value - ref) <= 1e-2 * abs(ref), char
 
     @pytest.mark.parametrize("char", [TL, SL])
     def test_bump_vs_radial(self, char):
