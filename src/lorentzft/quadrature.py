@@ -10,7 +10,11 @@ For each eps in a decreasing schedule the damped integral is evaluated on
 of values is extrapolated polynomially to eps = 0.  The panel mesh is a
 deterministic function of the configuration (never of sampled integrand
 values), so two integrands that agree pointwise are integrated on identical
-nodes.
+nodes.  The meshes of one schedule share their panels, so f is evaluated
+once on the widest mesh and reweighted by exp(-eps x^2) for each eps; only
+panels that mesh does not contain are evaluated for that eps.  The sums are
+formed exactly as a separate evaluation per eps would form them, so the
+result is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -60,7 +64,12 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error estimate and convergence flag of one integral."""
+    """Value, error estimate and convergence flag of one integral.
+
+    `evaluations` counts distinct integrand points.  A damped integral
+    evaluates a panel's nodes once for all eps whose meshes contain that
+    panel, and the probes that place its truncation points are not counted.
+    """
 
     value: complex
     error_estimate: float
@@ -134,6 +143,23 @@ _PHASE_STEP = math.pi / 2.0   # quadratic-phase advance allowed per panel
 _LIN_RAD = 6.0                # linear-phase advance allowed per panel
 
 
+def _mesh_params(X: float, osc_scale: float, quad_phase: float, max_panels: int):
+    """Phase step delta and first edge s1 of the mesh on [0, X].
+
+    Two meshes with the same (delta, s1) walk the same edges, so the one on
+    the shorter interval is a prefix of the other, cut at its own X.
+    """
+    delta = _PHASE_STEP
+    # respect the panel budget by coarsening the phase step if needed
+    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
+    if est > max_panels:
+        delta = delta * est / max_panels
+    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
+    if osc_scale > 0:
+        s1 = min(s1, _LIN_RAD / osc_scale)
+    return delta, s1
+
+
 def _mesh(X: float, osc_scale: float, quad_phase: float, max_panels: int):
     """Deterministic panel edges on [0, X].
 
@@ -142,25 +168,38 @@ def _mesh(X: float, osc_scale: float, quad_phase: float, max_panels: int):
     """
     if X <= 0:
         return np.array([0.0])
-    delta = _PHASE_STEP
-    # respect the panel budget by coarsening the phase step if needed
-    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
-    if est > max_panels:
-        delta = delta * est / max_panels
-    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
-    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
-    s1 = min(s1, w_lin, X)
+    delta, s1 = _mesh_params(X, osc_scale, quad_phase, max_panels)
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else math.inf
     edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
     s = s1
     while s < X:
-        if quad_phase > 0:
-            step = math.sqrt(s * s + delta / quad_phase) - s
-        else:
-            step = X
-        step = min(step, w_lin)
-        s = min(X, s + step)
+        step = math.sqrt(s * s + delta / quad_phase) - s if quad_phase > 0 else math.inf
+        s = min(X, s + min(step, w_lin))
         edges.append(s)
     return np.array(edges)
+
+
+def _meshes(Xs, osc_scale: float, quad_phase: float, max_panels: int):
+    """`_mesh(X, ...)` for each X in Xs, with the edges walked once.
+
+    The widest mesh is walked; a mesh whose (delta, s1) match it is that
+    mesh cut at X, and any other mesh is walked on its own.
+    """
+    X_wide = max(Xs)
+    wide = _mesh(X_wide, osc_scale, quad_phase, max_panels)
+    params = _mesh_params(X_wide, osc_scale, quad_phase, max_panels)
+    return [np.append(wide[wide < X], X)
+            if X > 0 and _mesh_params(X, osc_scale, quad_phase, max_panels) == params
+            else _mesh(X, osc_scale, quad_phase, max_panels) for X in Xs]
+
+
+def _panel_nodes(edges, x):
+    """Nodes of the rule `x` on each panel of `edges` (one row per panel) and
+    the panel half-widths."""
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid[:, None] + half[:, None] * x[None, :], half
 
 
 def _vectorize(f: Callable) -> Callable:
@@ -233,28 +272,39 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         are resolved); pass 0 for non-chirped integrands.
     """
     fv = _vectorize(f)
-    x_main, w_main = _gauss_legendre(_GL_MAIN)
-    x_err, w_err = _gauss_legendre(_GL_ERR)
+    rules = (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR))
+    Xs = [_truncation_point(fv, eps, cfg, envelope, support_radius)
+          for eps in cfg.epsilon_schedule]
+
+    def values_on(nodes):
+        return fv(nodes.ravel()).reshape(nodes.shape)
+
+    meshes = _meshes(Xs, osc_scale, quad_phase, cfg.max_subdivisions)
+    # the widest mesh; its integrand values serve every eps that shares a panel
+    wide = meshes[int(np.argmax(Xs))]
+    wide_values = [values_on(_panel_nodes(wide, x)[0]) for x, _ in rules]
+    evals = sum(v.size for v in wide_values)
     samples = []
     quad_err = 0.0
     trunc_err = 0.0
-    evals = 0
-    for eps in cfg.epsilon_schedule:
-        X = _truncation_point(fv, eps, cfg, envelope, support_radius)
-        edges = _mesh(X, osc_scale, quad_phase, cfg.max_subdivisions)
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        n_main = mid[:, None] + half[:, None] * x_main[None, :]
-        n_err = mid[:, None] + half[:, None] * x_err[None, :]
-
-        def damped(nodes):
-            return fv(nodes.ravel()).reshape(nodes.shape) * \
-                np.exp(-eps * nodes * nodes)
-
-        p_main = (damped(n_main) * w_main[None, :]).sum(axis=1) * half
-        p_err = (damped(n_err) * w_err[None, :]).sum(axis=1) * half
-        evals += n_main.size + n_err.size
+    for eps, X, edges in zip(cfg.epsilon_schedule, Xs, meshes):
+        # a panel is shared when both its edges are the wide mesh's, in place
+        m = min(len(edges), len(wide))
+        same = edges[:m] == wide[:m]
+        shared = np.zeros(len(edges) - 1, dtype=bool)
+        shared[:m - 1] = same[:-1] & same[1:]
+        reused, own = np.flatnonzero(shared), np.flatnonzero(~shared)
+        sums = []
+        for (x, w), wide_v in zip(rules, wide_values):
+            nodes, half = _panel_nodes(edges, x)
+            values = np.empty(nodes.shape, dtype=complex)
+            values[reused] = wide_v[reused]
+            if own.size:
+                values[own] = values_on(nodes[own])
+                evals += own.size * len(x)
+            sums.append((values * np.exp(-eps * nodes * nodes) * w[None, :])
+                        .sum(axis=1) * half)
+        p_main, p_err = sums
         samples.append((eps, complex(p_main.sum())))
         quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
         if support_radius is None:

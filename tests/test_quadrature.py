@@ -9,6 +9,18 @@ import pytest
 from lorentzft.quadrature import (
     QuadConfig,
     QuadResult,
+    _CASCADE,
+    _GL_ERR,
+    _GL_MAIN,
+    _LIN_RAD,
+    _PHASE_STEP,
+    _finish,
+    _gauss_legendre,
+    _mesh,
+    _mesh_params,
+    _meshes,
+    _truncation_point,
+    _vectorize,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
@@ -177,3 +189,174 @@ class TestExtrapolation:
         samples = [(0.1, 5.0), (0.025, 1.025), (0.0125, 1.0125)]
         value, _ = extrapolate_to_zero(samples, 1)
         assert abs(value - 1.0) < 1e-13
+
+
+# --------------------------------------------------------------------------
+# one evaluation per panel across the eps schedule
+
+
+def _per_eps_mesh(X, osc_scale, quad_phase, max_panels):
+    """The panel mesh as built before the schedule shared one mesh."""
+    if X <= 0:
+        return np.array([0.0])
+    delta = _PHASE_STEP
+    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
+    if est > max_panels:
+        delta = delta * est / max_panels
+    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
+    s1 = min(s1, w_lin, X)
+    edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
+    s = s1
+    while s < X:
+        if quad_phase > 0:
+            step = math.sqrt(s * s + delta / quad_phase) - s
+        else:
+            step = X
+        step = min(step, w_lin)
+        s = min(X, s + step)
+        edges.append(s)
+    return np.array(edges)
+
+
+def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
+                    quad_phase=1.0):
+    """Reference: the damped integral with the mesh built and f evaluated
+    afresh for every eps (the loop the shared-mesh engine replaced)."""
+    fv = _vectorize(f)
+    x_main, w_main = _gauss_legendre(_GL_MAIN)
+    x_err, w_err = _gauss_legendre(_GL_ERR)
+    samples = []
+    quad_err = 0.0
+    trunc_err = 0.0
+    evals = 0
+    for eps in cfg.epsilon_schedule:
+        X = _truncation_point(fv, eps, cfg, envelope, support_radius)
+        edges = _per_eps_mesh(X, osc_scale, quad_phase, cfg.max_subdivisions)
+        a, b = edges[:-1], edges[1:]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        n_main = mid[:, None] + half[:, None] * x_main[None, :]
+        n_err = mid[:, None] + half[:, None] * x_err[None, :]
+
+        def damped(nodes):
+            return fv(nodes.ravel()).reshape(nodes.shape) * \
+                np.exp(-eps * nodes * nodes)
+
+        p_main = (damped(n_main) * w_main[None, :]).sum(axis=1) * half
+        p_err = (damped(n_err) * w_err[None, :]).sum(axis=1) * half
+        evals += n_main.size + n_err.size
+        samples.append((eps, complex(p_main.sum())))
+        quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
+        if support_radius is None:
+            env_X = float(envelope(X)) if envelope is not None else 0.0
+            trunc_err = max(trunc_err, env_X * math.exp(-eps * X * X) * (1.0 + X)
+                            if envelope is not None else cfg.abs_tol / 10.0)
+    order = min(cfg.extrapolation_order, len(samples) - 1)
+    value, resid = extrapolate_to_zero(samples, order)
+    return _finish(value, resid + 4.0 * quad_err + trunc_err, evals, cfg)
+
+
+def _chirp(x):
+    x = np.asarray(x, dtype=float)
+    return np.exp(1j * x * x) * np.cos(3.0 * x) / (1.0 + x)
+
+
+def _chirp_env(x):
+    return 1.0 / (1.0 + np.asarray(x, dtype=float))
+
+
+# (f, cfg, keyword arguments); each exercises one way the meshes relate
+_SCHEDULE_CASES = {
+    "chirped_envelope": (_chirp, CFG, dict(envelope=_chirp_env, quad_phase=1.0)),
+    "support_radius": (
+        lambda x: np.where(np.asarray(x) < 2.0,
+                           np.asarray(x) * (2.0 - np.asarray(x)) * np.exp(3j * np.asarray(x)),
+                           0.0),
+        CFG, dict(support_radius=2.0, osc_scale=3.0, quad_phase=0.0)),
+    "no_envelope": (lambda x: np.exp(1j * np.asarray(x)) / (1.0 + np.asarray(x) ** 2),
+                    CFG, dict(osc_scale=1.0, quad_phase=0.0)),
+    "scalar_callable": (lambda x: math.cos(x) * math.exp(-0.2 * x), CFG,
+                        dict(envelope=lambda x: np.exp(-0.2 * np.asarray(x)),
+                             quad_phase=0.0)),
+    # s1 is set by osc_scale, so the walked meshes share their cascade panels
+    "coarsened": (_chirp, QuadConfig(max_subdivisions=300),
+                  dict(envelope=_chirp_env, osc_scale=20.0, quad_phase=1.0)),
+    "X_below_s1": (lambda x: np.exp(1j * np.asarray(x) ** 2),
+                   QuadConfig(epsilon_schedule=(50.0, 10.0, 1.0, 0.1)),
+                   dict(quad_phase=1.0)),
+}
+
+
+def _truncation_points(f, cfg, kw):
+    fv = _vectorize(f)
+    return [_truncation_point(fv, eps, cfg, kw.get("envelope"), kw.get("support_radius"))
+            for eps in cfg.epsilon_schedule]
+
+
+class TestSharedMesh:
+    @pytest.mark.parametrize("case", sorted(_SCHEDULE_CASES))
+    def test_bitwise_equal_to_per_eps_evaluation(self, case):
+        f, cfg, kw = _SCHEDULE_CASES[case]
+        new = integrate_semiinfinite_damped(f, cfg, **kw)
+        ref = _per_eps_damped(f, cfg, **kw)
+        assert new.value == ref.value
+        assert new.error_estimate == ref.error_estimate
+        assert new.converged == ref.converged
+        assert new.evaluations <= ref.evaluations
+
+    @pytest.mark.parametrize("case", sorted(_SCHEDULE_CASES))
+    def test_cut_meshes_equal_walked_meshes(self, case):
+        f, cfg, kw = _SCHEDULE_CASES[case]
+        osc, q = kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0)
+        Xs = _truncation_points(f, cfg, kw)
+        for X, cut in zip(Xs, _meshes(Xs, osc, q, cfg.max_subdivisions)):
+            walked = _mesh(X, osc, q, cfg.max_subdivisions)
+            assert cut.shape == walked.shape
+            assert (cut == walked).all()
+            assert (walked == _per_eps_mesh(X, osc, q, cfg.max_subdivisions)).all()
+
+    def test_schedules_cover_each_mesh_relation(self):
+        # the cases above include: cut meshes with a tail panel of their own,
+        # one mesh for the whole schedule, a phase step coarsened differently
+        # per eps, and a truncation point below the widest mesh's s1
+        def params(case):
+            f, cfg, kw = _SCHEDULE_CASES[case]
+            Xs = _truncation_points(f, cfg, kw)
+            return Xs, [_mesh_params(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0),
+                                     cfg.max_subdivisions) for X in Xs]
+
+        Xs, ps = params("chirped_envelope")
+        assert len(set(Xs)) == len(Xs) and len(set(ps)) == 1
+        Xs, ps = params("no_envelope")
+        assert len(set(Xs)) == len(Xs) and len(set(ps)) == 1
+        Xs, _ = params("support_radius")
+        assert len(set(Xs)) == 1
+        _, ps = params("coarsened")
+        assert len({delta for delta, _ in ps}) == len(ps)
+        assert len({s1 for _, s1 in ps}) == 1
+        Xs, ps = params("X_below_s1")
+        s1_wide = ps[int(np.argmax(Xs))][1]
+        assert min(Xs) < s1_wide
+
+    @pytest.mark.parametrize("with_envelope", [True, False])
+    def test_evaluations_count_distinct_points(self, with_envelope):
+        received = []
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            received.append(x.size)
+            return np.exp(1j * x * x) / (1.0 + x)
+
+        kw = dict(envelope=_chirp_env) if with_envelope else {}
+        res = integrate_semiinfinite_damped(f, CFG, quad_phase=1.0, **kw)
+        vectorize_probe = 2
+        truncation_probes = 0 if with_envelope else 2 * 48 * len(CFG.epsilon_schedule)
+        assert sum(received) == vectorize_probe + truncation_probes + res.evaluations
+        assert res.evaluations < _per_eps_damped(f, CFG, quad_phase=1.0, **kw).evaluations
+
+    def test_compact_support_evaluates_once(self):
+        f, cfg, kw = _SCHEDULE_CASES["support_radius"]
+        res = integrate_semiinfinite_damped(f, cfg, **kw)
+        ref = _per_eps_damped(f, cfg, **kw)
+        assert res.evaluations * len(cfg.epsilon_schedule) == ref.evaluations
