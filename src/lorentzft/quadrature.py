@@ -143,23 +143,6 @@ _PHASE_STEP = math.pi / 2.0   # quadratic-phase advance allowed per panel
 _LIN_RAD = 6.0                # linear-phase advance allowed per panel
 
 
-def _mesh_params(X: float, osc_scale: float, quad_phase: float, max_panels: int):
-    """Phase step delta and first edge s1 of the mesh on [0, X].
-
-    Two meshes with the same (delta, s1) walk the same edges, so the one on
-    the shorter interval is a prefix of the other, cut at its own X.
-    """
-    delta = _PHASE_STEP
-    # respect the panel budget by coarsening the phase step if needed
-    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
-    if est > max_panels:
-        delta = delta * est / max_panels
-    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
-    if osc_scale > 0:
-        s1 = min(s1, _LIN_RAD / osc_scale)
-    return delta, s1
-
-
 def _mesh(X: float, osc_scale: float, quad_phase: float, max_panels: int):
     """Deterministic panel edges on [0, X].
 
@@ -168,29 +151,25 @@ def _mesh(X: float, osc_scale: float, quad_phase: float, max_panels: int):
     """
     if X <= 0:
         return np.array([0.0])
-    delta, s1 = _mesh_params(X, osc_scale, quad_phase, max_panels)
-    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else math.inf
+    delta = _PHASE_STEP
+    # respect the panel budget by coarsening the phase step if needed
+    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
+    if est > max_panels:
+        delta = delta * est / max_panels
+    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
+    s1 = min(s1, w_lin, X)
     edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
     s = s1
     while s < X:
-        step = math.sqrt(s * s + delta / quad_phase) - s if quad_phase > 0 else math.inf
-        s = min(X, s + min(step, w_lin))
+        if quad_phase > 0:
+            step = math.sqrt(s * s + delta / quad_phase) - s
+        else:
+            step = X
+        step = min(step, w_lin)
+        s = min(X, s + step)
         edges.append(s)
     return np.array(edges)
-
-
-def _meshes(Xs, osc_scale: float, quad_phase: float, max_panels: int):
-    """`_mesh(X, ...)` for each X in Xs, with the edges walked once.
-
-    The widest mesh is walked; a mesh whose (delta, s1) match it is that
-    mesh cut at X, and any other mesh is walked on its own.
-    """
-    X_wide = max(Xs)
-    wide = _mesh(X_wide, osc_scale, quad_phase, max_panels)
-    params = _mesh_params(X_wide, osc_scale, quad_phase, max_panels)
-    return [np.append(wide[wide < X], X)
-            if X > 0 and _mesh_params(X, osc_scale, quad_phase, max_panels) == params
-            else _mesh(X, osc_scale, quad_phase, max_panels) for X in Xs]
 
 
 def _panel_nodes(edges, x):
@@ -279,7 +258,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     def values_on(nodes):
         return fv(nodes.ravel()).reshape(nodes.shape)
 
-    meshes = _meshes(Xs, osc_scale, quad_phase, cfg.max_subdivisions)
+    meshes = [_mesh(X, osc_scale, quad_phase, cfg.max_subdivisions) for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
     wide = meshes[int(np.argmax(Xs))]
     wide_values = [values_on(_panel_nodes(wide, x)[0]) for x, _ in rules]

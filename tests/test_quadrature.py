@@ -12,13 +12,9 @@ from lorentzft.quadrature import (
     _CASCADE,
     _GL_ERR,
     _GL_MAIN,
-    _LIN_RAD,
-    _PHASE_STEP,
     _finish,
     _gauss_legendre,
     _mesh,
-    _mesh_params,
-    _meshes,
     _truncation_point,
     _vectorize,
     extrapolate_to_zero,
@@ -195,30 +191,6 @@ class TestExtrapolation:
 # one evaluation per panel across the eps schedule
 
 
-def _per_eps_mesh(X, osc_scale, quad_phase, max_panels):
-    """The panel mesh as built before the schedule shared one mesh."""
-    if X <= 0:
-        return np.array([0.0])
-    delta = _PHASE_STEP
-    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
-    if est > max_panels:
-        delta = delta * est / max_panels
-    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
-    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
-    s1 = min(s1, w_lin, X)
-    edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
-    s = s1
-    while s < X:
-        if quad_phase > 0:
-            step = math.sqrt(s * s + delta / quad_phase) - s
-        else:
-            step = X
-        step = min(step, w_lin)
-        s = min(X, s + step)
-        edges.append(s)
-    return np.array(edges)
-
-
 def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
                     quad_phase=1.0):
     """Reference: the damped integral with the mesh built and f evaluated
@@ -232,7 +204,7 @@ def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
     evals = 0
     for eps in cfg.epsilon_schedule:
         X = _truncation_point(fv, eps, cfg, envelope, support_radius)
-        edges = _per_eps_mesh(X, osc_scale, quad_phase, cfg.max_subdivisions)
+        edges = _mesh(X, osc_scale, quad_phase, cfg.max_subdivisions)
         a, b = edges[:-1], edges[1:]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -305,39 +277,26 @@ class TestSharedMesh:
         assert new.converged == ref.converged
         assert new.evaluations <= ref.evaluations
 
-    @pytest.mark.parametrize("case", sorted(_SCHEDULE_CASES))
-    def test_cut_meshes_equal_walked_meshes(self, case):
-        f, cfg, kw = _SCHEDULE_CASES[case]
-        osc, q = kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0)
-        Xs = _truncation_points(f, cfg, kw)
-        for X, cut in zip(Xs, _meshes(Xs, osc, q, cfg.max_subdivisions)):
-            walked = _mesh(X, osc, q, cfg.max_subdivisions)
-            assert cut.shape == walked.shape
-            assert (cut == walked).all()
-            assert (walked == _per_eps_mesh(X, osc, q, cfg.max_subdivisions)).all()
-
     def test_schedules_cover_each_mesh_relation(self):
-        # the cases above include: cut meshes with a tail panel of their own,
-        # one mesh for the whole schedule, a phase step coarsened differently
-        # per eps, and a truncation point below the widest mesh's s1
-        def params(case):
+        # the meshes of the cases above are compared panel by panel; these
+        # two cases have meshes that are not a prefix of the widest one
+        def meshes(case):
             f, cfg, kw = _SCHEDULE_CASES[case]
             Xs = _truncation_points(f, cfg, kw)
-            return Xs, [_mesh_params(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0),
-                                     cfg.max_subdivisions) for X in Xs]
+            ms = [_mesh(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0),
+                        cfg.max_subdivisions) for X in Xs]
+            return Xs, ms, ms[int(np.argmax(Xs))]
 
-        Xs, ps = params("chirped_envelope")
-        assert len(set(Xs)) == len(Xs) and len(set(ps)) == 1
-        Xs, ps = params("no_envelope")
-        assert len(set(Xs)) == len(Xs) and len(set(ps)) == 1
-        Xs, _ = params("support_radius")
-        assert len(set(Xs)) == 1
-        _, ps = params("coarsened")
-        assert len({delta for delta, _ in ps}) == len(ps)
-        assert len({s1 for _, s1 in ps}) == 1
-        Xs, ps = params("X_below_s1")
-        s1_wide = ps[int(np.argmax(Xs))][1]
-        assert min(Xs) < s1_wide
+        # a phase step coarsened differently per eps: the meshes share their
+        # first panels, then part before their own last panel
+        _, ms, wide = meshes("coarsened")
+        for edges in ms:
+            if edges is not wide:
+                n_same = int(np.argmin(edges[:len(wide)] == wide[:len(edges)]))
+                assert _CASCADE + 2 <= n_same < len(edges) - 1
+        # a truncation point below the widest mesh's first edge s1
+        Xs, _, wide = meshes("X_below_s1")
+        assert min(Xs) < wide[_CASCADE + 1]
 
     @pytest.mark.parametrize("with_envelope", [True, False])
     def test_evaluations_count_distinct_points(self, with_envelope):
