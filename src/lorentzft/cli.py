@@ -14,6 +14,7 @@ per check; `chi` samples the radial Hankel weight.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -109,7 +110,10 @@ def cmd_chi(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every `main` call shares it."""
     p = argparse.ArgumentParser(prog="lorentzft",
                                 description="Fourier transforms of Lorentz-"
                                             "invariant functions")

@@ -19,6 +19,7 @@ result is the same to the last bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -201,9 +202,22 @@ def _quantize_up(m: float) -> float:
     return 2.0 ** math.ceil(math.log2(m))
 
 
-def _truncation_point(fv: Callable, eps: float, cfg: QuadConfig,
+def _magnitude_probe(fv: Callable) -> Callable:
+    """X -> max |f| over 48 points of [1e-3, X], rounded up to a power of 2.
+
+    Memoised: the first probe interval is the same for every eps of a
+    schedule, so one probe serves them all.
+    """
+    @functools.cache
+    def magnitude(X: float) -> float:
+        return _quantize_up(float(np.max(np.abs(fv(np.linspace(1e-3, X, 48))))))
+    return magnitude
+
+
+def _truncation_point(magnitude: Callable, eps: float, cfg: QuadConfig,
                       envelope: Optional[Callable], support_radius: Optional[float]):
-    """Least X with envelope(X) * exp(-eps X^2) below the tolerance floor."""
+    """Least X with envelope(X) * exp(-eps X^2) below the tolerance floor;
+    without an envelope, `magnitude` (from `_magnitude_probe`) bounds |f|."""
     floor = cfg.abs_tol / 10.0
     if support_radius is not None:
         return float(support_radius)
@@ -217,8 +231,7 @@ def _truncation_point(fv: Callable, eps: float, cfg: QuadConfig,
     # default: constant envelope from coarse magnitude sampling, two rounds
     X = 10.0
     for _ in range(2):
-        pts = np.linspace(1e-3, X, 48)
-        m = _quantize_up(float(np.max(np.abs(fv(pts)))))
+        m = magnitude(X)
         if m == 0.0:
             return 10.0
         X = math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
@@ -252,7 +265,8 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     """
     fv = _vectorize(f)
     rules = (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR))
-    Xs = [_truncation_point(fv, eps, cfg, envelope, support_radius)
+    magnitude = _magnitude_probe(fv)
+    Xs = [_truncation_point(magnitude, eps, cfg, envelope, support_radius)
           for eps in cfg.epsilon_schedule]
 
     def values_on(nodes):

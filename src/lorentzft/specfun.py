@@ -6,10 +6,20 @@ positive real argument.  Evaluation is delegated to scipy.special, which is
 accurate to near machine precision on the supported ranges; the test suite
 pins the accuracy against independent ascending-series oracles and against
 the half-integer closed forms.
+
+scipy's Bessel ufuncs release the GIL, so an argument array of two blocks
+or more is split into blocks that run on a thread pool sized from the CPUs
+the process may use, each writing its own slice of one output array.  The
+ufunc is elementwise, so the result is bit-identical to one call.  Only the
+scipy ufunc runs on the pool: the wrappers themselves, and every other
+function of the package, run on the caller's thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +81,51 @@ def _as_array(x):
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
+_BLOCK = 8192          # points per pool task; shorter arguments run inline
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """The shared block pool, created on first use; None on one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None and (cpus := _cpu_count()) > 1:
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="lorentzft-bessel")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _ufunc(fn, nu: float, arr: np.ndarray):
+    """fn(nu, arr), split into blocks over the pool when arr is long."""
+    pool = _executor() if arr.size >= 2 * _BLOCK else None
+    if pool is None:
+        return fn(nu, arr)
+    flat = arr.ravel()
+    out = np.empty(flat.shape)
+    blocks = [pool.submit(fn, nu, flat[i:i + _BLOCK], out=out[i:i + _BLOCK])
+              for i in range(0, flat.size, _BLOCK)]
+    for block in blocks:
+        block.result()
+    return out.reshape(arr.shape)
+
+
 def bessel_j(nu: Order, x):
     """Bessel function of the first kind J_nu(x).
 
@@ -81,7 +136,7 @@ def bessel_j(nu: Order, x):
         raise DomainError("bessel_j requires x >= 0")
     if nu.twice_nu < 0 and np.any(arr == 0):
         raise DomainError("bessel_j at x = 0 requires nu >= 0")
-    out = _sp.jv(nu.nu, arr)
+    out = _ufunc(_sp.jv, nu.nu, arr)
     return float(out) if scalar else out
 
 
@@ -93,7 +148,7 @@ def bessel_n(nu: Order, x):
     arr, scalar = _as_array(x)
     if np.any(arr <= 0):
         raise DomainError("bessel_n requires x > 0")
-    out = _sp.yv(nu.nu, arr)
+    out = _ufunc(_sp.yv, nu.nu, arr)
     return float(out) if scalar else out
 
 
@@ -102,7 +157,7 @@ def bessel_k(nu: Order, x):
     arr, scalar = _as_array(x)
     if np.any(arr <= 0):
         raise DomainError("bessel_k requires x > 0")
-    out = _sp.kv(abs(nu.nu), arr)
+    out = _ufunc(_sp.kv, abs(nu.nu), arr)
     return float(out) if scalar else out
 
 

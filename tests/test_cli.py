@@ -2,14 +2,19 @@
 
 import io
 import math
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lorentzft.cli import main
+import lorentzft.kernels
+from lorentzft.cli import build_parser, main
+from lorentzft.specfun import _BLOCK
 from lorentzft.transform import gaussian_reference
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transform.csv"
 
 
 def run_cli(args, capsys):
@@ -108,6 +113,37 @@ class TestTransformCommand:
                               "--char", "timelike", "--kmin", "0.5",
                               "--kcount", "3"], capsys)
         assert code == 2
+
+    def test_golden_bytes(self, capsys, monkeypatch):
+        # each "# <args>" line is followed by the stdout of that invocation
+        blocks = GOLDEN.read_text(encoding="utf-8").split("# ")[1:]
+        sizes = []
+        bessel_n = lorentzft.kernels.bessel_n
+
+        def recording(nu, x):
+            sizes.append(np.size(x))
+            return bessel_n(nu, x)
+
+        monkeypatch.setattr(lorentzft.kernels, "bessel_n", recording)
+        for block in blocks:
+            argv, expected = block.split("\n", 1)
+            code, out, _ = run_cli(argv.split(), capsys)
+            assert out == expected, argv
+            assert code == (1 if ",false" in expected else 0), argv
+        # the file covers Neumann arguments long enough to be split into blocks
+        assert max(sizes) >= 2 * _BLOCK
+
+    def test_usage_errors_leave_the_shared_parser_intact(self, capsys):
+        assert build_parser() is build_parser()
+        args = ["transform", "--n", "1", "--profile", "builtin:compact_bump",
+                "--char", "timelike", "--kmin", "0.5"]
+        _, before, _ = run_cli(args, capsys)
+        for bad in (args[:-2], args + ["--grid", "cubic"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert "usage: lorentzft" in capsys.readouterr().err
+        assert run_cli(args, capsys)[1] == before
 
 
 class TestValidateCommand:

@@ -1,10 +1,23 @@
 """Special-function accuracy against closed forms and series oracles."""
 
+import dataclasses
+import importlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
+import lorentzft.kernels
+from lorentzft import specfun
+from lorentzft.kernels import MomentumChar, MomentumMagnitude
+from lorentzft.profiles import builtin_profile
+from lorentzft.quadrature import QuadConfig
 from lorentzft.specfun import DomainError, Order, bessel_j, bessel_k, bessel_n, gamma_fn
 
 from series_reference import (
@@ -230,3 +243,152 @@ class TestPositivity:
         xs = np.geomspace(1e-3, 50.0, 200)
         for twice_nu in range(-1, 22):
             assert np.all(bessel_k(Order(twice_nu), xs) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# long arguments: blocks on the shared thread pool
+
+BLOCK = specfun._BLOCK
+RAW = [(bessel_j, sp.jv), (bessel_n, sp.yv), (bessel_k, sp.kv)]
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A two-worker pool that counts the blocks submitted to it."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture(params=["pool", "inline"])
+def pool(request, monkeypatch):
+    """A counting pool in place of the shared one (even on one CPU), or
+    None with the pool switched off."""
+    if request.param == "inline":
+        monkeypatch.setattr(specfun, "_executor", lambda: None)
+        yield None
+        return
+    with CountingPool() as counting:
+        monkeypatch.setattr(specfun, "_pool", counting)
+        yield counting
+
+
+def _positive(size):
+    return np.random.default_rng(size).uniform(1e-3, 80.0, size)
+
+
+_WIDE = _positive(6 * BLOCK).reshape(3, 2 * BLOCK)
+ARGUMENTS = {
+    "1": _positive(1),
+    "2block-1": _positive(2 * BLOCK - 1),
+    "2block": _positive(2 * BLOCK),
+    "5block+17": _positive(5 * BLOCK + 17),
+    "2d": _WIDE,
+    "strided": _WIDE[:, ::2],
+    "transposed": _WIDE.T,
+}
+
+
+class TestBlockPool:
+    @pytest.mark.parametrize("name", sorted(ARGUMENTS))
+    @pytest.mark.parametrize("fn, raw", RAW, ids=["j", "n", "k"])
+    def test_equal_to_one_ufunc_call(self, pool, fn, raw, name):
+        x = ARGUMENTS[name]
+        for twice_nu in (-1, 0, 7):
+            nu = Order(twice_nu).nu
+            ref = raw(abs(nu) if raw is sp.kv else nu, x)
+            assert np.array_equal(fn(Order(twice_nu), x), ref)
+        if pool is not None:
+            blocks = -(-x.size // BLOCK) if x.size >= 2 * BLOCK else 0
+            assert pool.tasks == 3 * blocks
+
+    def test_forked_child_after_the_pool_ran(self, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        # the real shared pool, created here with two workers
+        monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(specfun, "_pool", None)
+        x = ARGUMENTS["5block+17"]
+        bessel_n(ZERO, x)
+        assert specfun._pool is not None
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_child_bessel_n, args=(x,))
+            child.start()
+            child.join(timeout=20)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+            assert not hung
+            assert child.exitcode == 0
+        finally:
+            specfun._pool.shutdown()
+
+    def test_concurrent_first_calls_build_one_pool(self, monkeypatch):
+        built = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(specfun, "_pool", None)
+        monkeypatch.setattr(specfun, "ThreadPoolExecutor", Recorded)
+        x = ARGUMENTS["2block"]
+        ref = sp.yv(0.0, x)
+        results = [None] * 8
+
+        def work(i):
+            results[i] = bessel_n(ZERO, x)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            for p in built:
+                p.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        assert all(np.array_equal(r, ref) for r in results)
+
+    def test_package_functions_run_on_the_calling_thread(self, pool, monkeypatch):
+        # only the scipy ufunc may leave the caller's thread: the benchmark's
+        # tracer keeps one span stack for the package's functions
+        lt = importlib.import_module("lorentzft.transform")
+        calls = []
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lorentzft.kernels, "bessel_n",
+                            record("bessel_n", lorentzft.kernels.bessel_n))
+        monkeypatch.setattr(lt, "minkowski_kernel",
+                            record("minkowski_kernel", lt.minkowski_kernel))
+        profile = builtin_profile("gauss_oscillatory")
+        profile = dataclasses.replace(
+            profile, f_timelike=record("branch", profile.f_timelike))
+        lt.transform(1, profile, MomentumMagnitude(0.5, MomentumChar.TIMELIKE),
+                     QuadConfig())
+        assert {name for name, _ in calls} == {"bessel_n", "minkowski_kernel", "branch"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        if pool is not None:
+            assert pool.tasks > 0
+
+
+def _child_bessel_n(x):
+    assert np.array_equal(bessel_n(ZERO, x), sp.yv(0.0, x))
