@@ -72,6 +72,14 @@ class KernelSpec:
         if not _N_MIN <= self.n <= _N_MAX:
             raise DomainError(f"spatial dimension n={self.n} outside [{_N_MIN}, {_N_MAX}]")
 
+    @property
+    def vanishes(self) -> bool:
+        """True for the identically zero kernels: timelike momentum,
+        spacelike branch and cos(pi (n-1)/2) = 0, i.e. even n."""
+        return (self.momentum_char is MomentumChar.TIMELIKE
+                and self.branch is Branch.SPACELIKE_PROFILE
+                and exact_cos_sin_half_pi(self.n - 1)[0] == 0)
+
 
 @dataclass(frozen=True)
 class MomentumMagnitude:
@@ -161,10 +169,8 @@ def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
             if sinf:
                 cyl += sinf * bessel_j(nu, z)
             out[pos] = -2.0 * math.pi * pref * cyl
-        else:
-            if cosf:
-                out[pos] = 4.0 * cosf * pref * bessel_k(nu, z)
-            # even n: exactly zero, no Bessel evaluation
+        elif not spec.vanishes:       # else exactly zero, no Bessel call
+            out[pos] = 4.0 * cosf * pref * bessel_k(nu, z)
     else:
         if spec.branch is Branch.TIMELIKE_PROFILE:
             out[pos] = 4.0 * pref * bessel_k(nu, z)

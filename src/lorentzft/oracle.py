@@ -36,6 +36,8 @@ from .profiles import RadialProfile, complex_pchip
 from .quadrature import (
     QuadConfig,
     QuadResult,
+    _finish,
+    _gauss_legendre,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
@@ -91,7 +93,7 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
     The noncompact hyperbolic-angle integrals are computed after the
     monotone substitutions x = cosh(psi) or x = sinh(psi) (shifted to start
     at 0 where needed) under the damped prescription; the compact ones by
-    adaptive quadrature.
+    `integrate_finite` on the same panel rules.
     """
     a = ident.a
     kind = ident.kind
@@ -112,12 +114,12 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
         lhs = res.value.real
         rhs = 2.0 * bessel_k(zero, a)
     elif kind is AngularIdentityKind.THETA_TO_J0_HALF:
-        res = integrate_finite(lambda th: math.cos(a * math.cos(th)),
+        res = integrate_finite(lambda th: np.cos(a * np.cos(th)),
                                0.0, math.pi / 2.0, cfg)
         lhs = res.value.real
         rhs = math.pi / 2.0 * bessel_j(zero, a)
     elif kind is AngularIdentityKind.THETA_TO_J0_FULL:
-        res = integrate_finite(lambda th: math.cos(a * math.cos(th)),
+        res = integrate_finite(lambda th: np.cos(a * np.cos(th)),
                                -math.pi / 2.0, math.pi / 2.0, cfg)
         lhs = res.value.real
         rhs = math.pi * bessel_j(zero, a)
@@ -181,7 +183,6 @@ class WindowConfig:
 
 
 _GLN = 16
-_GL_NODES = np.polynomial.legendre.leggauss(_GLN)
 _BLOCK = 2048   # cell pairs per f(u v) evaluation; bounds the working set
 
 
@@ -261,7 +262,7 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     the cell pairs whose signed (min|u|) (min|v|), the value of u v nearest 0
     on the cell, passes `keep`.  Returns (value, evaluations).
     """
-    xg, wg = _GL_NODES
+    xg, wg = _gauss_legendre(_GLN)
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * xg[None, :]
@@ -283,9 +284,7 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
 def _extrapolate_window(samples, w: WindowConfig, evals: int) -> QuadResult:
     order = min(w.extrapolation_order, len(samples) - 1)
     value, resid = extrapolate_to_zero(samples, order)
-    err = 4.0 * resid + 0.25 * w.abs_tol
-    converged = err <= max(w.abs_tol, w.rel_tol * abs(value))
-    return QuadResult(value, err, converged, evals)
+    return _finish(value, 4.0 * resid + 0.25 * w.abs_tol, evals, w)
 
 
 def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
@@ -313,7 +312,7 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
     cusp, linear over the core, and logarithmic over the decaying tail.
     """
     w_cut = math.log(1e14) / eta
-    xg, wg = np.polynomial.legendre.leggauss(24)
+    xg, wg = _gauss_legendre(24)
     t = np.linspace(0.0, 1.0, 1400)
     neg = -support_w * t[::-1] ** 2
     core_hi = min(4.0 * support_w, w_cut)

@@ -25,10 +25,9 @@ from .kernels import (
     chi,
     kernel_envelope,
     minkowski_kernel,
-    exact_cos_sin_half_pi,
 )
 from .profiles import RadialProfile
-from .quadrature import QuadConfig, QuadResult, integrate_semiinfinite_damped
+from .quadrature import QuadConfig, QuadResult, _finish, integrate_semiinfinite_damped
 from .specfun import DomainError
 
 __all__ = [
@@ -51,10 +50,10 @@ def _branch_integral(n: int, profile: RadialProfile, l: MomentumMagnitude,
                      cfg: QuadConfig, branch_name: str,
                      branch: Branch) -> Optional[QuadResult]:
     spec = KernelSpec(n, l.char, branch)
-    # kernels that vanish identically contribute exactly zero
-    if l.char is MomentumChar.TIMELIKE and branch is Branch.SPACELIKE_PROFILE:
-        if exact_cos_sin_half_pi(n - 1)[0] == 0:
-            return None
+    # a vanishing kernel contributes exactly zero; integrating it would only
+    # add its truncation allowance to the error estimate
+    if spec.vanishes:
+        return None
     f = profile.branch(branch_name)
 
     def integrand(s):
@@ -95,8 +94,7 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
         evals += res.evaluations
         if not res.converged:
             failed.append(branch_name)
-    converged = not failed and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadResult(value, err, converged, evals, tuple(failed))
+    return _finish(value, err, evals, cfg, ok=not failed, failed=failed)
 
 
 def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,

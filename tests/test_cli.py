@@ -15,12 +15,21 @@ from lorentzft.specfun import _BLOCK
 from lorentzft.transform import gaussian_reference
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transform.csv"
+GOLDEN_VALIDATE = pathlib.Path(__file__).parent / "data" / "golden_validate.txt"
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_runs(path):
+    """(argv, stdout) pairs of a golden file: each "# <args>" line is
+    followed by the stdout of that invocation."""
+    blocks = path.read_text(encoding="utf-8").split("# ")[1:]
+    return [(argv.split(), expected)
+            for argv, expected in (block.split("\n", 1) for block in blocks)]
 
 
 def parse_csv(text):
@@ -115,8 +124,6 @@ class TestTransformCommand:
         assert code == 2
 
     def test_golden_bytes(self, capsys, monkeypatch):
-        # each "# <args>" line is followed by the stdout of that invocation
-        blocks = GOLDEN.read_text(encoding="utf-8").split("# ")[1:]
         sizes = []
         bessel_n = lorentzft.kernels.bessel_n
 
@@ -125,9 +132,8 @@ class TestTransformCommand:
             return bessel_n(nu, x)
 
         monkeypatch.setattr(lorentzft.kernels, "bessel_n", recording)
-        for block in blocks:
-            argv, expected = block.split("\n", 1)
-            code, out, _ = run_cli(argv.split(), capsys)
+        for argv, expected in golden_runs(GOLDEN):
+            code, out, _ = run_cli(argv, capsys)
             assert out == expected, argv
             assert code == (1 if ",false" in expected else 0), argv
         # the file covers Neumann arguments long enough to be split into blocks
@@ -147,6 +153,15 @@ class TestTransformCommand:
 
 
 class TestValidateCommand:
+    def test_golden_bytes(self, capsys):
+        # angular (its theta gaps are rounding-level) and oracle (5 s) are left out
+        runs = golden_runs(GOLDEN_VALIDATE)
+        assert len(runs) == 5
+        for argv, expected in runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert out == expected, argv
+            assert code == 0, argv
+
     def test_gaussian_suite_passes(self, capsys):
         code, out, _ = run_cli(["validate", "--suite", "gaussian"], capsys)
         assert code == 0

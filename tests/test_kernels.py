@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import lorentzft.kernels
 from lorentzft.kernels import (
     Branch,
     KernelSpec,
@@ -104,6 +105,23 @@ class TestMinkowskiKernel:
         assert np.all(got == 0.0)
         # bitwise: positive zero everywhere
         assert np.all(np.signbit(got) == False)  # noqa: E712
+
+    def test_vanishes_marks_exactly_the_zero_kernels(self, monkeypatch):
+        def no_bessel(nu, x):
+            raise AssertionError("a vanishing kernel evaluated a Bessel function")
+
+        for n in range(1, 11):
+            for char in (TL, SL):
+                for branch in (TP, SP):
+                    spec = KernelSpec(n, char, branch)
+                    l = MomentumMagnitude(0.7, char)
+                    assert spec.vanishes == (char is TL and branch is SP and n % 2 == 0)
+                    if spec.vanishes:
+                        with monkeypatch.context() as m:
+                            m.setattr(lorentzft.kernels, "bessel_k", no_bessel)
+                            assert np.all(minkowski_kernel(spec, self.S, l) == 0.0)
+                    else:
+                        assert np.any(minkowski_kernel(spec, self.S, l) != 0.0)
 
     def test_char_mismatch(self):
         l = MomentumMagnitude(1.0, SL)

@@ -80,6 +80,35 @@ class TestFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 1.0, 0.0, CFG)
 
+    # a cascade toward a nonzero endpoint e stops 2^-40 |e| short of it, which
+    # limits an inverse square root there; toward 0 it runs its full depth
+    @pytest.mark.parametrize("f, a, b, exact, tol", [
+        (lambda x: math.log(x - 1.0), 1.0, 2.0, -1.0, 1e-13),
+        (lambda x: 1.0 / math.sqrt(3.0 - x), 2.0, 3.0, 2.0, 1e-6),
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0, 1e-10),
+    ])
+    def test_endpoint_singularity_estimate(self, f, a, b, exact, tol):
+        res = integrate_finite(f, a, b, CFG)
+        assert res.error_estimate >= abs(res.value - exact)
+        assert abs(res.value - exact) < tol
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 3.0),
+                                      (-math.pi / 2.0, math.pi / 2.0)])
+    def test_nodes_strictly_inside(self, a, b):
+        received = []
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            received.append(x.ravel())
+            return np.cos(x)
+
+        res = integrate_finite(f, a, b, CFG)
+        probe, nodes = received[0], np.concatenate(received[1:])
+        assert probe.size == 2
+        assert nodes.size == res.evaluations
+        assert np.all((a < nodes) & (nodes < b))
+        assert abs(res.value - (math.sin(b) - math.sin(a))) < 1e-12
+
 
 class TestDampedSemiInfinite:
     def test_absolutely_convergent(self):
