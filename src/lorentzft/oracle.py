@@ -17,9 +17,9 @@ Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
 product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
-support.  A `WindowConfig` holds the eta schedule, one box halfwidth L per
-eta, the extrapolation order and the tolerances; the panels follow from the
-profile and the momentum.
+support.  A `WindowConfig` holds the eta schedule and one box halfwidth L per
+eta; the panels follow from the profile and the momentum.  The extrapolation
+order is min(3, number of etas - 1), and the tolerances are fixed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -155,14 +155,14 @@ class WindowConfig:
 
     One box halfwidth per eta; halfwidths grow as eta shrinks so the window
     always dominates the truncation.  The panels inside each box follow from
-    the profile and the momentum.
+    the profile and the momentum.  The tolerances `abs_tol` and `rel_tol`
+    are constants of the class.
     """
 
     eta_schedule: tuple
     box_halfwidth: tuple
-    extrapolation_order: int = 3
-    abs_tol: float = 1e-5
-    rel_tol: float = 1e-3
+    abs_tol: ClassVar[float] = 1e-5
+    rel_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         etas = tuple(float(e) for e in self.eta_schedule)
@@ -176,8 +176,6 @@ class WindowConfig:
             raise ValueError("box halfwidths must be positive")
         if any(b2 < b1 for b1, b2 in zip(self.box_halfwidth, self.box_halfwidth[1:])):
             raise ValueError("box halfwidths must grow as eta shrinks")
-        if self.extrapolation_order < 0:
-            raise ValueError("extrapolation_order must be nonnegative")
         object.__setattr__(self, "eta_schedule", etas)
         object.__setattr__(self, "box_halfwidth", tuple(float(b) for b in self.box_halfwidth))
 
@@ -213,9 +211,7 @@ def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
 
 def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
                       dims: int = 1, eta0: Optional[float] = None,
-                      n_etas: Optional[int] = None,
-                      extrapolation_order: Optional[int] = None,
-                      trunc: Optional[float] = None) -> WindowConfig:
+                      n_etas: Optional[int] = None) -> WindowConfig:
     """Default window schedule for a profile and momentum.
 
     Compactly supported profiles afford a deep schedule (the masked support
@@ -227,13 +223,10 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
         eta0 = 0.01 if compact else 0.08
     if n_etas is None:
         n_etas = 6 if compact else 3
-    if extrapolation_order is None:
-        extrapolation_order = min(3, n_etas - 1)
-    if trunc is None:
-        trunc = 1e-12 if compact else 1e-9
+    trunc = 1e-12 if compact else 1e-9
     etas = tuple(eta0 * 2.0 ** (-j) for j in range(n_etas))
     halfwidths = tuple(math.sqrt(2.0 * math.log(1.0 / trunc) / eta) for eta in etas)
-    return WindowConfig(etas, halfwidths, extrapolation_order=extrapolation_order)
+    return WindowConfig(etas, halfwidths)
 
 
 def profile_on_invariant(profile: RadialProfile) -> Callable:
@@ -282,8 +275,7 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
 
 
 def _extrapolate_window(samples, w: WindowConfig, evals: int) -> QuadResult:
-    order = min(w.extrapolation_order, len(samples) - 1)
-    value, resid = extrapolate_to_zero(samples, order)
+    value, resid = extrapolate_to_zero(samples, min(3, len(samples) - 1))
     return _finish(value, 4.0 * resid + 0.25 * w.abs_tol, evals, w)
 
 

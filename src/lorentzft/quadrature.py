@@ -39,19 +39,16 @@ _DEFAULT_SCHEDULE = tuple(0.1 * 2.0 ** (-j) for j in range(6))
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances, subdivision budget and damping schedule for one integral."""
+    """Tolerances, damping schedule and extrapolation order for one integral."""
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
-    max_subdivisions: int = 20000
     epsilon_schedule: tuple = _DEFAULT_SCHEDULE
     extrapolation_order: int = 3
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
         eps = tuple(self.epsilon_schedule)
         if len(eps) == 0 or any(e <= 0 for e in eps):
             raise ValueError("epsilon_schedule must contain positive values")
@@ -101,24 +98,27 @@ _GL_ERR = 12
 _CASCADE = 64          # geometric panels toward 0; resolves log/sqrt endpoints
 _PHASE_STEP = math.pi / 2.0   # quadratic-phase advance allowed per panel
 _LIN_RAD = 6.0                # linear-phase advance allowed per panel
+_MAX_PANELS = 20000           # panels per mesh, cascade included
 
 
-def _mesh(X: float, osc_scale: float, quad_phase: float, max_panels: int):
-    """Deterministic panel edges on [0, X].
+def _mesh(X: float, osc_scale: float, quad_phase: float):
+    """Deterministic panel edges on [0, X], at most _MAX_PANELS panels.
 
     Panel widths resolve phases up to `quad_phase * x**2 + osc_scale * x`;
     a geometric cascade toward 0 resolves integrable endpoint behaviour.
     """
     if X <= 0:
         return np.array([0.0])
-    delta = _PHASE_STEP
-    # respect the panel budget by coarsening the phase step if needed
-    est = quad_phase * X * X / delta + osc_scale * X / _LIN_RAD + _CASCADE + 2
-    if est > max_panels:
-        delta = delta * est / max_panels
-    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, X)
+    # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
+    # quadratic-phase steps, X / w_lin linear-phase steps and a last one
+    budget = _MAX_PANELS - _CASCADE - 2
+    est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
+    widen = est / budget if est > budget else 1.0
+    delta = _PHASE_STEP * widen
     w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
-    s1 = min(s1, w_lin, X)
+    # unwidened w_lin: a cascade it ends is the same for every X of a schedule
+    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, w_lin, X)
+    w_lin = w_lin * widen
     edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
     s = s1
     while s < X:
@@ -141,17 +141,14 @@ def _panel_nodes(edges, x):
     return mid[:, None] + half[:, None] * x[None, :], half
 
 
-def _vectorize(f: Callable) -> Callable:
-    """Return a callable mapping float arrays to complex arrays."""
-    probe = np.array([0.5, 1.5])
-    try:
-        out = np.asarray(f(probe))
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(f(x), dtype=complex)
-    except Exception:
-        pass
-    vf = np.vectorize(f, otypes=[complex])
-    return lambda x: vf(x)
+def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f on the float array x, as complex: an integrand maps a float array
+    to an array of the same shape."""
+    out = np.asarray(f(x), dtype=complex)
+    if out.shape != x.shape:
+        raise ValueError("an integrand must map a float array to an array of "
+                         f"the same shape; got shape {out.shape} for {x.shape}")
+    return out
 
 
 def _quantize_up(m: float) -> float:
@@ -161,7 +158,7 @@ def _quantize_up(m: float) -> float:
     return 2.0 ** math.ceil(math.log2(m))
 
 
-def _magnitude_probe(fv: Callable) -> Callable:
+def _magnitude_probe(f: Callable) -> Callable:
     """X -> max |f| over 48 points of [1e-3, X], rounded up to a power of 2.
 
     Memoised: the first probe interval is the same for every eps of a
@@ -169,32 +166,36 @@ def _magnitude_probe(fv: Callable) -> Callable:
     """
     @functools.cache
     def magnitude(X: float) -> float:
-        return _quantize_up(float(np.max(np.abs(fv(np.linspace(1e-3, X, 48))))))
+        probe = _evaluate(f, np.linspace(1e-3, X, 48))
+        return _quantize_up(float(np.max(np.abs(probe))))
     return magnitude
 
 
 def _truncation_point(magnitude: Callable, eps: float, cfg: QuadConfig,
                       envelope: Optional[Callable], support_radius: Optional[float]):
-    """Least X with envelope(X) * exp(-eps X^2) below the tolerance floor;
-    without an envelope, `magnitude` (from `_magnitude_probe`) bounds |f|."""
+    """(X, allowance for the damped tail beyond X): the least X with
+    envelope(X) * exp(-eps X^2) below the tolerance floor.  Without an
+    envelope, `magnitude` (from `_magnitude_probe`) bounds |f|."""
     floor = cfg.abs_tol / 10.0
     if support_radius is not None:
-        return float(support_radius)
+        return float(support_radius), 0.0
     if envelope is not None:
+        def tail(X):
+            return float(envelope(X)) * math.exp(-eps * X * X) * (1.0 + X)
         X = 10.0
         for _ in range(60):
-            if float(envelope(X)) * math.exp(-eps * X * X) * (1.0 + X) <= floor:
+            if tail(X) <= floor:
                 break
             X *= 1.25
-        return X
+        return X, tail(X)
     # default: constant envelope from coarse magnitude sampling, two rounds
     X = 10.0
     for _ in range(2):
         m = magnitude(X)
         if m == 0.0:
-            return 10.0
+            return 10.0, floor
         X = math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
-    return X
+    return X, floor
 
 
 def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
@@ -207,7 +208,8 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     Parameters
     ----------
     f : callable
-        Complex-valued integrand of one real variable (scalar or vectorized).
+        Integrand: maps a float array of points to an array of the same
+        shape (real or complex values); anything else raises ValueError.
     cfg : QuadConfig
         Supplies the eps schedule, tolerances and extrapolation order.
     envelope : callable, optional
@@ -222,24 +224,22 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         Bound on the quadratic phase coefficient of f (phases ~ quad_phase*x^2
         are resolved); pass 0 for non-chirped integrands.
     """
-    fv = _vectorize(f)
     rules = (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR))
-    magnitude = _magnitude_probe(fv)
-    Xs = [_truncation_point(magnitude, eps, cfg, envelope, support_radius)
-          for eps in cfg.epsilon_schedule]
+    magnitude = _magnitude_probe(f)
+    Xs, tails = zip(*(_truncation_point(magnitude, eps, cfg, envelope, support_radius)
+                      for eps in cfg.epsilon_schedule))
 
     def values_on(nodes):
-        return fv(nodes.ravel()).reshape(nodes.shape)
+        return _evaluate(f, nodes.ravel()).reshape(nodes.shape)
 
-    meshes = [_mesh(X, osc_scale, quad_phase, cfg.max_subdivisions) for X in Xs]
+    meshes = [_mesh(X, osc_scale, quad_phase) for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
     wide = meshes[int(np.argmax(Xs))]
     wide_values = [values_on(_panel_nodes(wide, x)[0]) for x, _ in rules]
     evals = sum(v.size for v in wide_values)
     samples = []
     quad_err = 0.0
-    trunc_err = 0.0
-    for eps, X, edges in zip(cfg.epsilon_schedule, Xs, meshes):
+    for eps, edges in zip(cfg.epsilon_schedule, meshes):
         # a panel is shared when both its edges are the wide mesh's, in place
         m = min(len(edges), len(wide))
         same = edges[:m] == wide[:m]
@@ -259,13 +259,9 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         p_main, p_err = sums
         samples.append((eps, complex(p_main.sum())))
         quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
-        if support_radius is None:
-            env_X = float(envelope(X)) if envelope is not None else 0.0
-            trunc_err = max(trunc_err, env_X * math.exp(-eps * X * X) * (1.0 + X)
-                            if envelope is not None else cfg.abs_tol / 10.0)
     order = min(cfg.extrapolation_order, len(samples) - 1)
     value, resid = extrapolate_to_zero(samples, order)
-    err = resid + 4.0 * quad_err + trunc_err
+    err = resid + 4.0 * quad_err + max(tails)
     return _finish(value, err, evals, cfg)
 
 
@@ -274,7 +270,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
 
 
 def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadResult:
-    """Quadrature of a complex-valued f over [a, b].
+    """Quadrature of the array integrand f over [a, b].
 
     The half-interval mesh of `_mesh` is laid from both endpoints, so each
     gets the geometric cascade that resolves integrable endpoint
@@ -285,9 +281,8 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
     """
     if not a < b:
         raise ValueError("integrate_finite requires a < b")
-    fv = _vectorize(f)
     h = 0.5 * (b - a)
-    half = _mesh(h, 1.0, 0.0, cfg.max_subdivisions)
+    half = _mesh(h, 1.0, 0.0)
 
     def offsets(end):
         return half[(half == 0.0) | (half >= min(2.0 ** -40 * abs(end), h))]
@@ -296,7 +291,8 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
     sums = []
     for x, w in (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR)):
         nodes, hw = _panel_nodes(edges, x)
-        sums.append((fv(nodes.ravel()).reshape(nodes.shape) * w).sum(axis=1) * hw)
+        values = _evaluate(f, nodes.ravel()).reshape(nodes.shape)
+        sums.append((values * w).sum(axis=1) * hw)
     p_main, p_err = sums
     evals = (len(edges) - 1) * (_GL_MAIN + _GL_ERR)
     return _finish(p_main.sum(), 4.0 * float(np.abs(p_main - p_err).sum()), evals, cfg)

@@ -67,8 +67,6 @@ class TestWindowConfig:
             WindowConfig((0.1, 0.05), (10.0, 5.0))  # shrinking box
         with pytest.raises(ValueError):
             WindowConfig((0.1, 0.05), (10.0,))
-        with pytest.raises(ValueError):
-            WindowConfig((0.02, 0.01), (40.0, 50.0), extrapolation_order=-1)
 
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")

@@ -2,6 +2,7 @@
 extrapolation to zero damping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,18 +13,25 @@ from lorentzft.quadrature import (
     _CASCADE,
     _GL_ERR,
     _GL_MAIN,
+    _MAX_PANELS,
     _finish,
     _gauss_legendre,
     _magnitude_probe,
     _mesh,
     _truncation_point,
-    _vectorize,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
 )
+from lorentzft.specfun import Order, bessel_n
 
 CFG = QuadConfig()
+
+# each engine as a function of its integrand alone
+_ENGINES = [
+    pytest.param(lambda f: integrate_finite(f, 0.0, 1.0, CFG), id="finite"),
+    pytest.param(lambda f: integrate_semiinfinite_damped(f, CFG), id="damped"),
+]
 
 
 class TestConfigValidation:
@@ -57,18 +65,18 @@ class TestConfigValidation:
 
 class TestFinite:
     def test_constant(self):
-        res = integrate_finite(lambda x: 1.0, 0.0, 1.0, CFG)
+        res = integrate_finite(np.ones_like, 0.0, 1.0, CFG)
         assert res.converged
         assert abs(res.value - 1.0) < 1e-12
 
     def test_x_sin_two_pi_x(self):
         # integration by parts: int_0^1 x sin(2 pi x) dx = -1/(2 pi)
-        res = integrate_finite(lambda x: x * math.sin(2 * math.pi * x), 0.0, 1.0, CFG)
+        res = integrate_finite(lambda x: x * np.sin(2 * math.pi * x), 0.0, 1.0, CFG)
         assert res.converged
         assert abs(res.value + 1.0 / (2 * math.pi)) < 1e-11
 
     def test_log_endpoint_singularity(self):
-        res = integrate_finite(math.log, 0.0, 1.0, CFG)
+        res = integrate_finite(np.log, 0.0, 1.0, CFG)
         assert res.converged
         assert abs(res.value + 1.0) < 1e-9
 
@@ -83,9 +91,9 @@ class TestFinite:
     # a cascade toward a nonzero endpoint e stops 2^-40 |e| short of it, which
     # limits an inverse square root there; toward 0 it runs its full depth
     @pytest.mark.parametrize("f, a, b, exact, tol", [
-        (lambda x: math.log(x - 1.0), 1.0, 2.0, -1.0, 1e-13),
-        (lambda x: 1.0 / math.sqrt(3.0 - x), 2.0, 3.0, 2.0, 1e-6),
-        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0, 1e-10),
+        (lambda x: np.log(x - 1.0), 1.0, 2.0, -1.0, 1e-13),
+        (lambda x: 1.0 / np.sqrt(3.0 - x), 2.0, 3.0, 2.0, 1e-6),
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0, 1e-10),
     ])
     def test_endpoint_singularity_estimate(self, f, a, b, exact, tol):
         res = integrate_finite(f, a, b, CFG)
@@ -103,11 +111,57 @@ class TestFinite:
             return np.cos(x)
 
         res = integrate_finite(f, a, b, CFG)
-        probe, nodes = received[0], np.concatenate(received[1:])
-        assert probe.size == 2
+        nodes = np.concatenate(received)
         assert nodes.size == res.evaluations
         assert np.all((a < nodes) & (nodes < b))
         assert abs(res.value - (math.sin(b) - math.sin(a))) < 1e-12
+
+
+class TestIntegrandContract:
+    """An integrand maps a float array to an array of the same shape."""
+
+    def test_one_call_per_rule(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return bessel_n(Order(0), x - 1.0)
+
+        res = integrate_finite(f, 2.0, 3.0, CFG)
+        assert len(sizes) == 2
+        assert sum(sizes) == res.evaluations
+
+    def test_no_point_outside_the_interval(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_finite(lambda x: np.log(x - 1.0), 1.0, 2.0, CFG)
+        assert abs(res.value + 1.0) < 1e-13
+
+    @pytest.mark.parametrize("integrate", _ENGINES)
+    def test_scalar_callable_rejected(self, integrate):
+        with pytest.raises(ValueError, match="same shape"):
+            integrate(lambda x: 1.0)
+
+    @pytest.mark.parametrize("integrate", _ENGINES)
+    def test_integrand_exception_propagates(self, integrate):
+        def f(x):
+            raise TypeError("from the integrand")
+
+        with pytest.raises(TypeError, match="from the integrand"):
+            integrate(f)
+
+
+class TestMesh:
+    @pytest.mark.parametrize("X, osc_scale, quad_phase", [
+        (5e6, 1.0, 0.0),      # linear-phase panels alone
+        (2e3, 40.0, 1.0),     # both phases
+        (300.0, 0.0, 1.0),    # quadratic-phase panels alone
+    ])
+    def test_panel_budget(self, X, osc_scale, quad_phase):
+        edges = _mesh(X, osc_scale, quad_phase)
+        assert len(edges) - 1 <= _MAX_PANELS
+        assert edges[-1] == X
+        assert np.all(np.diff(edges) > 0)
 
 
 class TestDampedSemiInfinite:
@@ -140,11 +194,6 @@ class TestDampedSemiInfinite:
         assert abs(res.value - 2.0) < 1e-6
         assert abs(res.value - 2.0) <= res.error_estimate
 
-    def test_scalar_callable_fallback(self):
-        res = integrate_semiinfinite_damped(lambda x: x * math.exp(-x * x), CFG,
-                                            envelope=lambda x: np.exp(-0.5 * np.asarray(x) ** 2))
-        assert abs(res.value - 0.5) < 1e-8
-
     def test_zero_integrand(self):
         res = integrate_semiinfinite_damped(lambda x: np.zeros_like(np.asarray(x)), CFG)
         assert res.converged
@@ -176,7 +225,7 @@ class TestDampedInvariants:
         f = lambda x: np.exp(-np.asarray(x, dtype=float))
         damped = integrate_semiinfinite_damped(f, CFG, quad_phase=0.0,
                                                envelope=lambda x: np.exp(-0.9 * np.asarray(x)))
-        finite = integrate_finite(lambda x: math.exp(-x), 0.0, 60.0, CFG)
+        finite = integrate_finite(lambda x: np.exp(-x), 0.0, 60.0, CFG)
         assert abs(damped.value - finite.value) <= \
             10 * (damped.error_estimate + finite.error_estimate) + 1e-9
 
@@ -225,7 +274,7 @@ def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
                     quad_phase=1.0):
     """Reference: the damped integral with the mesh built and f evaluated
     afresh for every eps (the loop the shared-mesh engine replaced)."""
-    fv = _vectorize(f)
+    fv = lambda x: np.asarray(f(x), dtype=complex)
     x_main, w_main = _gauss_legendre(_GL_MAIN)
     x_err, w_err = _gauss_legendre(_GL_ERR)
     samples = []
@@ -233,8 +282,8 @@ def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
     trunc_err = 0.0
     evals = 0
     for eps in cfg.epsilon_schedule:
-        X = _truncation_point(_magnitude_probe(fv), eps, cfg, envelope, support_radius)
-        edges = _mesh(X, osc_scale, quad_phase, cfg.max_subdivisions)
+        X, _ = _truncation_point(_magnitude_probe(fv), eps, cfg, envelope, support_radius)
+        edges = _mesh(X, osc_scale, quad_phase)
         a, b = edges[:-1], edges[1:]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -278,11 +327,13 @@ _SCHEDULE_CASES = {
         CFG, dict(support_radius=2.0, osc_scale=3.0, quad_phase=0.0)),
     "no_envelope": (lambda x: np.exp(1j * np.asarray(x)) / (1.0 + np.asarray(x) ** 2),
                     CFG, dict(osc_scale=1.0, quad_phase=0.0)),
-    "scalar_callable": (lambda x: math.cos(x) * math.exp(-0.2 * x), CFG,
-                        dict(envelope=lambda x: np.exp(-0.2 * np.asarray(x)),
-                             quad_phase=0.0)),
-    # s1 is set by osc_scale, so the walked meshes share their cascade panels
-    "coarsened": (_chirp, QuadConfig(max_subdivisions=300),
+    "real_envelope": (lambda x: np.cos(x) * np.exp(-0.2 * x), CFG,
+                      dict(envelope=lambda x: np.exp(-0.2 * np.asarray(x)),
+                           quad_phase=0.0)),
+    # small eps put every X past the panel budget; s1 is set by osc_scale,
+    # so the walked meshes share their cascade panels
+    "coarsened": (_chirp, QuadConfig(epsilon_schedule=(6e-4, 3e-4, 1.5e-4),
+                                     extrapolation_order=2),
                   dict(envelope=_chirp_env, osc_scale=20.0, quad_phase=1.0)),
     "X_below_s1": (lambda x: np.exp(1j * np.asarray(x) ** 2),
                    QuadConfig(epsilon_schedule=(50.0, 10.0, 1.0, 0.1)),
@@ -291,9 +342,9 @@ _SCHEDULE_CASES = {
 
 
 def _truncation_points(f, cfg, kw):
-    magnitude = _magnitude_probe(_vectorize(f))
+    magnitude = _magnitude_probe(f)
     return [_truncation_point(magnitude, eps, cfg, kw.get("envelope"),
-                              kw.get("support_radius"))
+                              kw.get("support_radius"))[0]
             for eps in cfg.epsilon_schedule]
 
 
@@ -314,8 +365,8 @@ class TestSharedMesh:
         def meshes(case):
             f, cfg, kw = _SCHEDULE_CASES[case]
             Xs = _truncation_points(f, cfg, kw)
-            ms = [_mesh(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0),
-                        cfg.max_subdivisions) for X in Xs]
+            ms = [_mesh(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0))
+                  for X in Xs]
             return Xs, ms, ms[int(np.argmax(Xs))]
 
         # a phase step coarsened differently per eps: the meshes share their
@@ -340,10 +391,9 @@ class TestSharedMesh:
 
         kw = dict(envelope=_chirp_env) if with_envelope else {}
         res = integrate_semiinfinite_damped(f, CFG, quad_phase=1.0, **kw)
-        vectorize_probe = 2
         # one first round on [1e-3, 10] for the schedule, one second round per eps
         truncation_probes = 0 if with_envelope else 48 + 48 * len(CFG.epsilon_schedule)
-        assert sum(received) == vectorize_probe + truncation_probes + res.evaluations
+        assert sum(received) == truncation_probes + res.evaluations
         assert res.evaluations < _per_eps_damped(f, CFG, quad_phase=1.0, **kw).evaluations
 
     def test_compact_support_evaluates_once(self):
