@@ -43,6 +43,7 @@ __all__ = [
     "chi_small_argument_limit",
     "minkowski_kernel",
     "kernel_envelope",
+    "chi_envelope",
     "closure_rhs",
     "exact_cos_sin_half_pi",
 ]
@@ -203,6 +204,21 @@ def kernel_envelope(spec: KernelSpec, l: MomentumMagnitude):
         else:
             amp = 2.0 * np.sqrt(2.0 / (math.pi * z)) * (1.0 + nu * nu / z)
         return pref * amp
+
+    return env
+
+
+def chi_envelope(n: int, k: float):
+    """Smooth upper bound on |chi(n, r, k)|, valid for 2 pi r k >~ 1.
+
+    The counterpart of `kernel_envelope` for the Hankel weight: the
+    prefactor times twice the large-argument amplitude sqrt(2 / (pi z)) of
+    J at z = 2 pi r k.  Only used to place tail truncation points.
+    """
+    def env(r):
+        ra = np.maximum(np.asarray(r, dtype=float), 1e-9)
+        return 2.0 * math.pi * ra ** (n / 2.0) * k ** (1.0 - n / 2.0) \
+            * 2.0 * np.sqrt(2.0 / (math.pi * 2.0 * math.pi * ra * k))
 
     return env
 

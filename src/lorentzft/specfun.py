@@ -7,6 +7,14 @@ accurate to near machine precision on the supported ranges; the test suite
 pins the accuracy against independent ascending-series oracles and against
 the half-integer closed forms.
 
+N_nu for nu >= 0 is the imaginary part of one Hankel function,
+H1_nu(x) = J_nu(x) + i N_nu(x) for real x (DLMF 10.4.3).  scipy's `yv` runs
+AMOS zbesy, which forms N = (H1 - H2) / 2i from two Hankel evaluations, so
+`Im hankel1` is the same number, bit for bit, for about half the work.  `yv`
+is kept where `Im hankel1` is NaN (the overflow band next to x = 0, where
+`yv` is -inf, and x = inf) and for the one negative order, nu = -1/2, whose
+reflection `yv` computes differently.
+
 scipy's Bessel ufuncs release the GIL, so an argument array of two blocks
 or more is split into blocks that run on a thread pool sized from the CPUs
 the process may use, each writing its own slice of one output array.  The
@@ -126,6 +134,19 @@ def _ufunc(fn, nu: float, arr: np.ndarray):
     return out.reshape(arr.shape)
 
 
+def _neumann(nu: float, x: np.ndarray, out=None):
+    """yv(nu, x) for one block, as Im hankel1(nu, x) where that is not NaN
+    and nu >= 0 (see the module docstring)."""
+    if nu < 0:
+        return _sp.yv(nu, x, out=out)
+    out = np.empty(x.shape) if out is None else out
+    out[...] = _sp.hankel1(nu, x).imag
+    nan = np.isnan(out)
+    if nan.any():
+        out[nan] = _sp.yv(nu, x[nan])
+    return out
+
+
 def bessel_j(nu: Order, x):
     """Bessel function of the first kind J_nu(x).
 
@@ -143,12 +164,14 @@ def bessel_j(nu: Order, x):
 def bessel_n(nu: Order, x):
     """Neumann function N_nu(x) (Bessel second kind, also written Y_nu).
 
-    Diverges at x = 0; requires x > 0.
+    Diverges at x = 0; requires x > 0.  The values are scipy's `yv`, bit
+    for bit; for nu >= 0 they come from one `hankel1` call (see the module
+    docstring), with `yv` where that is NaN.
     """
     arr, scalar = _as_array(x)
     if np.any(arr <= 0):
         raise DomainError("bessel_n requires x > 0")
-    out = _ufunc(_sp.yv, nu.nu, arr)
+    out = _ufunc(_neumann, nu.nu, arr)
     return float(out) if scalar else out
 
 

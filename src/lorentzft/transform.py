@@ -23,6 +23,7 @@ from .kernels import (
     MomentumChar,
     MomentumMagnitude,
     chi,
+    chi_envelope,
     kernel_envelope,
     minkowski_kernel,
 )
@@ -114,11 +115,11 @@ def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
 
     env = None
     if envelope is not None:
+        amp = chi_envelope(n, k)
+
         def env(r):
             ra = np.maximum(np.asarray(r, dtype=float), 1e-9)
-            amp = 2.0 * math.pi * ra ** (n / 2.0) * k ** (1.0 - n / 2.0) \
-                * 2.0 * np.sqrt(2.0 / (math.pi * 2.0 * math.pi * ra * k))
-            return np.asarray(envelope(ra), dtype=float) * amp
+            return np.asarray(envelope(ra), dtype=float) * amp(ra)
 
     return integrate_semiinfinite_damped(
         integrand, cfg, envelope=env, support_radius=support_radius,

@@ -13,6 +13,7 @@ from lorentzft.kernels import (
     MomentumChar,
     MomentumMagnitude,
     chi,
+    chi_envelope,
     chi_small_argument_limit,
     closure_rhs,
     exact_cos_sin_half_pi,
@@ -66,6 +67,13 @@ class TestChi:
             chi(0, 1.0, 1.0)
         with pytest.raises(DomainError):
             chi(11, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_envelope_bounds_chi(self, n):
+        # the bound the truncation search relies on, for 2 pi r k >= 1
+        for k in (0.3, 1.0, 2.5):
+            r = np.geomspace(1.0, 400.0, 2000) / (2.0 * math.pi * k)
+            assert np.all(np.abs(chi(n, r, k)) <= chi_envelope(n, k)(r))
 
 
 class TestExactPhase:

@@ -392,3 +392,26 @@ class TestBlockPool:
 
 def _child_bessel_n(x):
     assert np.array_equal(bessel_n(ZERO, x), sp.yv(0.0, x))
+
+
+# ---------------------------------------------------------------------------
+# bessel_n is Im H1 for nu >= 0: the same bits as scipy's yv everywhere
+
+# down to 1e-320, so the overflow band near 0 (yv = -inf, Im H1 = NaN) is in;
+# at x = inf both are NaN
+_NEUMANN_X = np.concatenate([np.logspace(-320.0, 12.0, 12000),
+                             np.linspace(1e-3, 200.0, 12000), [np.inf]])
+
+
+class TestNeumannBits:
+    @pytest.mark.parametrize("twice_nu", range(-1, 22))
+    def test_equal_to_yv(self, pool, twice_nu):
+        out = bessel_n(Order(twice_nu), _NEUMANN_X)
+        assert np.array_equal(out, sp.yv(twice_nu / 2, _NEUMANN_X), equal_nan=True)
+
+    @pytest.mark.parametrize("twice_nu", [-1, 0, 1, 9, 21])
+    def test_scalar_and_zero_d(self, twice_nu):
+        for x in (1e-310, 1e-40, 0.75, 31.0, 1e10, np.float64(2.5), np.array(6.0)):
+            out = bessel_n(Order(twice_nu), x)
+            assert type(out) is float
+            assert out == sp.yv(twice_nu / 2, float(x))

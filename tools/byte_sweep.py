@@ -1,0 +1,68 @@
+"""Byte-identity sweep: run a fixed set of CLI invocations in-process and
+print the line count and sha256 of their concatenated standard output.
+
+    python tools/byte_sweep.py [--save PATH]
+
+The sweep is `transform` of the three non-zero builtin profiles for
+n = 1..10 (`gauss_oscillatory` for n <= 5), both momentum characters, one
+`--tol 1e-6 --epsilon0 0.3` run, one `builtin:zero` run and
+`validate --suite all`.  A change meant to keep the package's numbers must
+print the same digest as its parent; run the script from each checkout
+(it imports the package from the `src/` next to it).  `--save` also writes
+the output, for a diff when the digests differ.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from lorentzft.cli import main  # noqa: E402
+
+CHARS = ("timelike", "spacelike")
+
+
+def sweep():
+    """The argument lists of the sweep, in order."""
+    runs = [f"--n {n} --profile builtin:gauss_oscillatory --char {c} "
+            "--kmin 0.25 --kmax 1.5 --kcount 5"
+            for n in range(1, 6) for c in CHARS]
+    runs += [f"--n {n} --profile builtin:{p} --char {c} "
+             "--kmin 0.1 --kmax 3 --kcount 4"
+             for p in ("compact_bump", "gauss_decay_timelike")
+             for n in range(1, 11) for c in CHARS]
+    runs += ["--n 3 --profile builtin:gauss_oscillatory --char timelike "
+             "--kmin 0.5 --tol 1e-6 --epsilon0 0.3",
+             "--n 2 --profile builtin:zero --char timelike "
+             "--kmin 0.5 --kmax 1 --kcount 2"]
+    return [["transform", *r.split()] for r in runs] + [
+        ["validate", "--suite", "all"]]
+
+
+def run_sweep() -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for argv in sweep():
+            main(argv)
+    return buf.getvalue()
+
+
+def cli(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--save", type=pathlib.Path, default=None,
+                    help="also write the sweep's output to this file")
+    args = ap.parse_args(argv)
+    text = run_sweep()
+    if args.save is not None:
+        args.save.write_text(text, encoding="utf-8")
+    print(f"{text.count(chr(10))} lines  sha256 "
+          f"{hashlib.sha256(text.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli())
