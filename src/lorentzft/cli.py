@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .kernels import MomentumChar, MomentumMagnitude, chi, chi_small_argument_limit
+from .kernels import (MomentumChar, MomentumMagnitude, check_dimension, chi,
+                      chi_small_argument_limit)
 from .profiles import builtin_profile, profile_from_csv
 from .quadrature import QuadConfig
 from .transform import spectrum
@@ -51,6 +52,7 @@ def _momentum_grid(kmin, kmax, kcount, spacing, char):
 
 def cmd_transform(args) -> int:
     try:
+        check_dimension(args.n)
         profile = _parse_profile(args.profile)
         char = MomentumChar(args.char)
         if args.kcount < 1 or args.kmin <= 0 or (args.kcount > 1 and args.kmax <= args.kmin):
@@ -90,6 +92,7 @@ def _fmt(z: complex) -> str:
 
 def cmd_chi(args) -> int:
     try:
+        check_dimension(args.n)
         if args.rcount < 0 or args.rmin < 0 or args.k <= 0:
             raise ValueError("need rmin >= 0, k > 0, rcount >= 0")
         if args.rcount > 1 and args.rmax < args.rmin:
@@ -97,14 +100,13 @@ def cmd_chi(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("r,chi")
-    if args.rcount == 0:
-        return 0
-    rr = np.linspace(args.rmin, args.rmax, args.rcount) if args.rcount > 1 \
+    rr = np.linspace(args.rmin, args.rmax, args.rcount) if args.rcount != 1 \
         else np.array([args.rmin])
-    # tabulates chi_n(k, r); the r = 0 row is the small-argument limit
-    vals = np.array([chi_small_argument_limit(args.n, args.k) if r == 0
-                     else chi(args.n, args.k, r) for r in rr])
+    # tabulates chi_n(k, r); the r = 0 rows are the small-argument limit
+    pos = rr > 0
+    vals = np.full(rr.shape, chi_small_argument_limit(args.n, args.k))
+    vals[pos] = chi(args.n, args.k, rr[pos])
+    print("r,chi")
     for r, v in zip(rr, vals):
         print(f"{r:.17g},{v:.17g}")
     return 0

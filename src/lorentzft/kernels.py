@@ -19,9 +19,9 @@ where w is the weight returned by `minkowski_kernel`:
     spacelike l, spacelike branch:
         -2 pi s^{(n+1)/2} / l^{(n-1)/2}  N_{(n-1)/2}(2 pi s l)
 
-The trigonometric factors at multiples of pi/2 are resolved by exact case
-analysis on n mod 4, so the vanishing kernels (even n, timelike momentum,
-spacelike branch) are exactly zero.
+Exactly one of cos and sin of pi(n-1)/2 is nonzero (exact case analysis on
+n mod 4), so each weight is one coefficient c times one cylinder function,
+`KernelSpec.weight`; c = 0 makes the vanishing kernels exactly zero.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "chi_envelope",
     "closure_rhs",
     "exact_cos_sin_half_pi",
+    "check_dimension",
 ]
 
 _N_MIN, _N_MAX = 1, 10
@@ -70,16 +71,25 @@ class KernelSpec:
     branch: Branch
 
     def __post_init__(self):
-        if not _N_MIN <= self.n <= _N_MAX:
-            raise DomainError(f"spatial dimension n={self.n} outside [{_N_MIN}, {_N_MAX}]")
+        check_dimension(self.n)
+
+    @property
+    def weight(self):
+        """(c, family): the weight is c s^{(n+1)/2} / l^{(n-1)/2} times the
+        cylinder function named `family` of order (n-1)/2 at 2 pi s l."""
+        cos, sin = exact_cos_sin_half_pi(self.n - 1)
+        if self.momentum_char is MomentumChar.TIMELIKE:
+            if self.branch is Branch.TIMELIKE_PROFILE:
+                return -2.0 * math.pi * (cos or sin), "bessel_n" if cos else "bessel_j"
+            return 4.0 * cos, "bessel_k"
+        if self.branch is Branch.TIMELIKE_PROFILE:
+            return 4.0, "bessel_k"
+        return -2.0 * math.pi, "bessel_n"
 
     @property
     def vanishes(self) -> bool:
-        """True for the identically zero kernels: timelike momentum,
-        spacelike branch and cos(pi (n-1)/2) = 0, i.e. even n."""
-        return (self.momentum_char is MomentumChar.TIMELIKE
-                and self.branch is Branch.SPACELIKE_PROFILE
-                and exact_cos_sin_half_pi(self.n - 1)[0] == 0)
+        """True for the zero kernels: timelike momentum, spacelike branch, even n."""
+        return self.weight[0] == 0
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,12 @@ class MomentumMagnitude:
                               "momenta are unsupported)")
 
 
+def check_dimension(n: int) -> None:
+    """Raise DomainError unless the spatial dimension n is supported."""
+    if not _N_MIN <= n <= _N_MAX:
+        raise DomainError(f"spatial dimension n={n} outside [{_N_MIN}, {_N_MAX}]")
+
+
 def exact_cos_sin_half_pi(m: int):
     """(cos(pi m / 2), sin(pi m / 2)) by case analysis, exact integers."""
     return [(1, 0), (0, 1), (-1, 0), (0, -1)][m % 4]
@@ -111,8 +127,7 @@ def chi(n: int, r, k):
     dimension.  Swapping the arguments gives the inverse weight chi_n(k, r).
     Broadcasts over r and k; requires k > 0, r >= 0.
     """
-    if not _N_MIN <= n <= _N_MAX:
-        raise DomainError(f"spatial dimension n={n} outside [{_N_MIN}, {_N_MAX}]")
+    check_dimension(n)
     scalar = (np.isscalar(r) or np.asarray(r).ndim == 0) and \
              (np.isscalar(k) or np.asarray(k).ndim == 0)
     ra, ka = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -155,44 +170,28 @@ def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
     if np.any(arr < 0):
         raise DomainError("minkowski_kernel requires s >= 0")
     n = spec.n
-    nu = Order(n - 1)
-    cosf, sinf = exact_cos_sin_half_pi(n - 1)
+    c, family = spec.weight
     out = np.zeros_like(arr)
-    pos = arr > 0
-    sp = arr[pos]
-    z = 2.0 * math.pi * sp * l.value
-    pref = sp ** ((n + 1) / 2.0) / l.value ** ((n - 1) / 2.0)
-    if spec.momentum_char is MomentumChar.TIMELIKE:
-        if spec.branch is Branch.TIMELIKE_PROFILE:
-            cyl = np.zeros_like(sp)
-            if cosf:
-                cyl += cosf * bessel_n(nu, z)
-            if sinf:
-                cyl += sinf * bessel_j(nu, z)
-            out[pos] = -2.0 * math.pi * pref * cyl
-        elif not spec.vanishes:       # else exactly zero, no Bessel call
-            out[pos] = 4.0 * cosf * pref * bessel_k(nu, z)
-    else:
-        if spec.branch is Branch.TIMELIKE_PROFILE:
-            out[pos] = 4.0 * pref * bessel_k(nu, z)
-        else:
-            out[pos] = -2.0 * math.pi * pref * bessel_n(nu, z)
+    if c:                             # else exactly zero, no Bessel call
+        pos = arr > 0
+        sp = arr[pos]
+        pref = sp ** ((n + 1) / 2.0) / l.value ** ((n - 1) / 2.0)
+        # by name at call time, so a patched module attribute is the one called
+        out[pos] = c * pref * globals()[family](Order(n - 1), 2.0 * math.pi * sp * l.value)
     return float(out[0]) if scalar else out
 
 
 def kernel_envelope(spec: KernelSpec, l: MomentumMagnitude):
-    """Smooth upper bound on |minkowski_kernel|, valid for 2 pi s l >~ 1.
+    """Smooth upper bound on |minkowski_kernel|, valid for 2 pi s l >= 3.
 
     Only used to place tail truncation points, where the large-argument
-    envelopes of the cylinder functions apply.
+    envelopes of the cylinder functions apply; below 2 pi s l ~ 2.5 it
+    fails for n >= 5.
     """
     n = spec.n
     lv = l.value
     nu = (n - 1) / 2.0
-    uses_k = (spec.momentum_char is MomentumChar.SPACELIKE
-              and spec.branch is Branch.TIMELIKE_PROFILE) or \
-             (spec.momentum_char is MomentumChar.TIMELIKE
-              and spec.branch is Branch.SPACELIKE_PROFILE)
+    uses_k = spec.weight[1] == "bessel_k"
 
     def env(s):
         sa = np.maximum(np.asarray(s, dtype=float), 1e-9)

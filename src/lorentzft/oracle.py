@@ -38,6 +38,7 @@ from .quadrature import (
     QuadResult,
     _finish,
     _gauss_legendre,
+    _panel_nodes,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
@@ -256,15 +257,13 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     on the cell, passes `keep`.  Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
+    nodes, half = _panel_nodes(edges, xg)
     window = half[:, None] * wg[None, :] * np.exp(-eta * nodes ** 2 / 2.0)
     # timelike k oscillates along t = (u + v)/2, spacelike along x = (v - u)/2
     sign_u = 1.0 if k.char is MomentumChar.SPACELIKE else -1.0
     pu = window * np.exp(sign_u * 1j * math.pi * k.value * nodes)
     pv = window * np.exp(-1j * math.pi * k.value * nodes)
-    nearest = np.clip(0.0, a, b)
+    nearest = np.clip(0.0, edges[:-1], edges[1:])
     iu, iv = np.nonzero(keep(nearest[:, None] * nearest[None, :]))
     total = 0.0 + 0.0j
     for c0 in range(0, len(iu), _BLOCK):

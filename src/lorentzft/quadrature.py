@@ -10,11 +10,11 @@ For each eps in a decreasing schedule the damped integral is evaluated on
 of values is extrapolated polynomially to eps = 0.  The panel mesh is a
 deterministic function of the configuration (never of sampled integrand
 values), so two integrands that agree pointwise are integrated on identical
-nodes.  The meshes of one schedule share their panels, so f is evaluated
-once on the widest mesh and reweighted by exp(-eps x^2) for each eps; only
-panels that mesh does not contain are evaluated for that eps.  The sums are
-formed exactly as a separate evaluation per eps would form them, so the
-result is the same to the last bit.
+nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
+rule, then the 12 of the error rule.  f is called once on the widest mesh of
+a schedule, reweighted by exp(-eps x^2) for each eps, and called once more
+on the panels an eps's mesh does not share.  The sums are formed exactly as
+a separate evaluation per eps and rule would form them, to the last bit.
 """
 
 from __future__ import annotations
@@ -141,14 +141,24 @@ def _panel_nodes(edges, x):
     return mid[:, None] + half[:, None] * x[None, :], half
 
 
+# one panel rule: the _GL_MAIN main nodes, then the _GL_ERR error-rule nodes
+_RULE_X, _RULE_W = map(np.concatenate,
+                       zip(_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR)))
+
+
+def _panel_sums(terms, half):
+    """Main- and error-rule sums of each panel from its weighted terms."""
+    return terms[:, :_GL_MAIN].sum(axis=1) * half, terms[:, _GL_MAIN:].sum(axis=1) * half
+
+
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f on the float array x, as complex: an integrand maps a float array
-    to an array of the same shape."""
-    out = np.asarray(f(x), dtype=complex)
-    if out.shape != x.shape:
+    """f on the float array x of any shape, in one call, as complex: an
+    integrand maps a float array to an array of the same shape."""
+    out = np.asarray(f(x.ravel()), dtype=complex)
+    if out.shape != (x.size,):
         raise ValueError("an integrand must map a float array to an array of "
-                         f"the same shape; got shape {out.shape} for {x.shape}")
-    return out
+                         f"the same shape; got shape {out.shape} for {(x.size,)}")
+    return out.reshape(x.shape)
 
 
 def _quantize_up(m: float) -> float:
@@ -224,19 +234,14 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         Bound on the quadratic phase coefficient of f (phases ~ quad_phase*x^2
         are resolved); pass 0 for non-chirped integrands.
     """
-    rules = (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR))
     magnitude = _magnitude_probe(f)
     Xs, tails = zip(*(_truncation_point(magnitude, eps, cfg, envelope, support_radius)
                       for eps in cfg.epsilon_schedule))
-
-    def values_on(nodes):
-        return _evaluate(f, nodes.ravel()).reshape(nodes.shape)
-
     meshes = [_mesh(X, osc_scale, quad_phase) for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
     wide = meshes[int(np.argmax(Xs))]
-    wide_values = [values_on(_panel_nodes(wide, x)[0]) for x, _ in rules]
-    evals = sum(v.size for v in wide_values)
+    wide_values = _evaluate(f, _panel_nodes(wide, _RULE_X)[0])
+    evals = wide_values.size
     samples = []
     quad_err = 0.0
     for eps, edges in zip(cfg.epsilon_schedule, meshes):
@@ -246,17 +251,16 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         shared = np.zeros(len(edges) - 1, dtype=bool)
         shared[:m - 1] = same[:-1] & same[1:]
         reused, own = np.flatnonzero(shared), np.flatnonzero(~shared)
-        sums = []
-        for (x, w), wide_v in zip(rules, wide_values):
-            nodes, half = _panel_nodes(edges, x)
-            values = np.empty(nodes.shape, dtype=complex)
-            values[reused] = wide_v[reused]
-            if own.size:
-                values[own] = values_on(nodes[own])
-                evals += own.size * len(x)
-            sums.append((values * np.exp(-eps * nodes * nodes) * w[None, :])
-                        .sum(axis=1) * half)
-        p_main, p_err = sums
+        nodes, half = _panel_nodes(edges, _RULE_X)
+        values = np.empty(nodes.shape, dtype=complex)
+        values[reused] = wide_values[reused]
+        if own.size:
+            values[own] = _evaluate(f, nodes[own])
+            evals += own.size * _RULE_X.size
+        # in place: a second panels x 36 array would raise peak memory
+        values *= np.exp(-eps * nodes * nodes)
+        values *= _RULE_W
+        p_main, p_err = _panel_sums(values, half)
         samples.append((eps, complex(p_main.sum())))
         quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
     order = min(cfg.extrapolation_order, len(samples) - 1)
@@ -276,8 +280,8 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
     gets the geometric cascade that resolves integrable endpoint
     singularities.  Cascade edges nearer an endpoint e than 2^-40 |e| are
     dropped, so every node rounds to a point strictly inside (a, b):
-    endpoints are never evaluated.  The error estimate is 4 sum |G24 - G12|
-    over the panels.
+    endpoints are never evaluated.  f is called once, on every node.  The
+    error estimate is 4 sum |G24 - G12| over the panels.
     """
     if not a < b:
         raise ValueError("integrate_finite requires a < b")
@@ -288,14 +292,9 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
         return half[(half == 0.0) | (half >= min(2.0 ** -40 * abs(end), h))]
 
     edges = np.concatenate([a + offsets(a), (b - offsets(b))[-2::-1]])
-    sums = []
-    for x, w in (_gauss_legendre(_GL_MAIN), _gauss_legendre(_GL_ERR)):
-        nodes, hw = _panel_nodes(edges, x)
-        values = _evaluate(f, nodes.ravel()).reshape(nodes.shape)
-        sums.append((values * w).sum(axis=1) * hw)
-    p_main, p_err = sums
-    evals = (len(edges) - 1) * (_GL_MAIN + _GL_ERR)
-    return _finish(p_main.sum(), 4.0 * float(np.abs(p_main - p_err).sum()), evals, cfg)
+    nodes, hw = _panel_nodes(edges, _RULE_X)
+    p_main, p_err = _panel_sums(_evaluate(f, nodes) * _RULE_W, hw)
+    return _finish(p_main.sum(), 4.0 * float(np.abs(p_main - p_err).sum()), nodes.size, cfg)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ is kept where `Im hankel1` is NaN (the overflow band next to x = 0, where
 `yv` is -inf, and x = inf) and for the one negative order, nu = -1/2, whose
 reflection `yv` computes differently.
 
-scipy's Bessel ufuncs release the GIL, so an argument array of two blocks
+scipy's Bessel ufuncs release the GIL, so an argument array of three blocks
 or more is split into blocks that run on a thread pool sized from the CPUs
 the process may use, each writing its own slice of one output array.  The
 ufunc is elementwise, so the result is bit-identical to one call.  Only the
@@ -89,7 +89,13 @@ def _as_array(x):
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
-_BLOCK = 8192          # points per pool task; shorter arguments run inline
+_BLOCK = 8192          # points per pool task
+# Shorter arguments run inline.  The quadrature engines call an integrand
+# once per mesh, on 36 nodes a panel, so the pool takes the meshes of 683
+# panels or more.  A pooled call's time depends on whether the other CPUs
+# are free: pooling shorter calls spread the times of the ops that made
+# them without making those ops faster.
+_POOL_MIN = 3 * _BLOCK
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -122,7 +128,7 @@ if hasattr(os, "register_at_fork"):
 
 def _ufunc(fn, nu: float, arr: np.ndarray):
     """fn(nu, arr), split into blocks over the pool when arr is long."""
-    pool = _executor() if arr.size >= 2 * _BLOCK else None
+    pool = _executor() if arr.size >= _POOL_MIN else None
     if pool is None:
         return fn(nu, arr)
     flat = arr.ravel()

@@ -11,11 +11,12 @@ from scipy.integrate import quad
 
 import lorentzft.kernels
 from lorentzft.cli import build_parser, main
-from lorentzft.specfun import _BLOCK
+from lorentzft.specfun import _POOL_MIN
 from lorentzft.transform import gaussian_reference
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transform.csv"
 GOLDEN_VALIDATE = pathlib.Path(__file__).parent / "data" / "golden_validate.txt"
+GOLDEN_CHI = pathlib.Path(__file__).parent / "data" / "golden_chi.txt"
 
 
 def run_cli(args, capsys):
@@ -116,6 +117,15 @@ class TestTransformCommand:
                               "--char", "timelike", "--kmin", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "11"])
+    def test_dimension_out_of_range_exits_2(self, n, capsys):
+        code, out, err = run_cli(["transform", "--n", n,
+                                  "--profile", "builtin:compact_bump",
+                                  "--char", "timelike", "--kmin", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"n={n}" in err
+
     def test_missing_kmax_exits_2(self, capsys):
         code, _, _ = run_cli(["transform", "--n", "1",
                               "--profile", "builtin:zero",
@@ -137,7 +147,7 @@ class TestTransformCommand:
             assert out == expected, argv
             assert code == (1 if ",false" in expected else 0), argv
         # the file covers Neumann arguments long enough to be split into blocks
-        assert max(sizes) >= 2 * _BLOCK
+        assert max(sizes) >= _POOL_MIN
 
     def test_usage_errors_leave_the_shared_parser_intact(self, capsys):
         assert build_parser() is build_parser()
@@ -200,6 +210,23 @@ class TestChiCommand:
         code, _, _ = run_cli(["chi", "--n", "1", "--k", "-1.0",
                               "--rmin", "0", "--rmax", "1", "--rcount", "3"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "11"])
+    def test_dimension_out_of_range_exits_2(self, n, capsys):
+        for rmin in ("0", "0.5"):     # the limit row alone, and a chi row
+            code, out, err = run_cli(["chi", "--n", n, "--k", "1.0",
+                                      "--rmin", rmin, "--rcount", "1"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and f"n={n}" in err
+
+    def test_golden_bytes(self, capsys):
+        runs = golden_runs(GOLDEN_CHI)
+        assert len(runs) == 21
+        for argv, expected in runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert out == expected, argv
+            assert code == 0, argv
 
     def test_determinism(self, capsys):
         args = ["chi", "--n", "4", "--k", "0.9", "--rmin", "0.1",

@@ -17,6 +17,7 @@ from lorentzft.kernels import (
     chi_small_argument_limit,
     closure_rhs,
     exact_cos_sin_half_pi,
+    kernel_envelope,
     minkowski_kernel,
 )
 from lorentzft.specfun import DomainError
@@ -130,6 +131,41 @@ class TestMinkowskiKernel:
                             assert np.all(minkowski_kernel(spec, self.S, l) == 0.0)
                     else:
                         assert np.any(minkowski_kernel(spec, self.S, l) != 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_docstring_formula(self, n):
+        # the module docstring's four weights, written with scipy directly
+        from scipy.special import jv, kv, yv
+        nu = (n - 1) / 2.0
+        cos, sin = [(1, 0), (0, 1), (-1, 0), (0, -1)][(n - 1) % 4]
+        s = np.geomspace(1e-3, 30.0, 200)
+        for lv in (0.3, 1.0, 2.7):
+            z = 2.0 * math.pi * s * lv
+            pref = s ** ((n + 1) / 2.0) / lv ** ((n - 1) / 2.0)
+            refs = {
+                (TL, TP): -2.0 * math.pi * pref * (yv(nu, z) * cos + jv(nu, z) * sin),
+                (TL, SP): 4.0 * pref * kv(nu, z) * cos,
+                (SL, TP): 4.0 * pref * kv(nu, z),
+                (SL, SP): -2.0 * math.pi * pref * yv(nu, z),
+            }
+            for (char, branch), ref in refs.items():
+                got = minkowski_kernel(KernelSpec(n, char, branch), s,
+                                       MomentumMagnitude(lv, char))
+                assert np.allclose(got, ref, rtol=1e-13, atol=0.0), (char, branch, lv)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_envelope_bounds_kernel(self, n):
+        # the bound the truncation search relies on, for 2 pi s l in [3, 1e4]
+        for char in (TL, SL):
+            for branch in (TP, SP):
+                spec = KernelSpec(n, char, branch)
+                if spec.vanishes:
+                    continue
+                for lv in (0.3, 1.0, 2.7):
+                    s = np.geomspace(3.0, 1e4, 2000) / (2.0 * math.pi * lv)
+                    l = MomentumMagnitude(lv, char)
+                    assert np.all(np.abs(minkowski_kernel(spec, s, l))
+                                  <= kernel_envelope(spec, l)(s)), (char, branch, lv)
 
     def test_char_mismatch(self):
         l = MomentumMagnitude(1.0, SL)

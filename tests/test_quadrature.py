@@ -120,15 +120,34 @@ class TestFinite:
 class TestIntegrandContract:
     """An integrand maps a float array to an array of the same shape."""
 
-    def test_one_call_per_rule(self):
+    def test_one_call_per_mesh(self):
         sizes = []
 
-        def f(x):
-            sizes.append(x.size)
-            return bessel_n(Order(0), x - 1.0)
+        def recording(f):
+            def g(x):
+                sizes.append(x.size)
+                return f(x)
+            return g
 
-        res = integrate_finite(f, 2.0, 3.0, CFG)
-        assert len(sizes) == 2
+        res = integrate_finite(recording(lambda x: bessel_n(Order(0), x - 1.0)),
+                               2.0, 3.0, CFG)
+        assert sizes == [res.evaluations]
+
+        f, cfg, kw = _SCHEDULE_CASES["support_radius"]
+        sizes.clear()
+        res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
+        assert sizes == [res.evaluations]
+
+        # the widest mesh, then each eps whose mesh has panels of its own
+        f, cfg, kw = _SCHEDULE_CASES["chirped_envelope"]
+        Xs = _truncation_points(f, cfg, kw)
+        meshes = [_mesh(X, 1.0, 1.0) for X in Xs]
+        wide = meshes[int(np.argmax(Xs))]
+        own = [not np.array_equal(edges, wide[:len(edges)]) for edges in meshes]
+        sizes.clear()
+        res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
+        assert 0 < sum(own) < len(own)
+        assert len(sizes) == 1 + sum(own)
         assert sum(sizes) == res.evaluations
 
     def test_no_point_outside_the_interval(self):

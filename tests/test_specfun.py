@@ -17,7 +17,7 @@ import lorentzft.kernels
 from lorentzft import specfun
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import builtin_profile
-from lorentzft.quadrature import QuadConfig
+from lorentzft.quadrature import _RULE_X, QuadConfig
 from lorentzft.specfun import DomainError, Order, bessel_j, bessel_k, bessel_n, gamma_fn
 
 from series_reference import (
@@ -249,6 +249,7 @@ class TestPositivity:
 # long arguments: blocks on the shared thread pool
 
 BLOCK = specfun._BLOCK
+POOL_MIN = specfun._POOL_MIN     # the shortest argument split into blocks
 RAW = [(bessel_j, sp.jv), (bessel_n, sp.yv), (bessel_k, sp.kv)]
 
 
@@ -286,6 +287,8 @@ ARGUMENTS = {
     "1": _positive(1),
     "2block-1": _positive(2 * BLOCK - 1),
     "2block": _positive(2 * BLOCK),
+    "3block-1": _positive(3 * BLOCK - 1),
+    "3block": _positive(3 * BLOCK),
     "5block+17": _positive(5 * BLOCK + 17),
     "2d": _WIDE,
     "strided": _WIDE[:, ::2],
@@ -303,7 +306,7 @@ class TestBlockPool:
             ref = raw(abs(nu) if raw is sp.kv else nu, x)
             assert np.array_equal(fn(Order(twice_nu), x), ref)
         if pool is not None:
-            blocks = -(-x.size // BLOCK) if x.size >= 2 * BLOCK else 0
+            blocks = -(-x.size // BLOCK) if x.size >= POOL_MIN else 0
             assert pool.tasks == 3 * blocks
 
     def test_forked_child_after_the_pool_ran(self, monkeypatch):
@@ -329,6 +332,10 @@ class TestBlockPool:
         finally:
             specfun._pool.shutdown()
 
+    def test_pool_takes_meshes_of_683_panels_or_more(self):
+        # one integrand call per mesh, on _RULE_X.size nodes a panel
+        assert _RULE_X.size * 682 < POOL_MIN <= _RULE_X.size * 683
+
     def test_concurrent_first_calls_build_one_pool(self, monkeypatch):
         built = []
 
@@ -340,7 +347,7 @@ class TestBlockPool:
         monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
         monkeypatch.setattr(specfun, "_pool", None)
         monkeypatch.setattr(specfun, "ThreadPoolExecutor", Recorded)
-        x = ARGUMENTS["2block"]
+        x = ARGUMENTS["3block"]
         ref = sp.yv(0.0, x)
         results = [None] * 8
 
@@ -398,9 +405,10 @@ def _child_bessel_n(x):
 # bessel_n is Im H1 for nu >= 0: the same bits as scipy's yv everywhere
 
 # down to 1e-320, so the overflow band near 0 (yv = -inf, Im H1 = NaN) is in;
-# at x = inf both are NaN
+# at x = inf both are NaN.  Long enough to run on the pool.
 _NEUMANN_X = np.concatenate([np.logspace(-320.0, 12.0, 12000),
-                             np.linspace(1e-3, 200.0, 12000), [np.inf]])
+                             np.linspace(1e-3, 200.0, 12000),
+                             np.linspace(200.0, 2000.0, 600), [np.inf]])
 
 
 class TestNeumannBits:
@@ -408,6 +416,8 @@ class TestNeumannBits:
     def test_equal_to_yv(self, pool, twice_nu):
         out = bessel_n(Order(twice_nu), _NEUMANN_X)
         assert np.array_equal(out, sp.yv(twice_nu / 2, _NEUMANN_X), equal_nan=True)
+        if pool is not None:
+            assert pool.tasks == -(-_NEUMANN_X.size // BLOCK)
 
     @pytest.mark.parametrize("twice_nu", [-1, 0, 1, 9, 21])
     def test_scalar_and_zero_d(self, twice_nu):

@@ -1,15 +1,17 @@
 """Byte-identity sweep: run a fixed set of CLI invocations in-process and
 print the line count and sha256 of their concatenated standard output.
 
-    python tools/byte_sweep.py [--save PATH]
+    python tools/byte_sweep.py [--src PATH] [--save PATH]
 
 The sweep is `transform` of the three non-zero builtin profiles for
 n = 1..10 (`gauss_oscillatory` for n <= 5), both momentum characters, one
-`--tol 1e-6 --epsilon0 0.3` run, one `builtin:zero` run and
-`validate --suite all`.  A change meant to keep the package's numbers must
-print the same digest as its parent; run the script from each checkout
-(it imports the package from the `src/` next to it).  `--save` also writes
-the output, for a diff when the digests differ.
+`--tol 1e-6 --epsilon0 0.3` run, one `builtin:zero` run,
+`validate --suite all`, and `chi` for n = 1..10 at `--k 0.5` and `--k 2`
+over 41 radii from 0 to 5 plus one single-radius run.  A change meant to
+keep the package's numbers must print the same digest as its parent.  The
+package is imported from `--src` (default: the `src/` next to this script),
+so one script can sweep two checkouts.  `--save` also writes the output,
+for a diff when the digests differ.
 """
 
 import argparse
@@ -18,10 +20,6 @@ import hashlib
 import io
 import pathlib
 import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from lorentzft.cli import main  # noqa: E402
 
 CHARS = ("timelike", "spacelike")
 
@@ -39,11 +37,17 @@ def sweep():
              "--kmin 0.5 --tol 1e-6 --epsilon0 0.3",
              "--n 2 --profile builtin:zero --char timelike "
              "--kmin 0.5 --kmax 1 --kcount 2"]
+    chi = [f"--n {n} --k {k} --rmin 0 --rmax 5 --rcount 41"
+           for k in ("0.5", "2") for n in range(1, 11)]
+    chi.append("--n 3 --k 1.25 --rmin 0.7 --rcount 1")
     return [["transform", *r.split()] for r in runs] + [
-        ["validate", "--suite", "all"]]
+        ["validate", "--suite", "all"]] + [["chi", *r.split()] for r in chi]
 
 
-def run_sweep() -> str:
+def run_sweep(src: pathlib.Path) -> str:
+    sys.path.insert(0, str(src.resolve()))
+    from lorentzft.cli import main
+
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         for argv in sweep():
@@ -53,10 +57,13 @@ def run_sweep() -> str:
 
 def cli(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=pathlib.Path,
+                    default=pathlib.Path(__file__).resolve().parent.parent / "src",
+                    help="directory holding the lorentzft package to sweep")
     ap.add_argument("--save", type=pathlib.Path, default=None,
                     help="also write the sweep's output to this file")
     args = ap.parse_args(argv)
-    text = run_sweep()
+    text = run_sweep(args.src)
     if args.save is not None:
         args.save.write_text(text, encoding="utf-8")
     print(f"{text.count(chr(10))} lines  sha256 "
