@@ -45,7 +45,6 @@ from .transform import (
 from .oracle import (
     AngularIdentity,
     AngularIdentityKind,
-    WindowConfig,
     cartesian_ft_1p1,
     cartesian_ft_1p2,
     check_angular_identity,
@@ -61,7 +60,7 @@ __all__ = [
     "RadialProfile", "builtin_profile", "profile_from_csv", "profile_to_csv",
     "SpectrumPoint", "SpectrumTable", "gaussian_reference", "hankel_transform",
     "recursion_step", "spectrum", "transform",
-    "AngularIdentity", "AngularIdentityKind", "WindowConfig",
+    "AngularIdentity", "AngularIdentityKind",
     "cartesian_ft_1p1", "cartesian_ft_1p2", "check_angular_identity",
     "window_config_for",
 ]

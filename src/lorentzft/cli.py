@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -52,12 +53,16 @@ def _momentum_grid(kmin, kmax, kcount, spacing, char):
 
 def cmd_transform(args) -> int:
     try:
+        if args.kmax is None and args.kcount > 1:
+            raise ValueError("--kmax required when --kcount > 1")
+        kmax = args.kmin if args.kmax is None else args.kmax
         check_dimension(args.n)
         profile = _parse_profile(args.profile)
         char = MomentumChar(args.char)
-        if args.kcount < 1 or args.kmin <= 0 or (args.kcount > 1 and args.kmax <= args.kmin):
-            raise ValueError("need kmin > 0 and kmax > kmin (for kcount > 1)")
-        grid = _momentum_grid(args.kmin, args.kmax, args.kcount, args.grid, char)
+        if args.kcount < 1 or args.kmin <= 0 or (
+                args.kcount > 1 and not args.kmin < kmax < math.inf):
+            raise ValueError("need kmin > 0 and a finite kmax > kmin (for kcount > 1)")
+        grid = _momentum_grid(args.kmin, kmax, args.kcount, args.grid, char)
         cfg = _quad_config(args.tol, args.epsilon0)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -92,15 +97,20 @@ def _fmt(z: complex) -> str:
 
 def cmd_chi(args) -> int:
     try:
+        if args.rmax is None and args.rcount > 1:
+            raise ValueError("--rmax required when --rcount > 1")
+        rmax = args.rmin if args.rmax is None else args.rmax
         check_dimension(args.n)
+        if not all(math.isfinite(v) for v in (args.k, args.rmin, rmax)):
+            raise ValueError("--k, --rmin and --rmax must be finite")
         if args.rcount < 0 or args.rmin < 0 or args.k <= 0:
             raise ValueError("need rmin >= 0, k > 0, rcount >= 0")
-        if args.rcount > 1 and args.rmax < args.rmin:
+        if args.rcount > 1 and rmax < args.rmin:
             raise ValueError("need rmax >= rmin")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rr = np.linspace(args.rmin, args.rmax, args.rcount) if args.rcount != 1 \
+    rr = np.linspace(args.rmin, rmax, args.rcount) if args.rcount != 1 \
         else np.array([args.rmin])
     # tabulates chi_n(k, r); the r = 0 rows are the small-argument limit
     pos = rr > 0
@@ -154,18 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "kmax", None) is None and getattr(args, "kcount", 1) > 1:
-        print("error: --kmax required when --kcount > 1", file=sys.stderr)
-        return 2
-    if getattr(args, "rmax", None) is None and getattr(args, "rcount", 0) > 1:
-        print("error: --rmax required when --rcount > 1", file=sys.stderr)
-        return 2
-    if getattr(args, "kmax", None) is None:
-        args.kmax = getattr(args, "kmin", None)
-    if getattr(args, "rmax", None) is None:
-        args.rmax = getattr(args, "rmin", None)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -104,6 +104,8 @@ class MomentumMagnitude:
     char: MomentumChar
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"momentum magnitude must be finite, got {self.value}")
         if not self.value > 0:
             raise DomainError("momentum magnitude must be positive (lightlike "
                               "momenta are unsupported)")

@@ -17,9 +17,11 @@ Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
 product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
-support.  A `WindowConfig` holds the eta schedule and one box halfwidth L per
-eta; the panels follow from the profile and the momentum.  The extrapolation
-order is min(3, number of etas - 1), and the tolerances are fixed.
+support.  The oracle takes the radial engine's `QuadConfig`: its
+`epsilon_schedule` is the eta schedule, and `window_config_for` sets the
+extrapolation order min(3, number of etas - 1) and the fixed tolerances.
+The box halfwidth L of each eta follows from the profile and eta, and the
+panels from the profile and the momentum.  One eta loop serves 1+1 and 1+2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,7 +52,6 @@ __all__ = [
     "AngularIdentity",
     "angular_quad_config",
     "check_angular_identity",
-    "WindowConfig",
     "window_config_for",
     "cartesian_ft_1p1",
     "cartesian_ft_1p2",
@@ -77,8 +78,8 @@ class AngularIdentity:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("identity parameter a must be positive")
+        if not 0 < self.a < math.inf:
+            raise DomainError("identity parameter a must be positive and finite")
 
 
 def angular_quad_config() -> QuadConfig:
@@ -88,97 +89,67 @@ def angular_quad_config() -> QuadConfig:
                       extrapolation_order=4)
 
 
+# kind -> (interval or None, g(a, x), rhs(a)).  None: the noncompact
+# hyperbolic-angle integral under the damped prescription, after the monotone
+# substitution x = cosh(psi) (shifted to start at 0) or x = sinh(psi); an
+# interval: the compact theta integral there.  The entries look up the Bessel
+# functions when called, not when the table is built.
+_IDENTITIES = {
+    # int_-inf^inf cos(a cosh psi) dpsi = 2 int_1^inf cos(a x)/sqrt(x^2-1) dx
+    AngularIdentityKind.COSH_TO_N0: (
+        None,
+        lambda a, t: 2.0 * np.cos(a * (1.0 + t)) / np.sqrt(t * (t + 2.0)),
+        lambda a: -math.pi * bessel_n(Order(0), a)),
+    AngularIdentityKind.SINH_TO_K0: (
+        None,
+        lambda a, x: 2.0 * np.cos(a * x) / np.sqrt(1.0 + x * x),
+        lambda a: 2.0 * bessel_k(Order(0), a)),
+    AngularIdentityKind.THETA_TO_J0_HALF: (
+        (0.0, math.pi / 2.0),
+        lambda a, th: np.cos(a * np.cos(th)),
+        lambda a: math.pi / 2.0 * bessel_j(Order(0), a)),
+    AngularIdentityKind.THETA_TO_J0_FULL: (
+        (-math.pi / 2.0, math.pi / 2.0),
+        lambda a, th: np.cos(a * np.cos(th)),
+        lambda a: math.pi * bessel_j(Order(0), a)),
+    # 2 pi int_0^inf sinh(psi) J0(a sinh psi) dpsi, x = sinh(psi)
+    AngularIdentityKind.SINH_J0_EXP: (
+        None,
+        lambda a, x: 2.0 * math.pi * x / np.sqrt(1.0 + x * x)
+        * bessel_j(Order(0), a * x),
+        lambda a: 2.0 * math.pi / a * math.exp(-a)),
+    # (pi/2) int_0^inf cosh(psi) J0(a cosh psi) dpsi, x = cosh(psi)
+    AngularIdentityKind.COSH_J0_COS: (
+        None,
+        lambda a, t: math.pi / 2.0 * (1.0 + t) * bessel_j(Order(0), a * (1.0 + t))
+        / np.sqrt(t * (t + 2.0)),
+        lambda a: math.pi / (2.0 * a) * math.cos(a)),
+}
+
+
 def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
     """Evaluate one identity numerically; returns (lhs, rhs, gap).
 
-    The noncompact hyperbolic-angle integrals are computed after the
-    monotone substitutions x = cosh(psi) or x = sinh(psi) (shifted to start
-    at 0 where needed) under the damped prescription; the compact ones by
-    `integrate_finite` on the same panel rules.
+    The noncompact hyperbolic-angle integrals run on the damped engine, the
+    compact ones on `integrate_finite`; see `_IDENTITIES`.
     """
     a = ident.a
-    kind = ident.kind
-    zero = Order(0)
-    if kind is AngularIdentityKind.COSH_TO_N0:
-        # int_-inf^inf cos(a cosh psi) dpsi = 2 int_1^inf cos(a x)/sqrt(x^2-1) dx
-        def g(t):
-            x = 1.0 + np.asarray(t, dtype=float)
-            return 2.0 * np.cos(a * x) / np.sqrt(t * (t + 2.0))
-        res = integrate_semiinfinite_damped(g, cfg, osc_scale=a, quad_phase=0.0)
-        lhs = res.value.real
-        rhs = -math.pi * bessel_n(zero, a)
-    elif kind is AngularIdentityKind.SINH_TO_K0:
-        def g(x):
-            xa = np.asarray(x, dtype=float)
-            return 2.0 * np.cos(a * xa) / np.sqrt(1.0 + xa * xa)
-        res = integrate_semiinfinite_damped(g, cfg, osc_scale=a, quad_phase=0.0)
-        lhs = res.value.real
-        rhs = 2.0 * bessel_k(zero, a)
-    elif kind is AngularIdentityKind.THETA_TO_J0_HALF:
-        res = integrate_finite(lambda th: np.cos(a * np.cos(th)),
-                               0.0, math.pi / 2.0, cfg)
-        lhs = res.value.real
-        rhs = math.pi / 2.0 * bessel_j(zero, a)
-    elif kind is AngularIdentityKind.THETA_TO_J0_FULL:
-        res = integrate_finite(lambda th: np.cos(a * np.cos(th)),
-                               -math.pi / 2.0, math.pi / 2.0, cfg)
-        lhs = res.value.real
-        rhs = math.pi * bessel_j(zero, a)
-    elif kind is AngularIdentityKind.SINH_J0_EXP:
-        # 2 pi int_0^inf sinh(psi) J0(a sinh psi) dpsi, x = sinh(psi)
-        def g(x):
-            xa = np.asarray(x, dtype=float)
-            return 2.0 * math.pi * xa / np.sqrt(1.0 + xa * xa) \
-                * bessel_j(zero, a * xa)
-        res = integrate_semiinfinite_damped(g, cfg, osc_scale=a, quad_phase=0.0)
-        lhs = res.value.real
-        rhs = 2.0 * math.pi / a * math.exp(-a)
-    elif kind is AngularIdentityKind.COSH_J0_COS:
-        # (pi/2) int_0^inf cosh(psi) J0(a cosh psi) dpsi, x = cosh(psi)
-        def g(t):
-            x = 1.0 + np.asarray(t, dtype=float)
-            return math.pi / 2.0 * x * bessel_j(zero, a * x) / np.sqrt(t * (t + 2.0))
-        res = integrate_semiinfinite_damped(g, cfg, osc_scale=a, quad_phase=0.0)
-        lhs = res.value.real
-        rhs = math.pi / (2.0 * a) * math.cos(a)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown identity {kind}")
-    return lhs, rhs, abs(lhs - rhs)
+    interval, g, rhs = _IDENTITIES[ident.kind]
+
+    def integrand(x):
+        return g(a, x)
+
+    if interval is None:
+        res = integrate_semiinfinite_damped(integrand, cfg, osc_scale=a, quad_phase=0.0)
+    else:
+        res = integrate_finite(integrand, *interval, cfg)
+    lhs = res.value.real
+    r = rhs(a)
+    return lhs, r, abs(lhs - r)
 
 
 # --------------------------------------------------------------------------
 # windowed Cartesian evaluation
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Window schedule for the Cartesian oracle.
-
-    One box halfwidth per eta; halfwidths grow as eta shrinks so the window
-    always dominates the truncation.  The panels inside each box follow from
-    the profile and the momentum.  The tolerances `abs_tol` and `rel_tol`
-    are constants of the class.
-    """
-
-    eta_schedule: tuple
-    box_halfwidth: tuple
-    abs_tol: ClassVar[float] = 1e-5
-    rel_tol: ClassVar[float] = 1e-3
-
-    def __post_init__(self):
-        etas = tuple(float(e) for e in self.eta_schedule)
-        if len(etas) == 0 or any(e <= 0 for e in etas):
-            raise ValueError("eta_schedule must contain positive values")
-        if any(b >= a for a, b in zip(etas, etas[1:])):
-            raise ValueError("eta_schedule must be strictly decreasing")
-        if len(self.box_halfwidth) != len(etas):
-            raise ValueError("box_halfwidth must match the schedule length")
-        if any(b <= 0 for b in self.box_halfwidth):
-            raise ValueError("box halfwidths must be positive")
-        if any(b2 < b1 for b1, b2 in zip(self.box_halfwidth, self.box_halfwidth[1:])):
-            raise ValueError("box halfwidths must grow as eta shrinks")
-        object.__setattr__(self, "eta_schedule", etas)
-        object.__setattr__(self, "box_halfwidth", tuple(float(b) for b in self.box_halfwidth))
 
 
 _GLN = 16
@@ -212,22 +183,31 @@ def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
 
 def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
                       dims: int = 1, eta0: Optional[float] = None,
-                      n_etas: Optional[int] = None) -> WindowConfig:
+                      n_etas: Optional[int] = None) -> QuadConfig:
     """Default window schedule for a profile and momentum.
 
-    Compactly supported profiles afford a deep schedule (the masked support
-    mesh is cheap); unbounded profiles, integrated over the whole box, use a
-    shallower one.  `k` and `dims` do not change the schedule.
+    A `QuadConfig` whose `epsilon_schedule` is the eta schedule, halving
+    from eta0, with extrapolation order min(3, n_etas - 1) and tolerances
+    1e-5 absolute, 1e-3 relative.  Compactly supported profiles afford a
+    deep schedule (the masked support mesh is cheap); unbounded profiles,
+    integrated over the whole box, use a shallower one.  `k` and `dims` do
+    not change the schedule.
     """
     compact = profile.support_radius is not None
     if eta0 is None:
         eta0 = 0.01 if compact else 0.08
     if n_etas is None:
         n_etas = 6 if compact else 3
-    trunc = 1e-12 if compact else 1e-9
-    etas = tuple(eta0 * 2.0 ** (-j) for j in range(n_etas))
-    halfwidths = tuple(math.sqrt(2.0 * math.log(1.0 / trunc) / eta) for eta in etas)
-    return WindowConfig(etas, halfwidths)
+    return QuadConfig(abs_tol=1e-5, rel_tol=1e-3,
+                      epsilon_schedule=tuple(eta0 * 2.0 ** (-j) for j in range(n_etas)),
+                      extrapolation_order=min(3, n_etas - 1))
+
+
+def _box_halfwidth(profile: RadialProfile, eta: float) -> float:
+    """Box halfwidth L at eta: the window exp(-eta L^2 / 2) falls to 1e-12
+    (compact profiles) or 1e-9, so L grows as eta shrinks."""
+    trunc = 1e-12 if profile.support_radius is not None else 1e-9
+    return math.sqrt(2.0 * math.log(1.0 / trunc) / eta)
 
 
 def profile_on_invariant(profile: RadialProfile) -> Callable:
@@ -273,13 +253,25 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     return 0.5 * total, len(iu) * _GLN * _GLN
 
 
-def _extrapolate_window(samples, w: WindowConfig, evals: int) -> QuadResult:
-    value, resid = extrapolate_to_zero(samples, min(3, len(samples) - 1))
-    return _finish(value, 4.0 * resid + 0.25 * w.abs_tol, evals, w)
+def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
+               plane: Callable) -> QuadResult:
+    """The eta loop of both oracles: `plane(eta)` gives the (u, v)-plane
+    integrand fw and the cell filter `keep` at eta; the windowed integrals
+    are extrapolated to eta = 0 at `cfg.extrapolation_order`."""
+    samples = []
+    evals = 0
+    for eta in cfg.epsilon_schedule:
+        fw, keep = plane(eta)
+        edges = _axis_edges(f, _box_halfwidth(f, eta), k.value)
+        val, ne = _window_integral(eta, k, fw, edges, keep)
+        samples.append((eta, val))
+        evals += ne
+    value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
+    return _finish(value, 4.0 * resid + 0.25 * cfg.abs_tol, evals, cfg)
 
 
 def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
-                     w: WindowConfig) -> QuadResult:
+                     cfg: QuadConfig) -> QuadResult:
     """Windowed evaluation of the defining integral on R^{1,1}."""
     fw = profile_on_invariant(f)
     support_w = math.inf if f.support_radius is None else f.support_radius ** 2
@@ -287,13 +279,7 @@ def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
     def keep(wmin):
         return np.abs(wmin) <= support_w
 
-    samples = []
-    evals = 0
-    for eta, L in zip(w.eta_schedule, w.box_halfwidth):
-        val, ne = _window_integral(eta, k, fw, _axis_edges(f, L, k.value), keep)
-        samples.append((eta, val))
-        evals += ne
-    return _extrapolate_window(samples, w, evals)
+    return _cartesian(f, k, cfg, lambda eta: (fw, keep))
 
 
 def _transverse_table(fw: Callable, support_w: float, eta: float):
@@ -327,28 +313,26 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
 
 
 def cartesian_ft_1p2(f: RadialProfile, k: MomentumMagnitude,
-                     w: WindowConfig) -> QuadResult:
+                     cfg: QuadConfig) -> QuadResult:
     """Windowed evaluation of the defining integral on R^{1,2}.
 
     The transverse coordinate is integrated first (it couples only through
-    the invariant w = u v) and tabulated; the (t, x)-plane then follows the
-    1+1 scheme.  Requires a compactly supported profile.
+    the invariant w = u v) and tabulated per eta; the (t, x)-plane then
+    follows the 1+1 scheme.  Requires a compactly supported profile.
     """
     if f.support_radius is None:
         raise DomainError("the 1+2 window oracle requires a compactly "
                           "supported profile")
     fw = profile_on_invariant(f)
     support_w = f.support_radius ** 2
-    samples = []
-    evals = 0
-    for eta, L in zip(w.eta_schedule, w.box_halfwidth):
+
+    def plane(eta):
         table, w_cut = _transverse_table(fw, support_w, eta)
 
-        def keep(wmin, _cut=w_cut):
+        def keep(wmin):
             # keep cells whose uv-range meets [-support_w, w_cut]
-            return np.where(wmin >= 0, wmin <= _cut, np.abs(wmin) <= support_w)
+            return np.where(wmin >= 0, wmin <= w_cut, np.abs(wmin) <= support_w)
 
-        val, ne = _window_integral(eta, k, table, _axis_edges(f, L, k.value), keep)
-        samples.append((eta, val))
-        evals += ne
-    return _extrapolate_window(samples, w, evals)
+        return table, keep
+
+    return _cartesian(f, k, cfg, plane)

@@ -47,11 +47,11 @@ class QuadConfig:
     extrapolation_order: int = 3
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         eps = tuple(self.epsilon_schedule)
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise ValueError("epsilon_schedule must contain positive values")
+        if len(eps) == 0 or not all(0 < e < math.inf for e in eps):
+            raise ValueError("epsilon_schedule must contain finite positive values")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon_schedule must be strictly decreasing")
         if not 0 <= self.extrapolation_order <= len(eps) - 1:
@@ -80,8 +80,8 @@ class QuadResult:
 
 
 def _finish(value, err, evals, cfg, ok=True, failed=()) -> QuadResult:
-    """The result of one integral; `cfg` is any config with abs_tol and
-    rel_tol (a QuadConfig, or the oracle's WindowConfig)."""
+    """The result of one integral, converged when `err` is within cfg's
+    tolerances."""
     converged = bool(ok) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(complex(value), float(err), converged, int(evals),
                       tuple(failed))
@@ -263,8 +263,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         p_main, p_err = _panel_sums(values, half)
         samples.append((eps, complex(p_main.sum())))
         quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
-    order = min(cfg.extrapolation_order, len(samples) - 1)
-    value, resid = extrapolate_to_zero(samples, order)
+    value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
     err = resid + 4.0 * quad_err + max(tails)
     return _finish(value, err, evals, cfg)
 

@@ -230,7 +230,7 @@ def suite_oracle():
         for char in MomentumChar:
             mom = MomentumMagnitude(k, char)
             ref = transform(1, profile, mom, cfg).value
-            w = window_config_for(profile, mom, dims=1)
+            w = window_config_for(profile, mom)
             got = cartesian_ft_1p1(profile, mom, w).value
             out.append(_check(f"oracle-1p1/{char.value}/k={k}", ref, got,
                               1e-3 * abs(ref)))
@@ -238,7 +238,7 @@ def suite_oracle():
         for char in MomentumChar:
             mom = MomentumMagnitude(k, char)
             ref = transform(2, profile, mom, cfg).value
-            w = window_config_for(profile, mom, dims=2, eta0=0.02, n_etas=5)
+            w = window_config_for(profile, mom, eta0=0.02, n_etas=5)
             got = cartesian_ft_1p2(profile, mom, w).value
             out.append(_check(f"oracle-1p2/{char.value}/k={k}", ref, got,
                               5e-3 * abs(ref)))

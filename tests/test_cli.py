@@ -162,6 +162,28 @@ class TestTransformCommand:
         assert run_cli(args, capsys)[1] == before
 
 
+_ZERO = "transform --n 1 --profile builtin:zero --char timelike"
+
+
+@pytest.mark.parametrize("argv", [
+    "chi --n 1 --k nan --rmin 0 --rmax 1 --rcount 3",
+    "chi --n 1 --k 1 --rmin nan --rcount 1",
+    "chi --n 1 --k 1 --rmin 0 --rmax inf --rcount 3",
+    f"{_ZERO} --kmin 0.5 --tol nan",
+    f"{_ZERO} --kmin 0.5 --epsilon0 nan",
+    f"{_ZERO} --kmin inf",
+    f"{_ZERO} --kmin nan",
+    f"{_ZERO} --kmin 0.5 --kmax nan --kcount 3",
+    f"{_ZERO} --kmin 0.5 --kmax inf --kcount 3 --grid log",
+])
+def test_non_finite_number_exits_2(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lightlike" not in err
+
+
 class TestValidateCommand:
     def test_golden_bytes(self, capsys):
         # angular (its theta gaps are rounding-level) and oracle (5 s) are left out
@@ -205,6 +227,13 @@ class TestChiCommand:
                                 "--rmin", "0", "--rmax", "1", "--rcount", "0"], capsys)
         assert code == 0
         assert out.strip() == "r,chi"
+
+    def test_missing_rmax_exits_2(self, capsys):
+        code, out, err = run_cli(["chi", "--n", "1", "--k", "1.0",
+                                  "--rmin", "0", "--rcount", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --rmax required when --rcount > 1\n"
 
     def test_bad_flags_exit_2(self, capsys):
         code, _, _ = run_cli(["chi", "--n", "1", "--k", "-1.0",

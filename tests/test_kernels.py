@@ -178,6 +178,11 @@ class TestMinkowskiKernel:
         with pytest.raises(DomainError):
             MomentumMagnitude(-1.0, SL)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            MomentumMagnitude(value, TL)
+
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
             KernelSpec(0, TL, TP)

@@ -1,6 +1,8 @@
 """Cartesian window oracle and the angular-integral identities."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.oracle import (
     AngularIdentity,
     AngularIdentityKind,
-    WindowConfig,
+    _box_halfwidth,
     angular_quad_config,
     cartesian_ft_1p1,
     cartesian_ft_1p2,
@@ -22,6 +24,18 @@ from lorentzft.specfun import DomainError
 from lorentzft.transform import gaussian_reference, transform
 
 TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_ORACLE = ROOT / "tests" / "data" / "golden_oracle.txt"
+
+
+def _byte_sweep():
+    """tools/byte_sweep.py as a module: it holds the golden set's lines."""
+    spec = importlib.util.spec_from_file_location("byte_sweep",
+                                                  ROOT / "tools" / "byte_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spacelike_only_bump():
@@ -55,24 +69,44 @@ class TestAngularIdentities:
         assert abs(rhs - math.pi / 2) < 1e-8
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            AngularIdentity(AngularIdentityKind.SINH_TO_K0, 0.0)
+        for a in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                AngularIdentity(AngularIdentityKind.SINH_TO_K0, a)
 
 
 class TestWindowConfig:
+    # window_config_for returns the radial engine's QuadConfig, which
+    # validates the eta schedule; the box halfwidths follow from eta
     def test_validation(self):
+        profile = builtin_profile("compact_bump")
+        mom = MomentumMagnitude(1.0, TL)
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.2), (10.0, 10.0))
+            window_config_for(profile, mom, n_etas=0)
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.05), (10.0, 5.0))  # shrinking box
+            window_config_for(profile, mom, eta0=-0.01)
         with pytest.raises(ValueError):
-            WindowConfig((0.1, 0.05), (10.0,))
+            window_config_for(profile, mom, eta0=math.nan)
 
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")
         w = window_config_for(profile, MomentumMagnitude(1.0, TL))
-        assert all(b2 >= b1 for b1, b2 in zip(w.box_halfwidth, w.box_halfwidth[1:]))
-        assert len(w.eta_schedule) == len(w.box_halfwidth)
+        box = [_box_halfwidth(profile, eta) for eta in w.epsilon_schedule]
+        assert all(b2 >= b1 for b1, b2 in zip(box, box[1:]))
+
+    @pytest.mark.parametrize("name, n_etas, eta0, schedule_length, order", [
+        ("compact_bump", None, 0.01, 6, 3),
+        ("gauss_oscillatory", None, 0.08, 3, 2),
+        ("compact_bump", 1, 0.01, 1, 0),
+        ("compact_bump", 2, 0.01, 2, 1),
+        ("gauss_oscillatory", 5, 0.08, 5, 3),
+    ])
+    def test_quad_config(self, name, n_etas, eta0, schedule_length, order):
+        w = window_config_for(builtin_profile(name), MomentumMagnitude(1.0, TL),
+                              n_etas=n_etas)
+        assert w == QuadConfig(abs_tol=1e-5, rel_tol=1e-3,
+                               epsilon_schedule=tuple(eta0 * 2.0 ** (-j)
+                                                      for j in range(schedule_length)),
+                               extrapolation_order=order)
 
 
 class TestCartesian1p1:
@@ -148,3 +182,11 @@ class TestCartesian1p2:
                               eta0=0.02, n_etas=3)
         with pytest.raises(DomainError):
             cartesian_ft_1p2(profile, mom, w)
+
+
+class TestGoldenBits:
+    def test_oracle_lines(self):
+        # identities at a in {0.5, 5} and the bump in 1+1 and 1+2 at k = 0.5,
+        # every value, estimate, flag and count at full precision
+        expected = GOLDEN_ORACLE.read_text(encoding="utf-8").splitlines()
+        assert _byte_sweep().oracle_lines() == expected

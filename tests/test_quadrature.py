@@ -54,6 +54,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QuadConfig(epsilon_schedule=())
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "epsilon_schedule"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        value = (0.1, bad) if field == "epsilon_schedule" else bad
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(**{field: value})
+
     def test_bad_order(self):
         with pytest.raises(ValueError):
             QuadConfig(epsilon_schedule=(0.1, 0.05), extrapolation_order=2)

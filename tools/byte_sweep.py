@@ -7,11 +7,15 @@ The sweep is `transform` of the three non-zero builtin profiles for
 n = 1..10 (`gauss_oscillatory` for n <= 5), both momentum characters, one
 `--tol 1e-6 --epsilon0 0.3` run, one `builtin:zero` run,
 `validate --suite all`, and `chi` for n = 1..10 at `--k 0.5` and `--k 2`
-over 41 radii from 0 to 5 plus one single-radius run.  A change meant to
-keep the package's numbers must print the same digest as its parent.  The
-package is imported from `--src` (default: the `src/` next to this script),
-so one script can sweep two checkouts.  `--save` also writes the output,
-for a diff when the digests differ.
+over 41 radii from 0 to 5 plus one single-radius run.  The oracle's lines
+follow: the `.17g` golden set that `tests/data/golden_oracle.txt` pins
+(`oracle_lines`), then the unbounded 1+1 `gauss_oscillatory` at k = 1 for
+both characters, the benchmark's oracle anchor (about 5 s each, too slow
+for the test suite).  A change meant to keep the package's numbers must
+print the same digest as its parent.  The package is imported from `--src`
+(default: the `src/` next to this script), so one script can sweep two
+checkouts.  `--save` also writes the output, for a diff when the digests
+differ.
 """
 
 import argparse
@@ -44,6 +48,52 @@ def sweep():
         ["validate", "--suite", "all"]] + [["chi", *r.split()] for r in chi]
 
 
+def _result_line(name, result) -> str:
+    v = result.value
+    return (f"{name} value={v.real:.17g}{v.imag:+.17g}j "
+            f"error_estimate={result.error_estimate:.17g} "
+            f"converged={result.converged} evaluations={result.evaluations}")
+
+
+def oracle_lines(anchor: bool = False) -> list:
+    """Full-precision lines of the oracle: `check_angular_identity` lhs and
+    rhs for every kind at a in {0.5, 5}, then `cartesian_ft_1p1` and
+    `cartesian_ft_1p2` (eta0=0.02, n_etas=5) on `compact_bump` at k = 0.5,
+    both characters.  `anchor` appends the unbounded 1+1 `gauss_oscillatory`
+    at k = 1, both characters.  Imports `lorentzft` from the import path."""
+    from lorentzft.kernels import MomentumChar, MomentumMagnitude
+    from lorentzft.oracle import (AngularIdentity, AngularIdentityKind,
+                                  angular_quad_config, cartesian_ft_1p1,
+                                  cartesian_ft_1p2, check_angular_identity,
+                                  window_config_for)
+    from lorentzft.profiles import builtin_profile
+
+    lines = []
+    cfg = angular_quad_config()
+    for kind in AngularIdentityKind:
+        for a in (0.5, 5.0):
+            lhs, rhs, _ = check_angular_identity(AngularIdentity(kind, a), cfg)
+            lines.append(f"identity {kind.value} a={a:g} lhs={lhs:.17g} rhs={rhs:.17g}")
+    bump = builtin_profile("compact_bump")
+    for char in MomentumChar:
+        mom = MomentumMagnitude(0.5, char)
+        lines.append(_result_line(
+            f"1p1 compact_bump {char.value} k=0.5",
+            cartesian_ft_1p1(bump, mom, window_config_for(bump, mom))))
+        lines.append(_result_line(
+            f"1p2 compact_bump {char.value} k=0.5",
+            cartesian_ft_1p2(bump, mom, window_config_for(bump, mom, eta0=0.02,
+                                                          n_etas=5))))
+    if anchor:
+        gauss = builtin_profile("gauss_oscillatory")
+        for char in MomentumChar:
+            mom = MomentumMagnitude(1.0, char)
+            lines.append(_result_line(
+                f"1p1 gauss_oscillatory {char.value} k=1",
+                cartesian_ft_1p1(gauss, mom, window_config_for(gauss, mom))))
+    return lines
+
+
 def run_sweep(src: pathlib.Path) -> str:
     sys.path.insert(0, str(src.resolve()))
     from lorentzft.cli import main
@@ -52,7 +102,7 @@ def run_sweep(src: pathlib.Path) -> str:
     with contextlib.redirect_stdout(buf):
         for argv in sweep():
             main(argv)
-    return buf.getvalue()
+    return buf.getvalue() + "".join(line + "\n" for line in oracle_lines(anchor=True))
 
 
 def cli(argv=None) -> int:
