@@ -22,6 +22,12 @@ where w is the weight returned by `minkowski_kernel`:
 Exactly one of cos and sin of pi(n-1)/2 is nonzero (exact case analysis on
 n mod 4), so each weight is one coefficient c times one cylinder function,
 `KernelSpec.weight`; c = 0 makes the vanishing kernels exactly zero.
+
+A branch is a member of `Branch`; its value ("timelike" or "spacelike")
+names the profile branch it integrates.  The transform integrates each
+branch, and `hankel_transform` its one integral against chi_n, with the same
+radial driver; `kernel_envelope` and `chi_envelope` bound the weights there
+to place the truncation points.
 """
 
 from __future__ import annotations
@@ -58,8 +64,11 @@ class MomentumChar(enum.Enum):
 
 
 class Branch(enum.Enum):
-    TIMELIKE_PROFILE = "timelike_profile"    # support at s^2 > 0, radius s0
-    SPACELIKE_PROFILE = "spacelike_profile"  # support at s^2 < 0, radius s1
+    """Profile branch of a radial integral; the value names the branch in
+    `RadialProfile.branch` and in failed_branches."""
+
+    TIMELIKE_PROFILE = "timelike"    # support at s^2 > 0, radius s0
+    SPACELIKE_PROFILE = "spacelike"  # support at s^2 < 0, radius s1
 
 
 @dataclass(frozen=True)

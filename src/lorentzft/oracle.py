@@ -227,14 +227,20 @@ def profile_on_invariant(profile: RadialProfile) -> Callable:
     return fw
 
 
+def _support_w(profile: RadialProfile) -> float:
+    """f vanishes for |w| > support_w, w = s^2 the invariant (inf if
+    unbounded)."""
+    return math.inf if profile.support_radius is None else profile.support_radius ** 2
+
+
 def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
-                     edges: np.ndarray, keep: Callable):
+                     edges: np.ndarray, w_lo: float, w_hi: float):
     """One windowed (u, v)-plane integral on the cells edges x edges.
 
     The Gaussian window and the phase factor over the axes into the node
     weights pu and pv; only fw(u v) couples them.  It is evaluated only on
     the cell pairs whose signed (min|u|) (min|v|), the value of u v nearest 0
-    on the cell, passes `keep`.  Returns (value, evaluations).
+    on the cell, lies in [w_lo, w_hi].  Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)
     nodes, half = _panel_nodes(edges, xg)
@@ -244,7 +250,9 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     pu = window * np.exp(sign_u * 1j * math.pi * k.value * nodes)
     pv = window * np.exp(-1j * math.pi * k.value * nodes)
     nearest = np.clip(0.0, edges[:-1], edges[1:])
-    iu, iv = np.nonzero(keep(nearest[:, None] * nearest[None, :]))
+    wmin = nearest[:, None] * nearest[None, :]
+    iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
+    del wmin    # cells x cells floats: not held while the blocks run
     total = 0.0 + 0.0j
     for c0 in range(0, len(iu), _BLOCK):
         bu, bv = iu[c0:c0 + _BLOCK], iv[c0:c0 + _BLOCK]
@@ -256,14 +264,16 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
 def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
                plane: Callable) -> QuadResult:
     """The eta loop of both oracles: `plane(eta)` gives the (u, v)-plane
-    integrand fw and the cell filter `keep` at eta; the windowed integrals
-    are extrapolated to eta = 0 at `cfg.extrapolation_order`."""
+    integrand fw at eta and w_hi, the largest u v where fw can be nonzero;
+    the windowed integrals are extrapolated to eta = 0 at
+    `cfg.extrapolation_order`."""
     samples = []
     evals = 0
+    w_lo = -_support_w(f)
     for eta in cfg.epsilon_schedule:
-        fw, keep = plane(eta)
+        fw, w_hi = plane(eta)
         edges = _axis_edges(f, _box_halfwidth(f, eta), k.value)
-        val, ne = _window_integral(eta, k, fw, edges, keep)
+        val, ne = _window_integral(eta, k, fw, edges, w_lo, w_hi)
         samples.append((eta, val))
         evals += ne
     value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
@@ -274,12 +284,7 @@ def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
                      cfg: QuadConfig) -> QuadResult:
     """Windowed evaluation of the defining integral on R^{1,1}."""
     fw = profile_on_invariant(f)
-    support_w = math.inf if f.support_radius is None else f.support_radius ** 2
-
-    def keep(wmin):
-        return np.abs(wmin) <= support_w
-
-    return _cartesian(f, k, cfg, lambda eta: (fw, keep))
+    return _cartesian(f, k, cfg, lambda eta: (fw, _support_w(f)))
 
 
 def _transverse_table(fw: Callable, support_w: float, eta: float):
@@ -287,6 +292,7 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
 
     The grid is quadratically graded around w = 0 where Y has a half-power
     cusp, linear over the core, and logarithmic over the decaying tail.
+    Returns (Y, w_cut): the spline is zero beyond its last node w_cut.
     """
     w_cut = math.log(1e14) / eta
     xg, wg = _gauss_legendre(24)
@@ -324,15 +330,5 @@ def cartesian_ft_1p2(f: RadialProfile, k: MomentumMagnitude,
         raise DomainError("the 1+2 window oracle requires a compactly "
                           "supported profile")
     fw = profile_on_invariant(f)
-    support_w = f.support_radius ** 2
-
-    def plane(eta):
-        table, w_cut = _transverse_table(fw, support_w, eta)
-
-        def keep(wmin):
-            # keep cells whose uv-range meets [-support_w, w_cut]
-            return np.where(wmin >= 0, wmin <= w_cut, np.abs(wmin) <= support_w)
-
-        return table, keep
-
-    return _cartesian(f, k, cfg, plane)
+    return _cartesian(f, k, cfg,
+                      lambda eta: _transverse_table(fw, _support_w(f), eta))

@@ -106,7 +106,10 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
 
     Panel widths resolve phases up to `quad_phase * x**2 + osc_scale * x`;
     a geometric cascade toward 0 resolves integrable endpoint behaviour.
+    Raises ValueError for a non-finite X, which no budget could bound.
     """
+    if not math.isfinite(X):
+        raise ValueError(f"a panel mesh needs a finite end, got X={X}")
     if X <= 0:
         return np.array([0.0])
     # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
@@ -114,20 +117,16 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
     budget = _MAX_PANELS - _CASCADE - 2
     est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
     widen = est / budget if est > budget else 1.0
-    delta = _PHASE_STEP * widen
+    # a quadratic-phase step from s ends at sqrt(s^2 + c); c = inf: no such limit
+    c = _PHASE_STEP * widen / quad_phase if quad_phase > 0 else math.inf
     w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
     # unwidened w_lin: a cascade it ends is the same for every X of a schedule
-    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, w_lin, X)
+    s1 = min(math.sqrt(c), w_lin, X)
     w_lin = w_lin * widen
     edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
     s = s1
     while s < X:
-        if quad_phase > 0:
-            step = math.sqrt(s * s + delta / quad_phase) - s
-        else:
-            step = X
-        step = min(step, w_lin)
-        s = min(X, s + step)
+        s = min(X, s + min(math.sqrt(s * s + c) - s, w_lin))
         edges.append(s)
     return np.array(edges)
 

@@ -65,23 +65,9 @@ class Order:
                 f"[{_TWICE_NU_MIN}, {_TWICE_NU_MAX}]"
             )
 
-    @classmethod
-    def from_nu(cls, nu: float) -> "Order":
-        twice = 2.0 * nu
-        if abs(twice - round(twice)) > 1e-12:
-            raise DomainError(f"nu={nu} is not an integer or half-integer")
-        return cls(int(round(twice)))
-
     @property
     def nu(self) -> float:
         return self.twice_nu / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_nu % 2 == 0
-
-    def __str__(self):
-        return f"{self.twice_nu}/2" if self.twice_nu % 2 else str(self.twice_nu // 2)
 
 
 def _as_array(x):

@@ -4,7 +4,8 @@ The (n+1)-dimensional transform of a radial profile reduces to two
 one-dimensional integrals over the timelike and spacelike branch radii
 weighted by the kernels of `lorentzft.kernels`; `transform` evaluates them
 with the damped semi-infinite prescription.  `hankel_transform` is the purely
-Euclidean radial transform against chi_n, `recursion_step` realizes the
+Euclidean radial transform against chi_n, on the same radial driver
+(`_radial_integral`).  `recursion_step` realizes the
 dimension-raising derivative, and `gaussian_reference` is the closed-form
 transform of the unit-modulus Gaussian profile in 1+1 dimensions.
 """
@@ -41,37 +42,28 @@ __all__ = [
     "spectrum",
 ]
 
-_BRANCHES = (
-    ("timelike", Branch.TIMELIKE_PROFILE),
-    ("spacelike", Branch.SPACELIKE_PROFILE),
-)
+def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
+                     bound: Optional[Callable], weight_envelope: Callable,
+                     support_radius: Optional[float],
+                     phase_scale: float) -> QuadResult:
+    """The damped integral of g(s) weight(s) over s > 0: one branch of
+    `transform`, or all of `hankel_transform`.
 
-
-def _branch_integral(n: int, profile: RadialProfile, l: MomentumMagnitude,
-                     cfg: QuadConfig, branch_name: str,
-                     branch: Branch) -> Optional[QuadResult]:
-    spec = KernelSpec(n, l.char, branch)
-    # a vanishing kernel contributes exactly zero; integrating it would only
-    # add its truncation allowance to the error estimate
-    if spec.vanishes:
-        return None
-    f = profile.branch(branch_name)
-
+    k sets the linear phase rate 2 pi k; `bound` (an upper bound on |g|, or
+    None) times `weight_envelope` places the truncation points.  A support
+    radius overrides both.
+    """
     def integrand(s):
-        return np.asarray(f(s), dtype=complex) * minkowski_kernel(spec, s, l)
+        return np.asarray(g(s), dtype=complex) * weight(s)
 
     envelope = None
-    if profile.support_radius is None and profile.envelope_hint is not None:
-        kenv = kernel_envelope(spec, l)
-        hint = profile.envelope_hint
-        envelope = lambda s: np.asarray(hint(s), dtype=float) * kenv(s)
+    if bound is not None:
+        def envelope(s):
+            return np.asarray(bound(s), dtype=float) * weight_envelope(s)
+
     return integrate_semiinfinite_damped(
-        integrand, cfg,
-        envelope=envelope,
-        support_radius=profile.support_radius,
-        osc_scale=2.0 * math.pi * l.value,
-        quad_phase=max(profile.phase_scale, 0.0),
-    )
+        integrand, cfg, envelope=envelope, support_radius=support_radius,
+        osc_scale=2.0 * math.pi * k, quad_phase=max(phase_scale, 0.0))
 
 
 def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
@@ -86,15 +78,22 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
     err = 0.0
     evals = 0
     failed = []
-    for branch_name, branch in _BRANCHES:
-        res = _branch_integral(n, profile, l, cfg, branch_name, branch)
-        if res is None:
+    for branch in Branch:
+        spec = KernelSpec(n, l.char, branch)
+        # a vanishing kernel contributes exactly zero; integrating it would
+        # only add its truncation allowance to the error estimate
+        if spec.vanishes:
             continue
+        res = _radial_integral(
+            profile.branch(branch.value),
+            lambda s: minkowski_kernel(spec, s, l), cfg, l.value,
+            profile.envelope_hint, kernel_envelope(spec, l),
+            profile.support_radius, profile.phase_scale)
         value += res.value
         err += res.error_estimate
         evals += res.evaluations
         if not res.converged:
-            failed.append(branch_name)
+            failed.append(branch.value)
     return _finish(value, err, evals, cfg, ok=not failed, failed=failed)
 
 
@@ -109,35 +108,23 @@ def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
     """
     if not k > 0:
         raise DomainError("hankel_transform requires k > 0")
-
-    def integrand(r):
-        return np.asarray(g(r), dtype=complex) * chi(n, r, k)
-
-    env = None
-    if envelope is not None:
-        amp = chi_envelope(n, k)
-
-        def env(r):
-            ra = np.maximum(np.asarray(r, dtype=float), 1e-9)
-            return np.asarray(envelope(ra), dtype=float) * amp(ra)
-
-    return integrate_semiinfinite_damped(
-        integrand, cfg, envelope=env, support_radius=support_radius,
-        osc_scale=2.0 * math.pi * k, quad_phase=max(phase_scale, 0.0))
+    return _radial_integral(g, lambda r: chi(n, r, k), cfg, k, envelope,
+                            chi_envelope(n, k), support_radius, phase_scale)
 
 
-def recursion_step(F_n: Callable, k: float, h: Optional[float] = None):
+def recursion_step(F_n: Callable, k: float):
     """-(1/(2 pi k)) dF_n/dk by central differences with one halving pass.
 
     Raises the spatial dimension by two: applied to F^(n) as a function of
     the spatial momentum magnitude it yields F^(n+2) at the same magnitude.
     Returns (value, error_estimate); the error estimate is the step-halving
-    change of the Richardson-combined derivative.
+    change of the Richardson-combined derivative.  The step is
+    h = max(1e-3, 1e-3 k), so k must exceed 2e-3 for F_n(k - h) to stay
+    at momenta above k/2.
     """
-    if h is None:
-        h = max(1e-3, 1e-3 * k)
-    if not 0 < h < k / 2:
-        raise ValueError("step h must satisfy 0 < h < k/2")
+    h = max(1e-3, 1e-3 * k)
+    if not h < k / 2:
+        raise ValueError(f"recursion_step requires k > 2e-3, got k={k}")
     d_h = (complex(F_n(k + h)) - complex(F_n(k - h))) / (2.0 * h)
     d_h2 = (complex(F_n(k + h / 2)) - complex(F_n(k - h / 2))) / h
     deriv = (4.0 * d_h2 - d_h) / 3.0

@@ -174,21 +174,20 @@ def suite_reduction():
     cases = [(1, _boxed_integrand_n1), (2, _boxed_integrand_n2)]
     for n, boxed in cases:
         for char in MomentumChar:
-            for branch_name, branch in (("timelike", Branch.TIMELIKE_PROFILE),
-                                        ("spacelike", Branch.SPACELIKE_PROFILE)):
+            for branch in Branch:
                 spec = KernelSpec(n, char, branch)
                 worst = 0.0
                 for l in np.linspace(0.1, 5.0, 20):
                     mom = MomentumMagnitude(l, char)
                     general = minkowski_kernel(spec, s_grid, mom)
-                    ref = boxed(char, branch_name, s_grid, l)
+                    ref = boxed(char, branch.value, s_grid, l)
                     gap = np.abs(general - ref)
                     # 1e-10 relative with a tiny floor at oscillation zeros
                     amp = max(float(np.max(np.abs(ref))), 1e-30)
                     rel = gap / (np.abs(ref) + 1e-3 * amp)
                     worst = max(worst, float(np.max(rel)))
                 out.append(CheckResult(
-                    f"reduction/n={n}/{char.value}/{branch_name}",
+                    f"reduction/n={n}/{char.value}/{branch.value}",
                     0.0, worst, worst, 1e-10))
     return out
 

@@ -27,6 +27,7 @@ TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_ORACLE = ROOT / "tests" / "data" / "golden_oracle.txt"
+GOLDEN_RADIAL = ROOT / "tests" / "data" / "golden_radial.txt"
 
 
 def _byte_sweep():
@@ -190,3 +191,9 @@ class TestGoldenBits:
         # every value, estimate, flag and count at full precision
         expected = GOLDEN_ORACLE.read_text(encoding="utf-8").splitlines()
         assert _byte_sweep().oracle_lines() == expected
+
+    def test_radial_lines(self):
+        # hankel_transform, n = 1..10 at k in {0.5, 2}, with an envelope and
+        # with a support radius, at full precision
+        expected = GOLDEN_RADIAL.read_text(encoding="utf-8").splitlines()
+        assert _byte_sweep().radial_lines() == expected

@@ -13,7 +13,9 @@ from lorentzft.quadrature import (
     _CASCADE,
     _GL_ERR,
     _GL_MAIN,
+    _LIN_RAD,
     _MAX_PANELS,
+    _PHASE_STEP,
     _finish,
     _gauss_legendre,
     _magnitude_probe,
@@ -177,6 +179,44 @@ class TestIntegrandContract:
             integrate(f)
 
 
+def _walk_by_cases(X, osc_scale, quad_phase):
+    """Reference: the mesh walk with one branch per step on quad_phase (the
+    loop the one-statement walk of `_mesh` replaced), for finite X."""
+    if X <= 0:
+        return np.array([0.0])
+    budget = _MAX_PANELS - _CASCADE - 2
+    est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
+    widen = est / budget if est > budget else 1.0
+    delta = _PHASE_STEP * widen
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
+    s1 = min(math.sqrt(delta / max(quad_phase, 1e-300)) if quad_phase > 0 else X, w_lin, X)
+    w_lin = w_lin * widen
+    edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
+    s = s1
+    while s < X:
+        if quad_phase > 0:
+            step = math.sqrt(s * s + delta / quad_phase) - s
+        else:
+            step = X
+        step = min(step, w_lin)
+        s = min(X, s + step)
+        edges.append(s)
+    return np.array(edges)
+
+
+def _mesh_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(5e6, 1.0, 0.0), (2e3, 40.0, 1.0), (300.0, 0.0, 1.0),  # over budget
+             (0.5, 1.0, 0.0), (0.5, 1.0, 1.0), (3.0, 0.0, 0.0),     # X below 6/osc
+             (0.0, 1.0, 1.0), (-2.0, 1.0, 0.0), (1e-300, 1.0, 1.0)]
+    for _ in range(300):
+        X = 10.0 ** rng.uniform(-3.0, 2.5)
+        osc_scale = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2.0, 2.0)
+        quad_phase = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 1.0)
+        cases.append((X, osc_scale, quad_phase))
+    return cases
+
+
 class TestMesh:
     @pytest.mark.parametrize("X, osc_scale, quad_phase", [
         (5e6, 1.0, 0.0),      # linear-phase panels alone
@@ -188,6 +228,26 @@ class TestMesh:
         assert len(edges) - 1 <= _MAX_PANELS
         assert edges[-1] == X
         assert np.all(np.diff(edges) > 0)
+
+    def test_same_edges_as_the_walk_by_cases(self):
+        over_budget = 0
+        for X, osc_scale, quad_phase in _mesh_cases():
+            edges = _mesh(X, osc_scale, quad_phase)
+            assert np.array_equal(edges, _walk_by_cases(X, osc_scale, quad_phase)), \
+                (X, osc_scale, quad_phase)
+            # a mesh the budget widened ends close to the budget
+            over_budget += len(edges) - 1 > 0.99 * _MAX_PANELS
+        assert over_budget >= 3
+
+    @pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("quad_phase", [0.0, 1.0])
+    def test_non_finite_end_raises(self, X, quad_phase):
+        with pytest.raises(ValueError, match="finite"):
+            _mesh(X, 1.0, quad_phase)
+
+    def test_infinite_finite_interval_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_finite(lambda x: np.exp(-x), 0.0, math.inf, CFG)
 
 
 class TestDampedSemiInfinite:

@@ -62,6 +62,15 @@ class TestZeroAndVanishing:
         assert not res.converged
         assert set(res.failed_branches) == {"timelike", "spacelike"}
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_support_radius_raises(self, radius):
+        bump = builtin_profile("compact_bump")
+        profile = RadialProfile(f_timelike=bump.f_timelike,
+                                f_spacelike=bump.f_spacelike,
+                                support_radius=radius)
+        with pytest.raises(ValueError, match="finite"):
+            transform(1, profile, tmom(0.8), CFG)
+
 
 class TestLinearity:
     def test_linear_combination(self):
@@ -205,10 +214,12 @@ class TestRecursion:
             assert abs(value - ref) <= max(5 * err, 1e-9)
 
     def test_step_too_large(self):
-        with pytest.raises(ValueError):
-            recursion_step(lambda k: k, 1.0, h=0.6)
-        with pytest.raises(ValueError):
-            recursion_step(lambda k: k, 1.0, h=0.0)
+        # the step max(1e-3, 1e-3 k) reaches k/2 at k = 2e-3
+        for k in (2e-3, 1e-3, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                recursion_step(lambda x: x, k)
+        value, _ = recursion_step(lambda x: -math.pi * x * x, 2.5e-3)
+        assert abs(value - 1.0) <= 1e-12
 
     def test_bump_dimension_raising(self):
         # spacelike magnitudes: F^(3) = recursion step applied to F^(1)

@@ -11,11 +11,12 @@ over 41 radii from 0 to 5 plus one single-radius run.  The oracle's lines
 follow: the `.17g` golden set that `tests/data/golden_oracle.txt` pins
 (`oracle_lines`), then the unbounded 1+1 `gauss_oscillatory` at k = 1 for
 both characters, the benchmark's oracle anchor (about 5 s each, too slow
-for the test suite).  A change meant to keep the package's numbers must
-print the same digest as its parent.  The package is imported from `--src`
-(default: the `src/` next to this script), so one script can sweep two
-checkouts.  `--save` also writes the output, for a diff when the digests
-differ.
+for the test suite).  Last come the full-precision `hankel_transform`
+lines that `tests/data/golden_radial.txt` pins (`radial_lines`).  A change
+meant to keep the package's numbers must print the same digest as its
+parent.  The package is imported from `--src` (default: the `src/` next
+to this script), so one script can sweep two checkouts.  `--save` also
+writes the output, for a diff when the digests differ.
 """
 
 import argparse
@@ -94,6 +95,39 @@ def oracle_lines(anchor: bool = False) -> list:
     return lines
 
 
+def radial_lines() -> list:
+    """Full-precision lines of `hankel_transform` for n = 1..10 at
+    k in {0.5, 2}: the Gaussian exp(-pi r^2) with the envelope exp(-2r) and
+    no phase, then the compact bump (1 - r^2)^3 on its support radius 1 at
+    the default phase scale.  Imports `lorentzft` from the import path."""
+    import numpy as np
+
+    from lorentzft.quadrature import QuadConfig
+    from lorentzft.transform import hankel_transform
+
+    def gauss(r):
+        return np.exp(-np.pi * np.asarray(r, dtype=float) ** 2)
+
+    def env(r):
+        return np.exp(-2.0 * np.asarray(r, dtype=float))
+
+    def bump(r):
+        ra = np.asarray(r, dtype=float)
+        return np.where(ra < 1.0, (1.0 - np.minimum(ra, 1.0) ** 2) ** 3, 0.0)
+
+    cfg = QuadConfig()
+    lines = []
+    for n in range(1, 11):
+        for k in (0.5, 2.0):
+            lines.append(_result_line(
+                f"hankel gauss n={n} k={k:g}",
+                hankel_transform(n, gauss, k, cfg, envelope=env, phase_scale=0.0)))
+            lines.append(_result_line(
+                f"hankel bump n={n} k={k:g}",
+                hankel_transform(n, bump, k, cfg, support_radius=1.0)))
+    return lines
+
+
 def run_sweep(src: pathlib.Path) -> str:
     sys.path.insert(0, str(src.resolve()))
     from lorentzft.cli import main
@@ -102,7 +136,8 @@ def run_sweep(src: pathlib.Path) -> str:
     with contextlib.redirect_stdout(buf):
         for argv in sweep():
             main(argv)
-    return buf.getvalue() + "".join(line + "\n" for line in oracle_lines(anchor=True))
+    lines = oracle_lines(anchor=True) + radial_lines()
+    return buf.getvalue() + "".join(line + "\n" for line in lines)
 
 
 def cli(argv=None) -> int:
