@@ -34,8 +34,6 @@ from .profiles import (
     profile_to_csv,
 )
 from .transform import (
-    SpectrumPoint,
-    SpectrumTable,
     gaussian_reference,
     hankel_transform,
     recursion_step,
@@ -58,8 +56,8 @@ __all__ = [
     "Branch", "KernelSpec", "MomentumChar", "MomentumMagnitude", "chi",
     "chi_small_argument_limit", "closure_rhs", "minkowski_kernel",
     "RadialProfile", "builtin_profile", "profile_from_csv", "profile_to_csv",
-    "SpectrumPoint", "SpectrumTable", "gaussian_reference", "hankel_transform",
-    "recursion_step", "spectrum", "transform",
+    "gaussian_reference", "hankel_transform", "recursion_step", "spectrum",
+    "transform",
     "AngularIdentity", "AngularIdentityKind",
     "cartesian_ft_1p1", "cartesian_ft_1p2", "check_angular_identity",
     "window_config_for",

@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import (MomentumChar, MomentumMagnitude, check_dimension, chi,
                       chi_small_argument_limit)
 from .profiles import builtin_profile, profile_from_csv
-from .quadrature import QuadConfig
+from .quadrature import QuadConfig, _halving
 from .transform import spectrum
 from .validation import SUITES, run_suite
 
@@ -37,8 +37,7 @@ def _parse_profile(text: str):
 
 
 def _quad_config(tol: float, epsilon0: float) -> QuadConfig:
-    return QuadConfig(abs_tol=tol, rel_tol=tol,
-                      epsilon_schedule=tuple(epsilon0 * 2.0 ** (-j) for j in range(6)))
+    return QuadConfig(abs_tol=tol, rel_tol=tol, epsilon_schedule=_halving(epsilon0, 6))
 
 
 def _momentum_grid(kmin, kmax, kcount, spacing, char):
@@ -67,9 +66,12 @@ def cmd_transform(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = spectrum(args.n, profile, grid, cfg)
-    sys.stdout.write(table.to_csv())
-    return 0 if table.all_converged else 1
+    results = spectrum(args.n, profile, grid, cfg)
+    print("char,l,re,im,err,converged")
+    for l, r in zip(grid, results):
+        print(f"{l.char.value},{l.value:.17g},{r.value.real:.17g},"
+              f"{r.value.imag:.17g},{r.error_estimate:.17g},{str(r.converged).lower()}")
+    return 0 if all(r.converged for r in results) else 1
 
 
 def cmd_validate(args) -> int:

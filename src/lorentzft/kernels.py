@@ -237,15 +237,13 @@ def closure_rhs(n: int, m: int, k: float, u: float) -> float:
     """Closed form of int_0^inf chi_n(r, k) chi_m(u, r) dr for m > n.
 
     Equals (2 pi^h / Gamma(h)) u (u^2 - k^2)^{h-1} Theta(u - k) with
-    h = (m - n)/2; requires m - n even and h >= 1.
+    h = (m - n)/2; requires m - n even.
     """
     if not (k > 0 and u > 0):
         raise DomainError("closure_rhs requires k > 0 and u > 0")
     if m <= n or (m - n) % 2 != 0:
         raise DomainError("closure_rhs requires m > n with m - n even")
     h = (m - n) // 2
-    if h < 1:
-        raise DomainError("closure_rhs requires h = (m - n)/2 >= 1")
     if u < k:
         return 0.0
     return 2.0 * math.pi ** h / gamma_fn(float(h)) * u * (u * u - k * k) ** (h - 1)

@@ -40,6 +40,7 @@ from .quadrature import (
     QuadResult,
     _finish,
     _gauss_legendre,
+    _halving,
     _panel_nodes,
     extrapolate_to_zero,
     integrate_finite,
@@ -85,7 +86,7 @@ class AngularIdentity:
 def angular_quad_config() -> QuadConfig:
     """Damping schedule deep enough for the slowest identity (small a)."""
     return QuadConfig(abs_tol=1e-10, rel_tol=1e-10,
-                      epsilon_schedule=tuple(0.0125 * 2.0 ** (-j) for j in range(8)),
+                      epsilon_schedule=_halving(0.0125, 8),
                       extrapolation_order=4)
 
 
@@ -199,7 +200,7 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
     if n_etas is None:
         n_etas = 6 if compact else 3
     return QuadConfig(abs_tol=1e-5, rel_tol=1e-3,
-                      epsilon_schedule=tuple(eta0 * 2.0 ** (-j) for j in range(n_etas)),
+                      epsilon_schedule=_halving(eta0, n_etas),
                       extrapolation_order=min(3, n_etas - 1))
 
 

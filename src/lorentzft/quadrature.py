@@ -34,7 +34,13 @@ __all__ = [
     "extrapolate_to_zero",
 ]
 
-_DEFAULT_SCHEDULE = tuple(0.1 * 2.0 ** (-j) for j in range(6))
+
+def _halving(eps0: float, terms: int) -> tuple:
+    """The damping schedule eps_j = eps0 2^-j, j = 0 .. terms - 1."""
+    return tuple(eps0 * 2.0 ** (-j) for j in range(terms))
+
+
+_DEFAULT_SCHEDULE = _halving(0.1, 6)
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,14 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
 
     Panel widths resolve phases up to `quad_phase * x**2 + osc_scale * x`;
     a geometric cascade toward 0 resolves integrable endpoint behaviour.
-    Raises ValueError for a non-finite X, which no budget could bound.
+    Raises ValueError for a non-finite X, which no budget could bound, and
+    for phase rates that are not finite and >= 0.
     """
     if not math.isfinite(X):
         raise ValueError(f"a panel mesh needs a finite end, got X={X}")
+    if not (0 <= osc_scale < math.inf and 0 <= quad_phase < math.inf):
+        raise ValueError("phase rates must be finite and >= 0, got "
+                         f"osc_scale={osc_scale}, quad_phase={quad_phase}")
     if X <= 0:
         return np.array([0.0])
     # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
@@ -187,6 +197,9 @@ def _truncation_point(magnitude: Callable, eps: float, cfg: QuadConfig,
     envelope, `magnitude` (from `_magnitude_probe`) bounds |f|."""
     floor = cfg.abs_tol / 10.0
     if support_radius is not None:
+        if not 0 <= support_radius < math.inf:
+            raise ValueError("support_radius must be finite and >= 0, "
+                             f"got {support_radius}")
         return float(support_radius), 0.0
     if envelope is not None:
         def tail(X):

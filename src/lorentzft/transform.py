@@ -13,7 +13,6 @@ transform of the unit-modulus Gaussian profile in 1+1 dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .kernels import (
     Branch,
     KernelSpec,
-    MomentumChar,
     MomentumMagnitude,
     chi,
     chi_envelope,
@@ -33,8 +31,6 @@ from .quadrature import QuadConfig, QuadResult, _finish, integrate_semiinfinite_
 from .specfun import DomainError
 
 __all__ = [
-    "SpectrumPoint",
-    "SpectrumTable",
     "transform",
     "hankel_transform",
     "recursion_step",
@@ -63,7 +59,7 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
 
     return integrate_semiinfinite_damped(
         integrand, cfg, envelope=envelope, support_radius=support_radius,
-        osc_scale=2.0 * math.pi * k, quad_phase=max(phase_scale, 0.0))
+        osc_scale=2.0 * math.pi * k, quad_phase=phase_scale)
 
 
 def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
@@ -145,55 +141,15 @@ def gaussian_reference(k: float) -> complex:
 # spectra over momentum grids
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    char: MomentumChar
-    l: float
-    value: complex
-    error: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Transform values over a momentum grid, in grid order."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        last = {}
-        for row in self.rows:
-            if row.error < 0:
-                raise ValueError("row error must be nonnegative")
-            prev = last.get(row.char)
-            if prev is not None and row.l <= prev:
-                raise ValueError("momenta must increase within each character block")
-            last[row.char] = row.l
-
-    CSV_HEADER = "char,l,re,im,err,converged"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.char.value},{r.l:.17g},{r.value.real:.17g},"
-                f"{r.value.imag:.17g},{r.error:.17g},{str(r.converged).lower()}")
-        return "\n".join(lines) + "\n"
-
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.rows)
-
-
 def spectrum(n: int, profile: RadialProfile, grid: Sequence[MomentumMagnitude],
-             cfg: QuadConfig) -> SpectrumTable:
-    """Evaluate the transform on each grid point; failures are flagged
-    per row, never dropped."""
+             cfg: QuadConfig) -> tuple[QuadResult, ...]:
+    """The transform at each grid point, in grid order.  The grid is checked
+    (nonempty, momenta increasing per character) before any transform runs."""
     if len(grid) == 0:
         raise ValueError("momentum grid must be nonempty")
-    rows = []
+    last = {}
     for l in grid:
-        res = transform(n, profile, l, cfg)
-        rows.append(SpectrumPoint(l.char, l.value, res.value,
-                                  res.error_estimate, res.converged))
-    return SpectrumTable(tuple(rows))
+        if l.char in last and l.value <= last[l.char]:
+            raise ValueError("momenta must increase within each character block")
+        last[l.char] = l.value
+    return tuple(transform(n, profile, l, cfg) for l in grid)

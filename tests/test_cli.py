@@ -1,5 +1,6 @@
 """Command-line interface: CSV output, determinism, exit codes."""
 
+import importlib
 import io
 import math
 import pathlib
@@ -65,6 +66,52 @@ class TestTransformCommand:
         _, rows = parse_csv(out)
         assert code == 0
         assert all(float(r["re"]) == 0.0 and float(r["im"]) == 0.0 for r in rows)
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(["transform", "--n", "1",
+                                "--profile", "builtin:zero",
+                                "--char", "timelike", "--kmin", "1"], capsys)
+        lines = out.split("\n")
+        assert code == 0
+        assert lines[0] == "char,l,re,im,err,converged"
+        assert lines[1].startswith("timelike,1,0,0,")
+        assert lines[2:] == [""]
+
+    def test_every_point_goes_through_the_transform_module(self, capsys,
+                                                          monkeypatch):
+        # a tracer that patches the module attribute must see every CLI point
+        module = importlib.import_module("lorentzft.transform")
+        calls = []
+        transform = module.transform
+
+        def counting(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(module, "transform", counting)
+        code, out, _ = run_cli(["transform", "--n", "1",
+                                "--profile", "builtin:compact_bump",
+                                "--char", "spacelike", "--kmin", "0.5",
+                                "--kmax", "1.5", "--kcount", "3"], capsys)
+        assert code == 0
+        assert len(calls) == 3
+        assert len(out.strip().split("\n")) == 4
+
+    def test_a_failing_point_leaves_stdout_empty(self, capsys, monkeypatch):
+        module = importlib.import_module("lorentzft.transform")
+        transform = module.transform
+
+        def failing_last(n, profile, l, cfg):
+            if l.value == 1.5:
+                raise RuntimeError("point failed")
+            return transform(n, profile, l, cfg)
+
+        monkeypatch.setattr(module, "transform", failing_last)
+        with pytest.raises(RuntimeError):
+            main(["transform", "--n", "1", "--profile", "builtin:compact_bump",
+                  "--char", "spacelike", "--kmin", "0.5", "--kmax", "1.5",
+                  "--kcount", "3"])
+        assert capsys.readouterr().out == ""
 
     def test_gauss_decay_against_direct_quadrature(self, capsys):
         # n=2, timelike: the transform reduces to -(2/k) int s e^{-s^2} sin(2 pi k s) ds

@@ -1,13 +1,15 @@
 """Public transform API: regression against the closed-form Gaussian result,
 specialization fixtures, Hankel transforms, recursion, spectra."""
 
+import importlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
-from lorentzft.profiles import RadialProfile, builtin_profile
+from lorentzft.profiles import RadialProfile, builtin_profile, profile_from_csv
 from lorentzft.quadrature import QuadConfig, integrate_semiinfinite_damped
 from lorentzft.transform import (
     gaussian_reference,
@@ -19,6 +21,8 @@ from lorentzft.transform import (
 
 TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
 CFG = QuadConfig()
+# the module itself: the package's `transform` attribute is the function
+TRANSFORM_MODULE = importlib.import_module("lorentzft.transform")
 
 
 def tmom(k):
@@ -69,6 +73,32 @@ class TestZeroAndVanishing:
                                 f_spacelike=bump.f_spacelike,
                                 support_radius=radius)
         with pytest.raises(ValueError, match="finite"):
+            transform(1, profile, tmom(0.8), CFG)
+
+    def test_negative_support_radius_raises(self):
+        bump = builtin_profile("compact_bump")
+        profile = RadialProfile(f_timelike=bump.f_timelike,
+                                f_spacelike=bump.f_spacelike,
+                                support_radius=-1.0)
+        with pytest.raises(ValueError, match="support_radius"):
+            transform(1, profile, tmom(0.8), CFG)
+
+    def test_light_cone_support_is_exactly_zero(self):
+        # a CSV profile sampled at s = 0 alone is supported on the light cone
+        profile = profile_from_csv(io.StringIO(
+            "s,re_timelike,im_timelike,re_spacelike,im_spacelike\n0,1,0,1,0\n"))
+        assert profile.support_radius == 0.0
+        res = transform(1, profile, tmom(0.8), CFG)
+        assert res.value == 0.0 and res.converged
+
+    @pytest.mark.parametrize("phase_scale", [math.nan, -1.0, math.inf])
+    def test_bad_phase_scale_raises(self, phase_scale):
+        decay = builtin_profile("gauss_decay_timelike")
+        profile = RadialProfile(f_timelike=decay.f_timelike,
+                                f_spacelike=decay.f_spacelike,
+                                envelope_hint=decay.envelope_hint,
+                                phase_scale=phase_scale)
+        with pytest.raises(ValueError, match="phase rates"):
             transform(1, profile, tmom(0.8), CFG)
 
 
@@ -173,6 +203,11 @@ class TestHankel:
         res = hankel_transform(2, lambda r: np.zeros(np.shape(r)), 1.0, CFG)
         assert res.value == 0.0
 
+    def test_infinite_k_raises(self):
+        g = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
+        with pytest.raises(ValueError, match="phase rates"):
+            hankel_transform(1, g, math.inf, CFG, support_radius=1.0)
+
     def test_self_inverse_on_gaussian(self):
         # forward transform tabulated on a grid, then the inverse (same
         # operator by the weight's argument symmetry) recovers g
@@ -262,17 +297,17 @@ class TestSpectrum:
     def test_zero_profile_rows(self):
         profile = builtin_profile("zero")
         grid = [tmom(0.5), tmom(1.0), tmom(2.0)]
-        table = spectrum(1, profile, grid, CFG)
-        assert len(table.rows) == 3
-        assert all(r.value == 0.0 for r in table.rows)
-        assert table.all_converged
+        results = spectrum(1, profile, grid, CFG)
+        assert len(results) == 3
+        assert all(r.value == 0.0 and r.converged for r in results)
 
     def test_gaussian_grid(self):
         profile = builtin_profile("gauss_oscillatory")
-        grid = [tmom(k) for k in (0.25, 0.5, 1.0)]
-        table = spectrum(1, profile, grid, CFG)
-        for row, k in zip(table.rows, (0.25, 0.5, 1.0)):
-            assert abs(row.value - gaussian_reference(k)) <= 1e-3 * math.pi
+        ks = (0.25, 0.5, 1.0)
+        results = spectrum(1, profile, [tmom(k) for k in ks], CFG)
+        assert results[-1] == transform(1, profile, tmom(1.0), CFG)
+        for res, k in zip(results, ks):
+            assert abs(res.value - gaussian_reference(k)) <= 1e-3 * math.pi
 
     def test_n2_spacelike_only_timelike_grid(self):
         bump = builtin_profile("compact_bump")
@@ -280,24 +315,17 @@ class TestSpectrum:
             f_timelike=lambda s: np.zeros(np.shape(s), dtype=complex),
             f_spacelike=bump.f_spacelike,
             support_radius=1.0)
-        table = spectrum(2, profile, [tmom(0.5), tmom(1.5)], CFG)
-        assert all(r.value == 0.0 for r in table.rows)
+        results = spectrum(2, profile, [tmom(0.5), tmom(1.5)], CFG)
+        assert all(r.value == 0.0 for r in results)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             spectrum(1, builtin_profile("zero"), [], CFG)
 
-    def test_nonincreasing_grid_rejected(self):
-        from lorentzft.transform import SpectrumPoint, SpectrumTable
-        rows = (SpectrumPoint(TL, 1.0, 0.0, 0.0, True),
-                SpectrumPoint(TL, 0.5, 0.0, 0.0, True))
-        with pytest.raises(ValueError):
-            SpectrumTable(rows)
-
-    def test_csv_format(self):
-        profile = builtin_profile("zero")
-        table = spectrum(1, profile, [tmom(1.0)], CFG)
-        text = table.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "char,l,re,im,err,converged"
-        assert lines[1].startswith("timelike,1,0,0,")
+    def test_nonincreasing_grid_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(TRANSFORM_MODULE, "transform",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="increase"):
+            spectrum(1, builtin_profile("zero"), [tmom(1.0), tmom(0.5)], CFG)
+        assert calls == []
