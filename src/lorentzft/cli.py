@@ -47,7 +47,11 @@ def _momentum_grid(kmin, kmax, kcount, spacing, char):
         vals = list(np.geomspace(kmin, kmax, kcount))
     else:
         vals = list(np.linspace(kmin, kmax, kcount))
-    return [MomentumMagnitude(float(v), char) for v in vals]
+    vals = [float(v) for v in vals]
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ValueError(f"{kcount} momenta from {kmin!r} to {kmax!r} repeat a value; "
+                         "widen the range or lower --kcount")
+    return [MomentumMagnitude(v, char) for v in vals]
 
 
 def cmd_transform(args) -> int:

@@ -178,17 +178,24 @@ def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
     arr = np.asarray(s, dtype=float)
     scalar = np.isscalar(s) or arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    lo = arr.min() if arr.size else 0.0
+    if not lo >= 0 and np.any(arr < 0):     # lo is NaN when arr holds one
         raise DomainError("minkowski_kernel requires s >= 0")
     n = spec.n
     c, family = spec.weight
-    out = np.zeros_like(arr)
-    if c:                             # else exactly zero, no Bessel call
-        pos = arr > 0
-        sp = arr[pos]
+
+    def weight(sp):
         pref = sp ** ((n + 1) / 2.0) / l.value ** ((n - 1) / 2.0)
         # by name at call time, so a patched module attribute is the one called
-        out[pos] = c * pref * globals()[family](Order(n - 1), 2.0 * math.pi * sp * l.value)
+        return c * pref * globals()[family](Order(n - 1), 2.0 * math.pi * sp * l.value)
+
+    if c and lo > 0:                  # every point positive: no mask, no scatter
+        out = weight(arr)
+    else:
+        out = np.zeros_like(arr)
+        if c:                         # else exactly zero, no Bessel call
+            pos = arr > 0
+            out[pos] = weight(arr[pos])
     return float(out[0]) if scalar else out
 
 

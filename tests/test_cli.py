@@ -231,6 +231,22 @@ def test_non_finite_number_exits_2(argv, capsys):
     assert "lightlike" not in err
 
 
+@pytest.mark.parametrize("grid", ["linear", "log"])
+def test_repeated_momenta_exit_2(grid, capsys, monkeypatch):
+    # 1 and the next float up: three grid points must repeat one of them
+    def no_transform(*args):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(importlib.import_module("lorentzft.transform"), "transform",
+                        no_transform)
+    code, out, err = run_cli(f"{_ZERO} --kmin 1 --kmax 1.0000000000000002 "
+                             f"--kcount 3 --grid {grid}".split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "repeat" in err
+
+
 class TestValidateCommand:
     def test_golden_bytes(self, capsys):
         # angular (its theta gaps are rounding-level) and oracle (5 s) are left out

@@ -195,6 +195,41 @@ class TestMinkowskiKernel:
         assert minkowski_kernel(KernelSpec(3, SL, SP), 0.0,
                                 MomentumMagnitude(1.0, SL)) == 0.0
 
+    # 200 points, and enough to split the Bessel call over the pool
+    @pytest.mark.parametrize("s", [np.geomspace(1e-3, 30.0, 200),
+                                   np.geomspace(1e-3, 300.0, 30000)])
+    def test_positive_points_match_the_masked_path(self, s):
+        # an all-positive array is weighted whole; with s = 0 in front, the
+        # same points go through the mask and must give the same bits
+        with_zero = np.concatenate([[0.0], s])
+        for n in range(1, 11):
+            for char in (TL, SL):
+                for branch in (TP, SP):
+                    spec, l = KernelSpec(n, char, branch), MomentumMagnitude(0.7, char)
+                    whole = minkowski_kernel(spec, s, l)
+                    masked = minkowski_kernel(spec, with_zero, l)
+                    assert masked[0] == 0.0
+                    assert np.array_equal(whole.view(np.int64), masked[1:].view(np.int64)), \
+                        (n, char, branch)
+
+    def test_empty_input(self):
+        for char in (TL, SL):
+            for branch in (TP, SP):
+                got = minkowski_kernel(KernelSpec(3, char, branch), np.array([]),
+                                       MomentumMagnitude(0.7, char))
+                assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_nan_and_zero_entries(self):
+        spec, l = KernelSpec(3, SL, SP), MomentumMagnitude(0.7, SL)
+        got = minkowski_kernel(spec, np.array([math.nan, 0.0, 1.5]), l)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert got[2] == minkowski_kernel(spec, 1.5, l) != 0.0
+        assert minkowski_kernel(spec, math.nan, l) == 0.0
+        # a negative point is rejected whether or not a NaN comes first
+        for s in ([-1.0], [math.nan, -1.0], [-1.0, math.nan]):
+            with pytest.raises(DomainError, match="s >= 0"):
+                minkowski_kernel(spec, np.array(s), l)
+
 
 class TestReductionSuite:
     def test_all_reductions_pass(self):
