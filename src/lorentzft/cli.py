@@ -44,10 +44,9 @@ def _momentum_grid(kmin, kmax, kcount, spacing, char):
     if kcount == 1:
         vals = [kmin]
     elif spacing == "log":
-        vals = list(np.geomspace(kmin, kmax, kcount))
+        vals = np.geomspace(kmin, kmax, kcount).tolist()
     else:
-        vals = list(np.linspace(kmin, kmax, kcount))
-    vals = [float(v) for v in vals]
+        vals = np.linspace(kmin, kmax, kcount).tolist()
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError(f"{kcount} momenta from {kmin!r} to {kmax!r} repeat a value; "
                          "widen the range or lower --kcount")

@@ -10,10 +10,12 @@ For each eps in a decreasing schedule the damped integral is evaluated on
 of values is extrapolated polynomially to eps = 0.  The panel mesh is a
 deterministic function of the configuration (never of sampled integrand
 values), so two integrands that agree pointwise are integrated on identical
-nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
-rule, then the 12 of the error rule.  f is called once on the widest mesh of
-a schedule, reweighted by exp(-eps x^2) for each eps, and called once more
-on the panels an eps's mesh does not share.  The sums are formed exactly as
+nodes.  The meshes of a schedule come from one walk for each step rule they
+share, with the same edges a separate walk to each X would give.  A panel's
+rule has 36 nodes: the 24 Gauss-Legendre nodes of the main rule, then the 12
+of the error rule.  f is called once on the widest mesh of a schedule,
+reweighted by exp(-eps x^2) for each eps, and called once more on the panels
+an eps's mesh does not share.  The sums are formed exactly as
 a separate evaluation per eps and rule would form them, to the last bit.
 """
 

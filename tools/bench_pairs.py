@@ -170,6 +170,7 @@ def main(argv=None):
                                     "does not share"),
                "traced_runs": []}
     checkouts = {"parent": args.parent, "change": args.change}
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     if args.trace:
         for seed in args.seeds:
             for side in ("parent", "change"):
@@ -192,9 +193,8 @@ def main(argv=None):
                 print(f"{args.workload} seed {seed} {side}: points_per_s {pps:.4g}",
                       flush=True)
             doc["seeds"].setdefault(args.workload, []).append(seed)
-            # written after every pair, so an interrupted session keeps its runs
-            metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
             doc["summary"] = summarize(doc["runs"], metrics)
+            # written after every pair, so an interrupted series keeps its runs
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
