@@ -336,7 +336,7 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
     if not a < b:
         raise ValueError("integrate_finite requires a < b")
     h = 0.5 * (b - a)
-    half, = _meshes((h,), 1.0, 0.0)
+    half = _mesh(h, 1.0, 0.0)
 
     def offsets(end):
         return half[(half == 0.0) | (half >= min(2.0 ** -40 * abs(end), h))]

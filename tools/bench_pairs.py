@@ -5,11 +5,14 @@
 
 For each seed it runs `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` once in each checkout, as a pair, and alternates
-which side runs first from one pair to the next.  Both checkouts are used
+which side runs first from one pair to the next.  N is the `run_seconds`
+of the change's BENCHMARK.json.  Both checkouts are used
 as they are (run.py imports the package from their `src/`); nothing under
 `perfbench/` is edited.  The final JSON line each run prints is stored with
 its side, workload, seed and order.  `--trace` runs `--seconds 4 --trace 1`
 instead, parent then change, and stores the pairs under `traced_runs`.
+A seed the file already holds for the workload (untraced or traced) is
+refused: the summary pairs runs by seed.
 
 The output file is created, or extended when it exists: new runs are
 appended, the seeds listed per workload, and the summary recomputed from
@@ -63,15 +66,12 @@ def run_once(checkout, workload, seed, seconds, trace):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def machine(note):
+def machine():
     import numpy
     import scipy
-    line = {"nproc": os.cpu_count(), "python": platform.python_version(),
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "platform": platform.platform()}
-    if note:
-        line["note"] = note
-    return line
 
 
 def quartiles(values):
@@ -141,18 +141,23 @@ def main(argv=None):
                     help="git checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A-B")
-    ap.add_argument("--seconds", type=float, default=16.0)
     ap.add_argument("--trace", action="store_true",
                     help="traced pairs (--seconds 4 --trace 1), parent first")
     ap.add_argument("--out", required=True, type=pathlib.Path,
                     help="BENCH_<pr>.json to create or extend")
-    ap.add_argument("--note", default="", help="free text for the machine line")
     args = ap.parse_args(argv)
 
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
     commits = {"parent_commit": commit_of(args.parent),
                "change_commit": commit_of(args.change)}
     if args.out.exists():
         doc = json.loads(args.out.read_text())
+        runs = doc["traced_runs"] if args.trace else doc["runs"]
+        again = sorted({r["seed"] for r in runs if r["workload"] == args.workload}
+                       & set(args.seeds))
+        if again:
+            sys.exit(f"error: {args.out} already holds {args.workload} "
+                     f"seeds {again}")
         for key, value in commits.items():
             if doc.get(key) != value:
                 sys.exit(f"error: {args.out} records {key} {doc.get(key)}, not {value}")
@@ -162,7 +167,7 @@ def main(argv=None):
                    "--workload W --seed S --seconds N` (trace 0), each side run in a "
                    "git checkout of its commit by tools/bench_pairs.py; `result` is "
                    "the final JSON line the run printed."),
-               **commits, "machine": machine(args.note), "seeds": {}, "summary": {},
+               **commits, "machine": machine(), "seeds": {}, "summary": {},
                "runs": [],
                "traced_runs_note": ("`--seconds 4 --trace 1`, parent then change; "
                                     "`traced_counts_differ` lists every .calls, "
@@ -170,7 +175,6 @@ def main(argv=None):
                                     "does not share"),
                "traced_runs": []}
     checkouts = {"parent": args.parent, "change": args.change}
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     if args.trace:
         for seed in args.seeds:
             for side in ("parent", "change"):
@@ -185,7 +189,8 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if (done + i) % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(checkouts[side], args.workload, seed, args.seconds, 0)
+                result = run_once(checkouts[side], args.workload, seed,
+                                  bench["run_seconds"], 0)
                 doc["runs"].append({"order": len(doc["runs"]), "side": side,
                                     "workload": args.workload, "seed": seed,
                                     "trace": 0, "result": result})
@@ -193,7 +198,7 @@ def main(argv=None):
                 print(f"{args.workload} seed {seed} {side}: points_per_s {pps:.4g}",
                       flush=True)
             doc["seeds"].setdefault(args.workload, []).append(seed)
-            doc["summary"] = summarize(doc["runs"], metrics)
+            doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
             # written after every pair, so an interrupted series keeps its runs
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
