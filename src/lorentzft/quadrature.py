@@ -10,12 +10,10 @@ For each eps in a decreasing schedule the damped integral is evaluated on
 of values is extrapolated polynomially to eps = 0.  The panel mesh is a
 deterministic function of the configuration (never of sampled integrand
 values), so two integrands that agree pointwise are integrated on identical
-nodes.  The meshes of a schedule come from one walk for each step rule they
-share, with the same edges a separate walk to each X would give.  A panel's
-rule has 36 nodes: the 24 Gauss-Legendre nodes of the main rule, then the 12
-of the error rule.  f is called once on the widest mesh of a schedule,
-reweighted by exp(-eps x^2) for each eps, and called once more on the panels
-an eps's mesh does not share.  The sums are formed exactly as
+nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
+rule, then the 12 of the error rule.  f is called once on the widest mesh of
+a schedule, reweighted by exp(-eps x^2) for each eps, and called once more
+on the panels an eps's mesh does not share.  The sums are formed exactly as
 a separate evaluation per eps and rule would form them, to the last bit.
 """
 
@@ -109,60 +107,35 @@ _LIN_RAD = 6.0                # linear-phase advance allowed per panel
 _MAX_PANELS = 20000           # panels per mesh, cascade included
 
 
-def _meshes(Xs: Sequence, osc_scale: float, quad_phase: float) -> list:
-    """Deterministic panel edges on [0, X] for each X of Xs, each mesh at
-    most _MAX_PANELS panels.
+def _mesh(X: float, osc_scale: float, quad_phase: float):
+    """Deterministic panel edges on [0, X], at most _MAX_PANELS panels.
 
     Panel widths resolve phases up to `quad_phase * x**2 + osc_scale * x`;
     a geometric cascade toward 0 resolves integrable endpoint behaviour.
-    A walk step depends on s alone, through c, w_lin and s1, so for the X
-    that share those three the mesh is the cascade, the walk's values below
-    X, then X: one walk to the largest such X serves them all.  Raises
-    ValueError for a non-finite X, which no budget could bound, and for
-    phase rates that are not finite and >= 0.
+    Raises ValueError for a non-finite X, which no budget could bound, and
+    for phase rates that are not finite and >= 0.
     """
+    if not math.isfinite(X):
+        raise ValueError(f"a panel mesh needs a finite end, got X={X}")
     if not (0 <= osc_scale < math.inf and 0 <= quad_phase < math.inf):
         raise ValueError("phase rates must be finite and >= 0, got "
                          f"osc_scale={osc_scale}, quad_phase={quad_phase}")
+    if X <= 0:
+        return np.array([0.0])
     # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
     # quadratic-phase steps, X / w_lin linear-phase steps and a last one
     budget = _MAX_PANELS - _CASCADE - 2
-    keys = []
-    ends = {}      # (c, w_lin, s1) -> the largest X walked with them
-    for X in Xs:
-        if not math.isfinite(X):
-            raise ValueError(f"a panel mesh needs a finite end, got X={X}")
-        if X <= 0:
-            keys.append(None)
-            continue
-        est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
-        widen = est / budget if est > budget else 1.0
-        # a quadratic-phase step from s ends at sqrt(s^2 + c); c = inf: no such limit
-        c = _PHASE_STEP * widen / quad_phase if quad_phase > 0 else math.inf
-        w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
-        # unwidened w_lin: a cascade it ends is the same for every X of a schedule
-        key = (c, w_lin * widen, min(math.sqrt(c), w_lin, X))
-        keys.append(key)
-        ends[key] = max(ends.get(key, X), X)
-    walks = {key: _walk(*key, X) for key, X in ends.items()}
-    meshes = []
-    for X, key in zip(Xs, keys):
-        if key is None:
-            meshes.append(np.array([0.0]))
-            continue
-        head, walk = walks[key]
-        tail = [X] if X > head[-1] else []
-        meshes.append(np.concatenate([head, walk[:np.searchsorted(walk, X)], tail]))
-    return meshes
-
-
-def _walk(c: float, w_lin: float, s1: float, X: float):
-    """(cascade edges 0 .. s1, walk edges beyond s1 up to X) of one mesh:
-    each step is the smaller of the quadratic-phase step to sqrt(s^2 + c)
-    and w_lin, capped at X."""
-    head = np.array([0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1])
+    est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
+    widen = est / budget if est > budget else 1.0
+    # a quadratic-phase step from s ends at sqrt(s^2 + c); c = inf: no such limit
+    c = _PHASE_STEP * widen / quad_phase if quad_phase > 0 else math.inf
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
+    # unwidened w_lin: a cascade it ends is the same for every X of a schedule
+    s1 = min(math.sqrt(c), w_lin, X)
+    w_lin = w_lin * widen
+    edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
+    # comparisons in place of min(): the same tie order, without the calls
     sqrt = math.sqrt
-    edges = []
     append = edges.append
     s = s1
     while s < X:
@@ -172,12 +145,7 @@ def _walk(c: float, w_lin: float, s1: float, X: float):
         t = s + step
         s = t if t < X else X
         append(s)
-    return head, np.array(edges)
-
-
-def _mesh(X: float, osc_scale: float, quad_phase: float):
-    """The mesh `_meshes` builds for the one end X."""
-    return _meshes((X,), osc_scale, quad_phase)[0]
+    return np.array(edges)
 
 
 def _panel_nodes(edges, x):
@@ -288,7 +256,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     magnitude = _magnitude_probe(f)
     Xs, tails = zip(*(_truncation_point(magnitude, eps, cfg, envelope, support_radius)
                       for eps in cfg.epsilon_schedule))
-    meshes = _meshes(Xs, osc_scale, quad_phase)
+    meshes = [_mesh(X, osc_scale, quad_phase) for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
     wide = meshes[int(np.argmax(Xs))]
     wide_values = _evaluate(f, _panel_nodes(wide, _RULE_X)[0])

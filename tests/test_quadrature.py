@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-import lorentzft.quadrature
 from lorentzft.quadrature import (
     QuadConfig,
     QuadResult,
@@ -21,7 +20,6 @@ from lorentzft.quadrature import (
     _gauss_legendre,
     _magnitude_probe,
     _mesh,
-    _meshes,
     _truncation_point,
     extrapolate_to_zero,
     integrate_finite,
@@ -219,38 +217,6 @@ def _mesh_cases():
     return cases
 
 
-def _halving_ends(X_wide):
-    """Truncation points of a six-term halving schedule, X ~ eps^-1/2:
-    widest last, each sqrt(2) narrower than the next."""
-    return tuple(X_wide * 2.0 ** (-j / 2.0) for j in range(5, -1, -1))
-
-
-def _end_on_the_walk():
-    """A halving schedule with its third X moved onto a walk edge of the
-    widest mesh."""
-    Xs = list(_halving_ends(50.0))
-    wide = _walk_by_cases(Xs[-1], 1.0, 1.0)[_CASCADE + 2:]
-    Xs[2] = float(wide[np.argmin(np.abs(wide - Xs[2]))])
-    return tuple(Xs)
-
-
-_S1 = math.sqrt(_PHASE_STEP)   # the cascade's end for quad_phase 1, osc_scale 1
-
-# (Xs, osc_scale, quad_phase, walks): walks is the number of (c, w_lin, s1)
-# groups among the Xs, one walk each
-_SCHEDULE_MESHES = {
-    "one_group": (_halving_ends(50.0), 1.0, 1.0, 1),
-    # 200 is over the panel budget and widens its steps; 141 is not
-    "widest_over_budget": (_halving_ends(200.0), 1.0, 1.0, 2),
-    # s1/sqrt2 ends its own cascade; X = s1 shares the wider ones' group
-    "at_and_below_s1": (_halving_ends(4.0 * _S1), 1.0, 1.0, 2),
-    "end_on_the_walk": (_end_on_the_walk(), 1.0, 1.0, 1),
-    "linear_phase_only": (_halving_ends(40.0), 3.0, 0.0, 1),
-    # w_lin = X without a phase, so every X is its own group
-    "no_phase": (_halving_ends(8.0), 0.0, 0.0, 6),
-}
-
-
 class TestMesh:
     @pytest.mark.parametrize("X, osc_scale, quad_phase", [
         (5e6, 1.0, 0.0),      # linear-phase panels alone
@@ -272,42 +238,6 @@ class TestMesh:
             # a mesh the budget widened ends close to the budget
             over_budget += len(edges) - 1 > 0.99 * _MAX_PANELS
         assert over_budget >= 3
-
-    @pytest.mark.parametrize("case", sorted(_SCHEDULE_MESHES))
-    def test_schedule_meshes_match_the_walk_by_cases(self, case, monkeypatch):
-        Xs, osc_scale, quad_phase, walks = _SCHEDULE_MESHES[case]
-        walked = []
-        walk = lorentzft.quadrature._walk
-
-        def recording(c, w_lin, s1, X):
-            walked.append(X)
-            return walk(c, w_lin, s1, X)
-
-        monkeypatch.setattr(lorentzft.quadrature, "_walk", recording)
-        meshes = _meshes(Xs, osc_scale, quad_phase)
-        assert len(walked) == walks
-        for X, edges in zip(Xs, meshes):
-            assert np.array_equal(edges, _walk_by_cases(X, osc_scale, quad_phase)), X
-
-    def test_schedule_cases_reach_their_edge_cases(self):
-        Xs, *_ = _SCHEDULE_MESHES["widest_over_budget"]
-        sizes = [len(_mesh(X, 1.0, 1.0)) - 1 for X in Xs]
-        assert sizes[-1] > 0.99 * _MAX_PANELS > sizes[-2]
-        Xs, *_ = _SCHEDULE_MESHES["at_and_below_s1"]
-        assert Xs[0] < _S1 == Xs[1]
-        Xs, *_ = _SCHEDULE_MESHES["end_on_the_walk"]
-        assert Xs[2] in _walk_by_cases(Xs[-1], 1.0, 1.0)[_CASCADE + 2:]
-
-    def test_random_schedules_match_the_walk_by_cases(self):
-        rng = np.random.default_rng(2026)
-        for _ in range(100):
-            X = 10.0 ** rng.uniform(-3.0, 2.5)
-            osc_scale = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2.0, 2.0)
-            quad_phase = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 1.0)
-            Xs = _halving_ends(X)
-            for X, edges in zip(Xs, _meshes(Xs, osc_scale, quad_phase)):
-                assert np.array_equal(edges, _walk_by_cases(X, osc_scale, quad_phase)), \
-                    (X, osc_scale, quad_phase)
 
     @pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("quad_phase", [0.0, 1.0])
