@@ -164,7 +164,8 @@ def main(argv=None):
     else:
         doc = {"description": (
                    "Alternating parent/change pairs of `python3 perfbench/run.py "
-                   "--workload W --seed S --seconds N` (trace 0), each side run in a "
+                   f"--workload W --seed S --seconds {bench['run_seconds']}` (trace 0), "
+                   "each side run in a "
                    "git checkout of its commit by tools/bench_pairs.py; `result` is "
                    "the final JSON line the run printed."),
                **commits, "machine": machine(), "seeds": {}, "summary": {},
