@@ -84,16 +84,17 @@ class KernelSpec:
 
     @property
     def weight(self):
-        """(c, family): the weight is c s^{(n+1)/2} / l^{(n-1)/2} times the
-        cylinder function named `family` of order (n-1)/2 at 2 pi s l."""
+        """(c, Z): the weight is c s^{(n+1)/2} / l^{(n-1)/2} times the
+        cylinder function Z of order (n-1)/2 at 2 pi s l.  Z is looked up by
+        name at each read, so a patched module attribute is the one returned."""
         cos, sin = exact_cos_sin_half_pi(self.n - 1)
         if self.momentum_char is MomentumChar.TIMELIKE:
             if self.branch is Branch.TIMELIKE_PROFILE:
-                return -2.0 * math.pi * (cos or sin), "bessel_n" if cos else "bessel_j"
-            return 4.0 * cos, "bessel_k"
+                return -2.0 * math.pi * (cos or sin), bessel_n if cos else bessel_j
+            return 4.0 * cos, bessel_k
         if self.branch is Branch.TIMELIKE_PROFILE:
-            return 4.0, "bessel_k"
-        return -2.0 * math.pi, "bessel_n"
+            return 4.0, bessel_k
+        return -2.0 * math.pi, bessel_n
 
     @property
     def vanishes(self) -> bool:
@@ -122,6 +123,8 @@ class MomentumMagnitude:
 
 def check_dimension(n: int) -> None:
     """Raise DomainError unless the spatial dimension n is supported."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"spatial dimension n must be an integer, got {n!r}")
     if not _N_MIN <= n <= _N_MAX:
         raise DomainError(f"spatial dimension n={n} outside [{_N_MIN}, {_N_MAX}]")
 
@@ -139,14 +142,13 @@ def chi(n: int, r, k):
     Broadcasts over r and k; requires k > 0, r >= 0.
     """
     check_dimension(n)
-    scalar = (np.isscalar(r) or np.asarray(r).ndim == 0) and \
-             (np.isscalar(k) or np.asarray(k).ndim == 0)
     ra, ka = np.broadcast_arrays(np.asarray(r, dtype=float),
                                  np.asarray(k, dtype=float))
+    scalar = ra.ndim == 0
     ra, ka = np.atleast_1d(ra), np.atleast_1d(ka)
-    if np.any(ka <= 0):
+    if not np.all(ka > 0):
         raise DomainError("chi requires k > 0")
-    if np.any(ra < 0):
+    if not np.all(ra >= 0):
         raise DomainError("chi requires r >= 0")
     nu = Order(n - 2)
     out = np.empty_like(ra)
@@ -171,23 +173,22 @@ def chi_small_argument_limit(n: int, k: float) -> float:
 def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
     """Radial weight w(s) for the given dimension, momentum and branch.
 
-    Vectorized over s > 0 (s = 0 yields the limit value 0 for every kernel).
+    Vectorized over s >= 0; s = 0 yields the limit 0 of every kernel.
     """
     if spec.momentum_char is not l.char:
         raise DomainError("momentum character does not match the kernel spec")
     arr = np.asarray(s, dtype=float)
-    scalar = np.isscalar(s) or arr.ndim == 0
+    scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     lo = arr.min() if arr.size else 0.0
-    if not lo >= 0 and np.any(arr < 0):     # lo is NaN when arr holds one
+    if not lo >= 0:                   # lo is NaN when arr holds one
         raise DomainError("minkowski_kernel requires s >= 0")
     n = spec.n
-    c, family = spec.weight
+    c, Z = spec.weight
 
     def weight(sp):
         pref = sp ** ((n + 1) / 2.0) / l.value ** ((n - 1) / 2.0)
-        # by name at call time, so a patched module attribute is the one called
-        return c * pref * globals()[family](Order(n - 1), 2.0 * math.pi * sp * l.value)
+        return c * pref * Z(Order(n - 1), 2.0 * math.pi * sp * l.value)
 
     if c and lo > 0:                  # every point positive: no mask, no scatter
         out = weight(arr)
@@ -209,7 +210,7 @@ def kernel_envelope(spec: KernelSpec, l: MomentumMagnitude):
     n = spec.n
     lv = l.value
     nu = (n - 1) / 2.0
-    uses_k = spec.weight[1] == "bessel_k"
+    uses_k = spec.weight[1] is bessel_k
 
     def env(s):
         sa = np.maximum(np.asarray(s, dtype=float), 1e-9)

@@ -21,7 +21,7 @@ support.  The oracle takes the radial engine's `QuadConfig`: its
 `epsilon_schedule` is the eta schedule, and `window_config_for` sets the
 extrapolation order min(3, number of etas - 1) and the fixed tolerances.
 The box halfwidth L of each eta follows from the profile and eta, and the
-panels from the profile and the momentum.  One eta loop serves 1+1 and 1+2.
+panels from the profile and the momentum.  One eta loop takes n = 1 or 2.
 """
 
 from __future__ import annotations
@@ -228,12 +228,6 @@ def profile_on_invariant(profile: RadialProfile) -> Callable:
     return fw
 
 
-def _support_w(profile: RadialProfile) -> float:
-    """f vanishes for |w| > support_w, w = s^2 the invariant (inf if
-    unbounded)."""
-    return math.inf if profile.support_radius is None else profile.support_radius ** 2
-
-
 def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
                      edges: np.ndarray, w_lo: float, w_hi: float):
     """One windowed (u, v)-plane integral on the cells edges x edges.
@@ -263,18 +257,23 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
 
 
 def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
-               plane: Callable) -> QuadResult:
-    """The eta loop of both oracles: `plane(eta)` gives the (u, v)-plane
-    integrand fw at eta and w_hi, the largest u v where fw can be nonzero;
-    the windowed integrals are extrapolated to eta = 0 at
+               n: int) -> QuadResult:
+    """The eta loop of the 1+n oracle, n = 1 or 2: the plane integrand is
+    f(u v) for n = 1 and the transverse table of a compact f for n = 2; the
+    windowed integrals are extrapolated to eta = 0 at
     `cfg.extrapolation_order`."""
+    if n == 2 and f.support_radius is None:
+        raise DomainError("the 1+2 window oracle requires a compactly "
+                          "supported profile")
+    fw = profile_on_invariant(f)
+    support_w = math.inf if f.support_radius is None else f.support_radius ** 2
     samples = []
     evals = 0
-    w_lo = -_support_w(f)
     for eta in cfg.epsilon_schedule:
-        fw, w_hi = plane(eta)
+        plane, w_hi = ((fw, support_w) if n == 1
+                       else _transverse_table(fw, support_w, eta))
         edges = _axis_edges(f, _box_halfwidth(f, eta), k.value)
-        val, ne = _window_integral(eta, k, fw, edges, w_lo, w_hi)
+        val, ne = _window_integral(eta, k, plane, edges, -support_w, w_hi)
         samples.append((eta, val))
         evals += ne
     value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
@@ -284,8 +283,7 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
 def cartesian_ft_1p1(f: RadialProfile, k: MomentumMagnitude,
                      cfg: QuadConfig) -> QuadResult:
     """Windowed evaluation of the defining integral on R^{1,1}."""
-    fw = profile_on_invariant(f)
-    return _cartesian(f, k, cfg, lambda eta: (fw, _support_w(f)))
+    return _cartesian(f, k, cfg, 1)
 
 
 def _transverse_table(fw: Callable, support_w: float, eta: float):
@@ -327,9 +325,4 @@ def cartesian_ft_1p2(f: RadialProfile, k: MomentumMagnitude,
     the invariant w = u v) and tabulated per eta; the (t, x)-plane then
     follows the 1+1 scheme.  Requires a compactly supported profile.
     """
-    if f.support_radius is None:
-        raise DomainError("the 1+2 window oracle requires a compactly "
-                          "supported profile")
-    fw = profile_on_invariant(f)
-    return _cartesian(f, k, cfg,
-                      lambda eta: _transverse_table(fw, _support_w(f), eta))
+    return _cartesian(f, k, cfg, 2)

@@ -60,6 +60,8 @@ class QuadConfig:
             raise ValueError("epsilon_schedule must contain finite positive values")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon_schedule must be strictly decreasing")
+        if not isinstance(self.extrapolation_order, (int, np.integer)):
+            raise ValueError("extrapolation_order must be an integer")
         if not 0 <= self.extrapolation_order <= len(eps) - 1:
             raise ValueError("extrapolation_order must be <= len(epsilon_schedule) - 1")
         object.__setattr__(self, "epsilon_schedule", eps)

@@ -17,16 +17,16 @@ reflection `yv` computes differently.
 
 scipy's Bessel ufuncs release the GIL, so an argument array of three blocks
 or more is split into blocks that run on a thread pool sized from the CPUs
-the process may use, each writing its own slice of one output array.  The
-ufunc is elementwise, so the result is bit-identical to one call.  Only the
-scipy ufunc runs on the pool: the wrappers themselves, and every other
-function of the package, run on the caller's thread.
+the process may use and built at import, each block writing its own slice
+of one output array.  The ufunc is elementwise, so the result is
+bit-identical to one call.  Only the scipy ufunc runs on the pool: the
+wrappers themselves, and every other function of the package, run on the
+caller's thread.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,7 +72,7 @@ class Order:
 
 def _as_array(x):
     arr = np.asarray(x, dtype=float)
-    return arr, np.isscalar(x) or arr.ndim == 0
+    return arr, arr.ndim == 0
 
 
 _BLOCK = 8192          # points per pool task
@@ -82,8 +82,6 @@ _BLOCK = 8192          # points per pool task
 # are free: pooling shorter calls spread the times of the ops that made
 # them without making those ops faster.
 _POOL_MIN = 3 * _BLOCK
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _cpu_count() -> int:
@@ -93,19 +91,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _executor():
-    """The shared block pool, created on first use; None on one CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None and (cpus := _cpu_count()) > 1:
-            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="lorentzft-bessel")
-        return _pool
+def _new_pool():
+    # None on one CPU; a ThreadPoolExecutor starts no thread before a task
+    cpus = _cpu_count()
+    return (ThreadPoolExecutor(cpus, thread_name_prefix="lorentzft-bessel")
+            if cpus > 1 else None)
+
+
+_pool = _new_pool()
 
 
 def _forget_pool():
     # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
@@ -114,7 +113,7 @@ if hasattr(os, "register_at_fork"):
 
 def _ufunc(fn, nu: float, arr: np.ndarray):
     """fn(nu, arr), split into blocks over the pool when arr is long."""
-    pool = _executor() if arr.size >= _POOL_MIN else None
+    pool = _pool if arr.size >= _POOL_MIN else None
     if pool is None:
         return fn(nu, arr)
     flat = arr.ravel()

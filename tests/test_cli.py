@@ -11,9 +11,11 @@ import pytest
 from scipy.integrate import quad
 
 import lorentzft.kernels
+import lorentzft.validation
 from lorentzft.cli import build_parser, main
 from lorentzft.specfun import _POOL_MIN
 from lorentzft.transform import gaussian_reference
+from lorentzft.validation import run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_transform.csv"
 GOLDEN_VALIDATE = pathlib.Path(__file__).parent / "data" / "golden_validate.txt"
@@ -265,6 +267,16 @@ class TestValidateCommand:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(["validate", "--suite", "bogus"], capsys)
         assert code == 2
+
+    def test_run_suite_all_concatenates_in_suite_order(self, monkeypatch):
+        rows = {"second": ["b1"], "first": ["a1", "a2"]}
+        monkeypatch.setattr(lorentzft.validation, "SUITES",
+                            {name: lambda name=name: list(rows[name])
+                             for name in ("second", "first")})
+        assert run_suite("all") == ["b1", "a1", "a2"]
+        assert run_suite("first") == ["a1", "a2"]
+        with pytest.raises(KeyError, match=r"'bogus'.*\['first', 'second'\]"):
+            run_suite("bogus")
 
 
 class TestChiCommand:

@@ -20,7 +20,7 @@ from lorentzft.kernels import (
     kernel_envelope,
     minkowski_kernel,
 )
-from lorentzft.specfun import DomainError
+from lorentzft.specfun import DomainError, bessel_j, bessel_k, bessel_n
 from lorentzft.validation import suite_chi, suite_reduction
 
 TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
@@ -68,6 +68,18 @@ class TestChi:
             chi(0, 1.0, 1.0)
         with pytest.raises(DomainError):
             chi(11, 1.0, 1.0)
+        # NaN radii and momenta, alone or among good points, are rejected
+        # rather than given the r = 0 limits
+        for n in (1, 3):
+            for r, k in ((math.nan, 1.0), ([0.5, math.nan], 1.0),
+                         (1.0, math.nan), (1.0, [math.nan, 1.0])):
+                with pytest.raises(DomainError):
+                    chi(n, r, k)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), "3"])
+    def test_non_integer_dimension(self, n):
+        with pytest.raises(DomainError, match="integer"):
+            chi(n, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_envelope_bounds_chi(self, n):
@@ -188,6 +200,20 @@ class TestMinkowskiKernel:
             KernelSpec(0, TL, TP)
         with pytest.raises(DomainError):
             KernelSpec(11, TL, TP)
+        for n in (2.0, 2.5):
+            with pytest.raises(DomainError, match="integer"):
+                KernelSpec(n, TL, TP)
+        assert KernelSpec(np.int64(3), TL, TP).weight == KernelSpec(3, TL, TP).weight
+
+    def test_weight_names_its_function(self):
+        z = {(n, char, branch): KernelSpec(n, char, branch).weight[1]
+             for n in range(1, 11) for char in (TL, SL) for branch in (TP, SP)}
+        for (n, char, branch), fn in z.items():
+            if branch is TP:
+                want = bessel_k if char is SL else (bessel_n if n % 2 else bessel_j)
+            else:
+                want = bessel_n if char is SL else bessel_k
+            assert fn is want, (n, char, branch)
 
     def test_s_zero_limit(self):
         assert minkowski_kernel(KernelSpec(1, TL, TP), 0.0,
@@ -221,14 +247,17 @@ class TestMinkowskiKernel:
 
     def test_nan_and_zero_entries(self):
         spec, l = KernelSpec(3, SL, SP), MomentumMagnitude(0.7, SL)
-        got = minkowski_kernel(spec, np.array([math.nan, 0.0, 1.5]), l)
-        assert got[0] == 0.0 and got[1] == 0.0
-        assert got[2] == minkowski_kernel(spec, 1.5, l) != 0.0
-        assert minkowski_kernel(spec, math.nan, l) == 0.0
-        # a negative point is rejected whether or not a NaN comes first
-        for s in ([-1.0], [math.nan, -1.0], [-1.0, math.nan]):
-            with pytest.raises(DomainError, match="s >= 0"):
-                minkowski_kernel(spec, np.array(s), l)
+        got = minkowski_kernel(spec, np.array([0.0, 1.5]), l)
+        assert got[0] == 0.0
+        assert got[1] == minkowski_kernel(spec, 1.5, l) != 0.0
+        # a NaN point, alone or among others, is rejected like a negative one,
+        # for the vanishing kernels too
+        for spec in (spec, KernelSpec(2, TL, SP)):
+            l = MomentumMagnitude(0.7, spec.momentum_char)
+            for s in (math.nan, [math.nan, 0.0, 1.5], [0.0, 1.5, math.nan], [-1.0],
+                      [math.nan, -1.0], [-1.0, math.nan]):
+                with pytest.raises(DomainError, match="s >= 0"):
+                    minkowski_kernel(spec, np.array(s), l)
 
 
 class TestReductionSuite:

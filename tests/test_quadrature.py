@@ -66,6 +66,11 @@ class TestConfigValidation:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             QuadConfig(epsilon_schedule=(0.1, 0.05), extrapolation_order=2)
+        # a non-integer order is refused here, not inside the first integral
+        for order in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="integer"):
+                QuadConfig(extrapolation_order=order)
+        assert QuadConfig(extrapolation_order=np.int64(2)).extrapolation_order == 2
 
     def test_result_invariant(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import importlib
 import math
 import multiprocessing
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -264,7 +263,7 @@ def pool(request, monkeypatch):
     """A counting pool in place of the shared one (even on one CPU), or
     None with the pool switched off."""
     if request.param == "inline":
-        monkeypatch.setattr(specfun, "_executor", lambda: None)
+        monkeypatch.setattr(specfun, "_pool", None)
         yield None
         return
     with CountingPool() as counting:
@@ -306,12 +305,12 @@ class TestBlockPool:
     def test_forked_child_after_the_pool_ran(self, monkeypatch):
         if not hasattr(os, "fork"):
             pytest.skip("no fork on this platform")
-        # the real shared pool, created here with two workers
+        # a pool built as at import, with two workers, whose threads run
+        # before the fork; the child must build its own
         monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(specfun, "_pool", None)
+        monkeypatch.setattr(specfun, "_pool", specfun._new_pool())
         x = ARGUMENTS["5block+17"]
         bessel_n(ZERO, x)
-        assert specfun._pool is not None
         try:
             child = multiprocessing.get_context("fork").Process(
                 target=_child_bessel_n, args=(x,))
@@ -326,43 +325,16 @@ class TestBlockPool:
         finally:
             specfun._pool.shutdown()
 
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_cpu_count", lambda: 1)
+        assert specfun._new_pool() is None
+        monkeypatch.setattr(specfun, "_pool", specfun._new_pool())
+        x = ARGUMENTS["5block+17"]
+        assert np.array_equal(bessel_n(ZERO, x), sp.yv(0.0, x))
+
     def test_pool_takes_meshes_of_683_panels_or_more(self):
         # one integrand call per mesh, on _RULE_X.size nodes a panel
         assert _RULE_X.size * 682 < POOL_MIN <= _RULE_X.size * 683
-
-    def test_concurrent_first_calls_build_one_pool(self, monkeypatch):
-        built = []
-
-        class Recorded(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(specfun, "_pool", None)
-        monkeypatch.setattr(specfun, "ThreadPoolExecutor", Recorded)
-        x = ARGUMENTS["3block"]
-        ref = sp.yv(0.0, x)
-        results = [None] * 8
-
-        def work(i):
-            results[i] = bessel_n(ZERO, x)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-            for p in built:
-                p.shutdown()
-        assert not any(t.is_alive() for t in threads)
-        assert len(built) == 1
-        assert all(np.array_equal(r, ref) for r in results)
 
     def test_package_functions_run_on_the_calling_thread(self, pool, monkeypatch):
         # only the scipy ufunc may leave the caller's thread: the benchmark's
