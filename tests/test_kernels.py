@@ -75,11 +75,9 @@ class TestChi:
                          (1.0, math.nan), (1.0, [math.nan, 1.0])):
                 with pytest.raises(DomainError):
                     chi(n, r, k)
-
-    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), "3"])
-    def test_non_integer_dimension(self, n):
-        with pytest.raises(DomainError, match="integer"):
-            chi(n, 1.0, 1.0)
+        for n in (3.0, 2.5):
+            with pytest.raises(DomainError, match="spatial dimension n must be an integer"):
+                chi(n, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_envelope_bounds_chi(self, n):
@@ -201,7 +199,7 @@ class TestMinkowskiKernel:
         with pytest.raises(DomainError):
             KernelSpec(11, TL, TP)
         for n in (2.0, 2.5):
-            with pytest.raises(DomainError, match="integer"):
+            with pytest.raises(DomainError, match="spatial dimension n must be an integer"):
                 KernelSpec(n, TL, TP)
         assert KernelSpec(np.int64(3), TL, TP).weight == KernelSpec(3, TL, TP).weight
 
