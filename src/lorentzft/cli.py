@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import (MomentumChar, MomentumMagnitude, check_dimension, chi,
                       chi_small_argument_limit)
-from .profiles import builtin_profile, profile_from_csv
+from .profiles import BUILTIN_PROFILES, builtin_profile, profile_from_csv
 from .quadrature import QuadConfig, _halving
 from .transform import spectrum
 from .validation import SUITES, run_suite
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, required=True, help="spatial dimension (1..10)")
     t.add_argument("--profile", required=True,
                    help="builtin:<name> or csv:<path>; builtins: "
-                        "gauss_oscillatory, gauss_decay_timelike, compact_bump, zero")
+                        + ", ".join(BUILTIN_PROFILES))
     t.add_argument("--char", choices=["timelike", "spacelike"], required=True)
     t.add_argument("--kmin", type=float, required=True)
     t.add_argument("--kmax", type=float, default=None)
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {sorted(SUITES)} or 'all'")
     v.set_defaults(func=cmd_validate)
 
-    c = sub.add_parser("chi", help="sample the radial Hankel weight chi_n(r, k)")
+    c = sub.add_parser("chi", help="sample the radial Hankel weight chi_n(k, r)")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=float, required=True)
     c.add_argument("--rmin", type=float, required=True)

@@ -165,6 +165,7 @@ def chi_small_argument_limit(n: int, k: float) -> float:
 
     The prefactor is the unit (n-1)-sphere volume times k^{n-1}.
     """
+    check_dimension(n)
     if not k > 0:
         raise DomainError("chi_small_argument_limit requires k > 0")
     return 2.0 * math.pi ** (n / 2.0) * k ** (n - 1) / gamma_fn(n / 2.0)
@@ -247,6 +248,8 @@ def closure_rhs(n: int, m: int, k: float, u: float) -> float:
     Equals (2 pi^h / Gamma(h)) u (u^2 - k^2)^{h-1} Theta(u - k) with
     h = (m - n)/2; requires m - n even.
     """
+    check_dimension(n)
+    check_dimension(m)
     if not (k > 0 and u > 0):
         raise DomainError("closure_rhs requires k > 0 and u > 0")
     if m <= n or (m - n) % 2 != 0:

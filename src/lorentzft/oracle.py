@@ -18,8 +18,8 @@ product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
 support.  The oracle takes the radial engine's `QuadConfig`: its
-`epsilon_schedule` is the eta schedule, and `window_config_for` sets the
-extrapolation order min(3, number of etas - 1) and the fixed tolerances.
+`epsilon_schedule` is the eta schedule, which `window_config_for` sets by
+profile and dimension, with order min(3, etas - 1) and fixed tolerances.
 The box halfwidth L of each eta follows from the profile and eta, and the
 panels from the profile and the momentum.  One eta loop takes n = 1 or 2.
 """
@@ -185,20 +185,25 @@ def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
 def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
                       dims: int = 1, eta0: Optional[float] = None,
                       n_etas: Optional[int] = None) -> QuadConfig:
-    """Default window schedule for a profile and momentum.
+    """Default window schedule for a profile, momentum and spatial dimension.
 
     A `QuadConfig` whose `epsilon_schedule` is the eta schedule, halving
     from eta0, with extrapolation order min(3, n_etas - 1) and tolerances
-    1e-5 absolute, 1e-3 relative.  Compactly supported profiles afford a
-    deep schedule (the masked support mesh is cheap); unbounded profiles,
-    integrated over the whole box, use a shallower one.  `k` and `dims` do
-    not change the schedule.
+    1e-5 absolute, 1e-3 relative.  Compact profiles afford a deep schedule
+    (the masked support mesh is cheap): (eta0, n_etas) = (0.01, 6) for
+    dims=1, (0.02, 5) for dims=2.  Unbounded ones, integrated over the
+    whole box, use (0.08, 3).  `k` does not change the schedule.
     """
-    compact = profile.support_radius is not None
-    if eta0 is None:
-        eta0 = 0.01 if compact else 0.08
-    if n_etas is None:
-        n_etas = 6 if compact else 3
+    if dims not in (1, 2):
+        raise DomainError(f"the window oracle covers dims 1 and 2, got {dims!r}")
+    if n_etas is not None and not isinstance(n_etas, (int, np.integer)):
+        raise ValueError(f"n_etas must be an integer, got {n_etas!r}")
+    if profile.support_radius is None:
+        default = (0.08, 3)
+    else:
+        default = {1: (0.01, 6), 2: (0.02, 5)}[dims]
+    eta0 = default[0] if eta0 is None else eta0
+    n_etas = default[1] if n_etas is None else n_etas
     return QuadConfig(abs_tol=1e-5, rel_tol=1e-3,
                       epsilon_schedule=_halving(eta0, n_etas),
                       extrapolation_order=min(3, n_etas - 1))
@@ -303,17 +308,13 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
     if w_cut > core_hi:
         tail = np.exp(np.linspace(math.log(core_hi), math.log(w_cut), 400))[1:]
         grid = np.concatenate([grid, tail])
-    ylo = np.sqrt(np.maximum(grid - support_w, 0.0))
-    yc = np.sqrt(np.maximum(grid, 0.0))
-    yhi = np.sqrt(np.maximum(grid + support_w, 0.0))
-    Y = np.zeros(grid.shape, dtype=complex)
-    for lo, hi in ((ylo, yc), (yc, yhi)):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * xg[None, :]
-        vals = fw((grid[:, None] - nodes ** 2).ravel()).reshape(nodes.shape)
-        vals = vals * np.exp(-eta * nodes ** 2)
-        Y += 2.0 * (vals * wg[None, :]).sum(axis=1) * half
+    # the support of f(w - y^2) in y >= 0, two panels split at the kink y^2 = w
+    edges = np.sqrt(np.maximum(grid[:, None] + [-support_w, 0.0, support_w], 0.0))
+    nodes, half = _panel_nodes(edges, xg)
+    vals = fw((grid[:, None, None] - nodes ** 2).ravel()).reshape(nodes.shape)
+    vals = vals * np.exp(-eta * nodes ** 2)
+    panels = 2.0 * (vals * wg).sum(axis=-1) * half
+    Y = panels[:, 0] + panels[:, 1]
     return complex_pchip(grid, Y), w_cut
 
 

@@ -7,10 +7,10 @@ Semi-infinite integrals of decaying-oscillatory integrands are defined as
 
 For each eps in a decreasing schedule the damped integral is evaluated on
 [0, X(eps)] with X chosen so the damped tail is negligible, and the sequence
-of values is extrapolated polynomially to eps = 0.  The panel mesh is a
-deterministic function of the configuration (never of sampled integrand
-values), so two integrands that agree pointwise are integrated on identical
-nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
+of values is extrapolated polynomially to eps = 0; `_truncation_points`
+places a schedule's X(eps).  The panel mesh is a deterministic function of
+the configuration (never of sampled integrand values), so two integrands
+that agree pointwise are integrated on identical nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
 rule, then the 12 of the error rule.  f is called once on the widest mesh of
 a schedule, reweighted by exp(-eps x^2) for each eps, and called once more
 on the panels an eps's mesh does not share.  The sums are formed exactly as
@@ -151,12 +151,12 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
 
 
 def _panel_nodes(edges, x):
-    """Nodes of the rule `x` on each panel of `edges` (one row per panel) and
-    the panel half-widths."""
-    a, b = edges[:-1], edges[1:]
+    """Nodes of the rule `x` on each panel of `edges` (edges along the last
+    axis, one node row per panel) and the panel half-widths."""
+    a, b = edges[..., :-1], edges[..., 1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return mid[:, None] + half[:, None] * x[None, :], half
+    return mid[..., None] + half[..., None] * x, half
 
 
 # one panel rule: the _GL_MAIN main nodes, then the _GL_ERR error-rule nodes
@@ -179,54 +179,49 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _quantize_up(m: float) -> float:
-    # power-of-2 quantized so envelope jitter cannot reshuffle the mesh
-    if m <= 0:
-        return 0.0
-    return 2.0 ** math.ceil(math.log2(m))
+def _magnitude(f: Callable, X: float) -> float:
+    """max |f| over 48 points of [1e-3, X], rounded up to a power of 2 so
+    envelope jitter cannot reshuffle the mesh."""
+    m = float(np.max(np.abs(_evaluate(f, np.linspace(1e-3, X, 48)))))
+    return 0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
 
 
-def _magnitude_probe(f: Callable) -> Callable:
-    """X -> max |f| over 48 points of [1e-3, X], rounded up to a power of 2.
-
-    Memoised: the first probe interval is the same for every eps of a
-    schedule, so one probe serves them all.
-    """
-    @functools.cache
-    def magnitude(X: float) -> float:
-        probe = _evaluate(f, np.linspace(1e-3, X, 48))
-        return _quantize_up(float(np.max(np.abs(probe))))
-    return magnitude
-
-
-def _truncation_point(magnitude: Callable, eps: float, cfg: QuadConfig,
-                      envelope: Optional[Callable], support_radius: Optional[float]):
-    """(X, allowance for the damped tail beyond X): the least X with
-    envelope(X) * exp(-eps X^2) below the tolerance floor.  Without an
-    envelope, `magnitude` (from `_magnitude_probe`) bounds |f|."""
+def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable],
+                       support_radius: Optional[float]) -> list:
+    """(X, allowance for the damped tail beyond X) for each eps of cfg's
+    schedule: the support radius; else the least X = 10 * 1.25^j (j <= 60)
+    with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10; else a bound
+    on |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10],
+    serves every eps."""
     floor = cfg.abs_tol / 10.0
+    schedule = cfg.epsilon_schedule
     if support_radius is not None:
         if not 0 <= support_radius < math.inf:
             raise ValueError("support_radius must be finite and >= 0, "
                              f"got {support_radius}")
-        return float(support_radius), 0.0
+        return [(float(support_radius), 0.0)] * len(schedule)
+
+    def tail(X, eps):
+        return float(envelope(X)) * math.exp(-eps * X * X) * (1.0 + X)
+
+    def reach(m, eps):
+        return math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
+
+    points = []
     if envelope is not None:
-        def tail(X):
-            return float(envelope(X)) * math.exp(-eps * X * X) * (1.0 + X)
-        X = 10.0
-        for _ in range(60):
-            if tail(X) <= floor:
-                break
-            X *= 1.25
-        return X, tail(X)
-    # default: constant envelope from coarse magnitude sampling, two rounds
-    X = 10.0
-    for _ in range(2):
-        m = magnitude(X)
-        if m == 0.0:
-            return 10.0, floor
-        X = math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
-    return X, floor
+        for eps in schedule:
+            X = 10.0
+            for _ in range(60):
+                if tail(X, eps) <= floor:
+                    break
+                X *= 1.25
+            points.append((X, tail(X, eps)))
+        return points
+    m0 = _magnitude(f, 10.0)
+    for eps in schedule:
+        m = _magnitude(f, reach(m0, eps)) if m0 != 0.0 else 0.0
+        points.append((reach(m, eps) if m != 0.0 else 10.0, floor))
+    return points
 
 
 def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
@@ -255,9 +250,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         Bound on the quadratic phase coefficient of f (phases ~ quad_phase*x^2
         are resolved); pass 0 for non-chirped integrands.
     """
-    magnitude = _magnitude_probe(f)
-    Xs, tails = zip(*(_truncation_point(magnitude, eps, cfg, envelope, support_radius)
-                      for eps in cfg.epsilon_schedule))
+    Xs, tails = zip(*_truncation_points(f, cfg, envelope, support_radius))
     meshes = [_mesh(X, osc_scale, quad_phase) for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
     wide = meshes[int(np.argmax(Xs))]

@@ -237,7 +237,7 @@ def suite_oracle():
         for char in MomentumChar:
             mom = MomentumMagnitude(k, char)
             ref = transform(2, profile, mom, cfg).value
-            w = window_config_for(profile, mom, eta0=0.02, n_etas=5)
+            w = window_config_for(profile, mom, dims=2)
             got = cartesian_ft_1p2(profile, mom, w).value
             out.append(_check(f"oracle-1p2/{char.value}/k={k}", ref, got,
                               5e-3 * abs(ref)))

@@ -211,6 +211,19 @@ class TestTransformCommand:
         assert run_cli(args, capsys)[1] == before
 
 
+@pytest.mark.parametrize("argv, text", [
+    # chi tabulates chi_n(k, r), the inverse weight, as cmd_chi does
+    (["--help"], "chi sample the radial Hankel weight chi_n(k, r)"),
+    (["transform", "--help"], "builtin:<name> or csv:<path>; builtins: "
+     "gauss_oscillatory, gauss_decay_timelike, compact_bump, zero"),
+])
+def test_help_text(argv, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
+
+
 _ZERO = "transform --n 1 --profile builtin:zero --char timelike"
 
 

@@ -78,6 +78,10 @@ class TestChi:
         for n in (3.0, 2.5):
             with pytest.raises(DomainError, match="spatial dimension n must be an integer"):
                 chi(n, 1.0, 1.0)
+        # the r -> 0 limit checks n as chi does
+        for n in (0, 11, 2.5):
+            with pytest.raises(DomainError, match="spatial dimension"):
+                chi_small_argument_limit(n, 1.0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_envelope_bounds_chi(self, n):
@@ -288,3 +292,7 @@ class TestClosureRhs:
             closure_rhs(1, 2, 1.0, 2.0)
         with pytest.raises(DomainError):
             closure_rhs(1, 3, 0.0, 2.0)
+        # both dimensions are checked as chi checks them
+        for n, m in ((1, 13), (1.5, 3.5), (0, 2), (11, 13)):
+            with pytest.raises(DomainError, match="spatial dimension"):
+                closure_rhs(n, m, 1.0, 2.0)

@@ -87,6 +87,14 @@ class TestWindowConfig:
             window_config_for(profile, mom, eta0=-0.01)
         with pytest.raises(ValueError):
             window_config_for(profile, mom, eta0=math.nan)
+        # n_etas is checked where it enters, not by range() further down
+        for n_etas in (2.5, 3.0):
+            with pytest.raises(ValueError, match="integer"):
+                window_config_for(profile, mom, n_etas=n_etas)
+        # dims selects the schedule, so only the oracle's dimensions pass
+        for dims in (0, 3, 1.5):
+            with pytest.raises(DomainError):
+                window_config_for(profile, mom, dims=dims)
 
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")
@@ -108,6 +116,17 @@ class TestWindowConfig:
                                epsilon_schedule=tuple(eta0 * 2.0 ** (-j)
                                                       for j in range(schedule_length)),
                                extrapolation_order=order)
+
+    def test_quad_config_1p2(self):
+        # dims=2 gives a compact profile the 1+2 schedule (0.02, 5); an
+        # unbounded profile's schedule does not depend on dims
+        mom = MomentumMagnitude(1.0, TL)
+        bump, gauss = builtin_profile("compact_bump"), builtin_profile("gauss_oscillatory")
+        assert window_config_for(bump, mom, dims=2) == \
+            window_config_for(bump, mom, eta0=0.02, n_etas=5)
+        assert window_config_for(bump, mom, dims=2, n_etas=4) == \
+            window_config_for(bump, mom, eta0=0.02, n_etas=4)
+        assert window_config_for(gauss, mom, dims=2) == window_config_for(gauss, mom)
 
 
 class TestCartesian1p1:
@@ -154,8 +173,7 @@ class TestCartesian1p2:
         profile = builtin_profile("zero")
         mom = MomentumMagnitude(1.0, TL)
         res = cartesian_ft_1p2(profile, mom,
-                               window_config_for(profile, mom, dims=2,
-                                                 eta0=0.02, n_etas=4))
+                               window_config_for(profile, mom, dims=2, n_etas=4))
         assert abs(res.value) < 1e-12
 
     def test_spacelike_only_bump_timelike_momentum(self):
@@ -163,7 +181,7 @@ class TestCartesian1p2:
         profile = _spacelike_only_bump()
         for k in (0.5, 1.0):
             mom = MomentumMagnitude(k, TL)
-            w = window_config_for(profile, mom, dims=2, eta0=0.02, n_etas=5)
+            w = window_config_for(profile, mom, dims=2)
             res = cartesian_ft_1p2(profile, mom, w)
             assert abs(res.value) <= 5e-3
 
@@ -172,7 +190,7 @@ class TestCartesian1p2:
         profile = builtin_profile("compact_bump")
         mom = MomentumMagnitude(0.5, char)
         ref = transform(2, profile, mom, QuadConfig()).value
-        w = window_config_for(profile, mom, dims=2, eta0=0.02, n_etas=5)
+        w = window_config_for(profile, mom, dims=2)
         res = cartesian_ft_1p2(profile, mom, w)
         assert abs(res.value - ref) <= 5e-3 * abs(ref)
 
@@ -180,7 +198,7 @@ class TestCartesian1p2:
         profile = builtin_profile("gauss_oscillatory")
         mom = MomentumMagnitude(1.0, TL)
         w = window_config_for(builtin_profile("compact_bump"), mom, dims=2,
-                              eta0=0.02, n_etas=3)
+                              n_etas=3)
         with pytest.raises(DomainError):
             cartesian_ft_1p2(profile, mom, w)
 

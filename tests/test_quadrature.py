@@ -18,9 +18,9 @@ from lorentzft.quadrature import (
     _PHASE_STEP,
     _finish,
     _gauss_legendre,
-    _magnitude_probe,
     _mesh,
-    _truncation_point,
+    _panel_nodes,
+    _truncation_points,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
@@ -154,7 +154,7 @@ class TestIntegrandContract:
 
         # the widest mesh, then each eps whose mesh has panels of its own
         f, cfg, kw = _SCHEDULE_CASES["chirped_envelope"]
-        Xs = _truncation_points(f, cfg, kw)
+        Xs = _truncation_Xs(f, cfg, kw)
         meshes = [_mesh(X, 1.0, 1.0) for X in Xs]
         wide = meshes[int(np.argmax(Xs))]
         own = [not np.array_equal(edges, wide[:len(edges)]) for edges in meshes]
@@ -254,6 +254,20 @@ class TestMesh:
         with pytest.raises(ValueError, match="finite"):
             integrate_finite(lambda x: np.exp(-x), 0.0, math.inf, CFG)
 
+    def test_stacked_panel_nodes_equal_row_by_row(self):
+        # a (rows, 3) edge array: two panels a row, as the oracle's
+        # transverse table lays them
+        rng = np.random.default_rng(3)
+        edges = np.sort(rng.uniform(0.0, 5.0, (40, 3)), axis=1)
+        edges[:5] = 0.0                 # zero-width panels
+        x, _ = _gauss_legendre(24)
+        nodes, half = _panel_nodes(edges, x)
+        assert nodes.shape == (40, 2, 24) and half.shape == (40, 2)
+        for row, row_nodes, row_half in zip(edges, nodes, half):
+            ref_nodes, ref_half = _panel_nodes(row, x)
+            assert np.array_equal(row_nodes, ref_nodes)
+            assert np.array_equal(row_half, ref_half)
+
 
 class TestDampedSemiInfinite:
     def test_absolutely_convergent(self):
@@ -284,6 +298,18 @@ class TestDampedSemiInfinite:
         assert res.converged
         assert abs(res.value - 2.0) < 1e-6
         assert abs(res.value - 2.0) <= res.error_estimate
+
+    @pytest.mark.parametrize("radius", [-1.0, math.inf, math.nan])
+    def test_bad_support_radius_raises_before_any_call(self, radius):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match="support_radius"):
+            integrate_semiinfinite_damped(f, CFG, support_radius=radius)
+        assert calls == []
 
     def test_zero_integrand(self):
         res = integrate_semiinfinite_damped(lambda x: np.zeros_like(np.asarray(x)), CFG)
@@ -372,8 +398,8 @@ def _per_eps_damped(f, cfg, envelope=None, support_radius=None, osc_scale=1.0,
     quad_err = 0.0
     trunc_err = 0.0
     evals = 0
-    for eps in cfg.epsilon_schedule:
-        X, _ = _truncation_point(_magnitude_probe(fv), eps, cfg, envelope, support_radius)
+    for eps, (X, _) in zip(cfg.epsilon_schedule,
+                           _truncation_points(fv, cfg, envelope, support_radius)):
         edges = _mesh(X, osc_scale, quad_phase)
         a, b = edges[:-1], edges[1:]
         mid = 0.5 * (a + b)
@@ -432,11 +458,9 @@ _SCHEDULE_CASES = {
 }
 
 
-def _truncation_points(f, cfg, kw):
-    magnitude = _magnitude_probe(f)
-    return [_truncation_point(magnitude, eps, cfg, kw.get("envelope"),
-                              kw.get("support_radius"))[0]
-            for eps in cfg.epsilon_schedule]
+def _truncation_Xs(f, cfg, kw):
+    return [X for X, _ in _truncation_points(f, cfg, kw.get("envelope"),
+                                             kw.get("support_radius"))]
 
 
 class TestSharedMesh:
@@ -455,7 +479,7 @@ class TestSharedMesh:
         # two cases have meshes that are not a prefix of the widest one
         def meshes(case):
             f, cfg, kw = _SCHEDULE_CASES[case]
-            Xs = _truncation_points(f, cfg, kw)
+            Xs = _truncation_Xs(f, cfg, kw)
             ms = [_mesh(X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0))
                   for X in Xs]
             return Xs, ms, ms[int(np.argmax(Xs))]

@@ -59,7 +59,7 @@ def _result_line(name, result) -> str:
 def oracle_lines(anchor: bool = False) -> list:
     """Full-precision lines of the oracle: `check_angular_identity` lhs and
     rhs for every kind at a in {0.5, 5}, then `cartesian_ft_1p1` and
-    `cartesian_ft_1p2` (eta0=0.02, n_etas=5) on `compact_bump` at k = 0.5,
+    `cartesian_ft_1p2` (its `dims=2` schedule) on `compact_bump` at k = 0.5,
     both characters.  `anchor` appends the unbounded 1+1 `gauss_oscillatory`
     at k = 1, both characters.  Imports `lorentzft` from the import path."""
     from lorentzft.kernels import MomentumChar, MomentumMagnitude
@@ -83,8 +83,7 @@ def oracle_lines(anchor: bool = False) -> list:
             cartesian_ft_1p1(bump, mom, window_config_for(bump, mom))))
         lines.append(_result_line(
             f"1p2 compact_bump {char.value} k=0.5",
-            cartesian_ft_1p2(bump, mom, window_config_for(bump, mom, eta0=0.02,
-                                                          n_etas=5))))
+            cartesian_ft_1p2(bump, mom, window_config_for(bump, mom, dims=2))))
     if anchor:
         gauss = builtin_profile("gauss_oscillatory")
         for char in MomentumChar:
