@@ -216,7 +216,7 @@ class TestTransformCommand:
     (["--help"], "chi sample the radial Hankel weight chi_n(k, r)"),
     (["transform", "--help"], "builtin:<name> or csv:<path>; builtins: "
      "gauss_oscillatory, gauss_decay_timelike, compact_bump, zero"),
-])
+], ids=["chi", "transform-profile"])
 def test_help_text(argv, text, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
