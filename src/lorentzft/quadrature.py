@@ -87,10 +87,10 @@ class QuadResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def _finish(value, err, evals, cfg, ok=True, failed=()) -> QuadResult:
-    """The result of one integral, converged when `err` is within cfg's
-    tolerances."""
-    converged = bool(ok) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+def _finish(value, err, evals, cfg, failed=()) -> QuadResult:
+    """The result of one integral, converged when no branch is named in
+    `failed` and `err` is within cfg's tolerances."""
+    converged = not failed and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadResult(complex(value), float(err), converged, int(evals),
                       tuple(failed))
 
@@ -181,8 +181,11 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
 
 def _magnitude(f: Callable, X: float) -> float:
     """max |f| over 48 points of [1e-3, X], rounded up to a power of 2 so
-    envelope jitter cannot reshuffle the mesh."""
+    envelope jitter cannot reshuffle the mesh; inf when f is inf or NaN at
+    any of them."""
     m = float(np.max(np.abs(_evaluate(f, np.linspace(1e-3, X, 48)))))
+    if not m < math.inf:
+        return math.inf
     return 0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
 
 
@@ -192,7 +195,8 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
     schedule: the support radius; else the least X = 10 * 1.25^j (j <= 60)
     with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10; else a bound
     on |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10],
-    serves every eps."""
+    serves every eps.  A round that finds f inf or NaN ends at its own
+    interval, with an infinite allowance."""
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
@@ -219,8 +223,16 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
         return points
     m0 = _magnitude(f, 10.0)
     for eps in schedule:
-        m = _magnitude(f, reach(m0, eps)) if m0 != 0.0 else 0.0
-        points.append((reach(m, eps) if m != 0.0 else 10.0, floor))
+        end, m = 10.0, m0
+        if 0.0 < m0 < math.inf:
+            end = reach(m0, eps)
+            m = _magnitude(f, end)
+        if m == math.inf:
+            # no bound on |f|: integrate up to the probe that found it, with
+            # an unbounded tail, so the result is not converged
+            points.append((end, math.inf))
+        else:
+            points.append((reach(m, eps) if m != 0.0 else 10.0, floor))
     return points
 
 

@@ -141,10 +141,11 @@ def _neumann(nu: float, x: np.ndarray, out=None):
 def bessel_j(nu: Order, x):
     """Bessel function of the first kind J_nu(x).
 
-    x may be a scalar or array, x > 0 (x = 0 allowed for nu >= 0).
+    x may be a scalar or array, x > 0 (x = 0 allowed for nu >= 0); a NaN
+    argument raises DomainError.
     """
     arr, scalar = _as_array(x)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise DomainError("bessel_j requires x >= 0")
     if nu.twice_nu < 0 and np.any(arr == 0):
         raise DomainError("bessel_j at x = 0 requires nu >= 0")
@@ -155,30 +156,31 @@ def bessel_j(nu: Order, x):
 def bessel_n(nu: Order, x):
     """Neumann function N_nu(x) (Bessel second kind, also written Y_nu).
 
-    Diverges at x = 0; requires x > 0.  The values are scipy's `yv`, bit
-    for bit; for nu >= 0 they come from one `hankel1` call (see the module
-    docstring), with `yv` where that is NaN.
+    Diverges at x = 0; requires x > 0, so NaN raises.  The values are
+    scipy's `yv`, bit for bit; for nu >= 0 they come from one `hankel1` call
+    (see the module docstring), with `yv` where that is NaN.
     """
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise DomainError("bessel_n requires x > 0")
     out = _ufunc(_neumann, nu.nu, arr)
     return float(out) if scalar else out
 
 
 def bessel_k(nu: Order, x):
-    """Macdonald function K_nu(x) (modified Bessel, third kind); x > 0."""
+    """Macdonald function K_nu(x) (modified Bessel, third kind); x > 0,
+    so NaN raises."""
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise DomainError("bessel_k requires x > 0")
     out = _ufunc(_sp.kv, abs(nu.nu), arr)
     return float(out) if scalar else out
 
 
 def gamma_fn(x):
-    """Euler Gamma function for positive real argument."""
+    """Euler Gamma function for positive real argument; NaN raises."""
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise DomainError("gamma_fn requires x > 0")
     out = _sp.gamma(arr)
     return float(out) if scalar else out

@@ -90,7 +90,7 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
         evals += res.evaluations
         if not res.converged:
             failed.append(branch.value)
-    return _finish(value, err, evals, cfg, ok=not failed, failed=failed)
+    return _finish(value, err, evals, cfg, failed=failed)
 
 
 def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
@@ -131,9 +131,9 @@ def recursion_step(F_n: Callable, k: float):
 
 def gaussian_reference(k: float) -> complex:
     """Closed-form 1+1 transform of exp(i s^2) at timelike magnitude k:
-    pi exp(-i pi^2 k^2)."""
-    if not k > 0:
-        raise DomainError("gaussian_reference requires k > 0")
+    pi exp(-i pi^2 k^2), for finite k > 0."""
+    if not 0 < k < math.inf:
+        raise DomainError(f"gaussian_reference requires a finite k > 0, got {k}")
     return math.pi * np.exp(-1j * math.pi ** 2 * k ** 2)
 
 

@@ -2,7 +2,8 @@
 
 Each suite returns a list of CheckResult rows (name, expected, actual, gap,
 tolerance, pass flag).  Suites: angular, closure, recursion, gaussian,
-reduction, oracle, chi.
+reduction, oracle, chi.  The reduction suite's references are the paper's
+boxed table of 1+1 and 1+2 weights, written with scipy and numpy alone.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import k0, y0
 
 from .kernels import (
     Branch,
@@ -134,61 +136,45 @@ def suite_gaussian():
     for k in (0.25, 0.5, 1.0):
         res = transform(1, profile, MomentumMagnitude(k, MomentumChar.TIMELIKE), cfg)
         ref = gaussian_reference(k)
-        gap = abs(res.value - ref)
-        out.append(CheckResult(f"gaussian/k={k}", ref, res.value, gap,
-                               1e-3 * abs(ref)))
+        out.append(_check(f"gaussian/k={k}", ref, res.value, 1e-3 * abs(ref)))
     return out
 
 
-def _boxed_integrand_n1(char: MomentumChar, branch: str, s, l: float):
-    # 1+1 summary forms: N0/K0 weights
-    from scipy.special import k0, y0
-    sa = np.asarray(s, dtype=float)
-    z = 2.0 * math.pi * sa * l
-    if char is MomentumChar.TIMELIKE:
-        if branch == "timelike":
-            return -2.0 * math.pi * sa * y0(z)
-        return 4.0 * sa * k0(z)
-    if branch == "timelike":
-        return 4.0 * sa * k0(z)
-    return -2.0 * math.pi * sa * y0(z)
-
-
-def _boxed_integrand_n2(char: MomentumChar, branch: str, s, l: float):
-    # 1+2 summary forms: sine / decaying-exponential / cosine weights
-    sa = np.asarray(s, dtype=float)
-    z = 2.0 * math.pi * sa * l
-    if char is MomentumChar.TIMELIKE:
-        if branch == "timelike":
-            return -2.0 / l * sa * np.sin(z)
-        return np.zeros_like(sa)
-    if branch == "timelike":
-        return 2.0 / l * sa * np.exp(-z)
-    return 2.0 / l * sa * np.cos(z)
+# The paper's boxed 1+1 and 1+2 weights at z = 2 pi s l, keyed like
+# KernelSpec: N0 and K0 in 1+1; sine, decaying exponential, zero and cosine
+# in 1+2.  scipy and numpy only, so the suite checks the kernels independently.
+_TL, _SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
+_TP, _SP = Branch.TIMELIKE_PROFILE, Branch.SPACELIKE_PROFILE
+_BOXED_WEIGHTS = {
+    (1, _TL, _TP): lambda s, z, l: -2.0 * math.pi * s * y0(z),
+    (1, _TL, _SP): lambda s, z, l: 4.0 * s * k0(z),
+    (1, _SL, _TP): lambda s, z, l: 4.0 * s * k0(z),
+    (1, _SL, _SP): lambda s, z, l: -2.0 * math.pi * s * y0(z),
+    (2, _TL, _TP): lambda s, z, l: -2.0 / l * s * np.sin(z),
+    (2, _TL, _SP): lambda s, z, l: np.zeros_like(s),
+    (2, _SL, _TP): lambda s, z, l: 2.0 / l * s * np.exp(-z),
+    (2, _SL, _SP): lambda s, z, l: 2.0 / l * s * np.cos(z),
+}
 
 
 def suite_reduction():
-    """General-n kernels at n=1, 2 against the boxed low-dimensional forms."""
+    """General-n kernels at n=1, 2 against the paper's boxed low-dimensional
+    weights."""
     s_grid = np.linspace(0.1, 5.0, 20)
     out = []
-    cases = [(1, _boxed_integrand_n1), (2, _boxed_integrand_n2)]
-    for n, boxed in cases:
-        for char in MomentumChar:
-            for branch in Branch:
-                spec = KernelSpec(n, char, branch)
-                worst = 0.0
-                for l in np.linspace(0.1, 5.0, 20):
-                    mom = MomentumMagnitude(l, char)
-                    general = minkowski_kernel(spec, s_grid, mom)
-                    ref = boxed(char, branch.value, s_grid, l)
-                    gap = np.abs(general - ref)
-                    # 1e-10 relative with a tiny floor at oscillation zeros
-                    amp = max(float(np.max(np.abs(ref))), 1e-30)
-                    rel = gap / (np.abs(ref) + 1e-3 * amp)
-                    worst = max(worst, float(np.max(rel)))
-                out.append(CheckResult(
-                    f"reduction/n={n}/{char.value}/{branch.value}",
-                    0.0, worst, worst, 1e-10))
+    for (n, char, branch), boxed in _BOXED_WEIGHTS.items():
+        spec = KernelSpec(n, char, branch)
+        worst = 0.0
+        for l in np.linspace(0.1, 5.0, 20):
+            general = minkowski_kernel(spec, s_grid, MomentumMagnitude(l, char))
+            ref = boxed(s_grid, 2.0 * math.pi * s_grid * l, l)
+            gap = np.abs(general - ref)
+            # 1e-10 relative with a tiny floor at oscillation zeros
+            amp = max(float(np.max(np.abs(ref))), 1e-30)
+            rel = gap / (np.abs(ref) + 1e-3 * amp)
+            worst = max(worst, float(np.max(rel)))
+        out.append(CheckResult(f"reduction/n={n}/{char.value}/{branch.value}",
+                               0.0, worst, worst, 1e-10))
     return out
 
 
@@ -225,22 +211,16 @@ def suite_oracle():
     cfg = QuadConfig()
     profile = builtin_profile("compact_bump")
     out = []
-    for k in (0.5, 1.0):
-        for char in MomentumChar:
-            mom = MomentumMagnitude(k, char)
-            ref = transform(1, profile, mom, cfg).value
-            w = window_config_for(profile, mom)
-            got = cartesian_ft_1p1(profile, mom, w).value
-            out.append(_check(f"oracle-1p1/{char.value}/k={k}", ref, got,
-                              1e-3 * abs(ref)))
-    for k in (0.5, 1.0):
-        for char in MomentumChar:
-            mom = MomentumMagnitude(k, char)
-            ref = transform(2, profile, mom, cfg).value
-            w = window_config_for(profile, mom, dims=2)
-            got = cartesian_ft_1p2(profile, mom, w).value
-            out.append(_check(f"oracle-1p2/{char.value}/k={k}", ref, got,
-                              5e-3 * abs(ref)))
+    for n, cartesian, tol in ((1, cartesian_ft_1p1, 1e-3),
+                              (2, cartesian_ft_1p2, 5e-3)):
+        for k in (0.5, 1.0):
+            for char in MomentumChar:
+                mom = MomentumMagnitude(k, char)
+                ref = transform(n, profile, mom, cfg).value
+                w = window_config_for(profile, mom, dims=n)
+                got = cartesian(profile, mom, w).value
+                out.append(_check(f"oracle-1p{n}/{char.value}/k={k}", ref, got,
+                                  tol * abs(ref)))
     return out
 
 

@@ -316,6 +316,19 @@ class TestDampedSemiInfinite:
         assert res.converged
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("f", [
+        lambda x: np.where((x > 4.0) & (x < 6.0), np.inf, np.exp(-x)),
+        lambda x: np.where((x > 4.0) & (x < 6.0), np.nan, np.exp(-x)),
+        lambda x: np.where(x > 20.0, np.nan, np.exp(-x)),
+    ], ids=["inf-before-10", "nan-before-10", "nan-past-20"])
+    def test_non_finite_integrand_without_envelope(self, f):
+        # the truncation probes see the inf or NaN; the result is NaN and
+        # not converged, as with an envelope
+        with np.errstate(invalid="ignore"):
+            res = integrate_semiinfinite_damped(f, CFG, quad_phase=0.0)
+        assert math.isnan(res.value.real)
+        assert not res.converged
+
 
 class TestDampedInvariants:
     def test_linearity(self):

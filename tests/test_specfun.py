@@ -123,6 +123,16 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             bessel_k(ZERO, np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("fn", [
+        lambda x: bessel_j(ZERO, x), lambda x: bessel_j(MINUS_HALF, x),
+        lambda x: bessel_n(ZERO, x), lambda x: bessel_k(ZERO, x), gamma_fn,
+    ], ids=["j", "j-minus-half", "n", "k", "gamma"])
+    def test_nan_argument(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(x)
+
 
 GRID = np.linspace(0.1, 30.0, 113)
 

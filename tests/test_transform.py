@@ -1,6 +1,7 @@
 """Public transform API: regression against the closed-form Gaussian result,
 specialization fixtures, Hankel transforms, recursion, spectra."""
 
+import cmath
 import importlib
 import io
 import math
@@ -11,6 +12,7 @@ import pytest
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import RadialProfile, builtin_profile, profile_from_csv
 from lorentzft.quadrature import QuadConfig, integrate_semiinfinite_damped
+from lorentzft.specfun import DomainError
 from lorentzft.transform import (
     gaussian_reference,
     hankel_transform,
@@ -40,6 +42,22 @@ class TestGaussianRegression:
         res = transform(1, profile, tmom(k), CFG)
         ref = gaussian_reference(k)
         assert abs(res.value - ref) <= 1e-3 * abs(ref)
+
+    @pytest.mark.parametrize("l", [0.25, 1.25])
+    @pytest.mark.parametrize("char", [TL, SL])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_closed_form_in_1_plus_n(self, n, char, l):
+        # the paper's 1+n result for exp(i s^2), at the CLI's default
+        # tolerances: pi^{(n+1)/2} e^{i pi (1-n)/4} e^{-+i pi^2 l^2}
+        sign = -1.0 if char is TL else 1.0
+        ref = (math.pi ** ((n + 1) / 2) * cmath.exp(1j * math.pi * (1 - n) / 4)
+               * cmath.exp(sign * 1j * math.pi ** 2 * l ** 2))
+        cfg = QuadConfig(abs_tol=1e-4, rel_tol=1e-4)
+        res = transform(n, builtin_profile("gauss_oscillatory"),
+                        MomentumMagnitude(l, char), cfg)
+        gap = abs(res.value - ref)
+        assert res.error_estimate >= gap
+        assert gap <= 1e-4 * abs(ref)
 
 
 class TestZeroAndVanishing:
@@ -291,6 +309,11 @@ class TestGaussianReference:
     def test_unit_modulus(self):
         for k in (0.1, 0.5, 1.0, 3.0, 10.0):
             assert abs(abs(gaussian_reference(k)) - math.pi) < 1e-12
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+    def test_outside_domain_raises(self, k):
+        with pytest.raises(DomainError):
+            gaussian_reference(k)
 
 
 class TestSpectrum:
