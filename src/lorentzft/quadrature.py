@@ -8,13 +8,17 @@ Semi-infinite integrals of decaying-oscillatory integrands are defined as
 For each eps in a decreasing schedule the damped integral is evaluated on
 [0, X(eps)] with X chosen so the damped tail is negligible, and the sequence
 of values is extrapolated polynomially to eps = 0; `_truncation_points`
-places a schedule's X(eps).  The panel mesh is a deterministic function of
-the configuration (never of sampled integrand values), so two integrands
-that agree pointwise are integrated on identical nodes.  A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main
-rule, then the 12 of the error rule.  f is called once on the widest mesh of
-a schedule, reweighted by exp(-eps x^2) for each eps, and called once more
-on the panels an eps's mesh does not share.  The sums are formed exactly as
-a separate evaluation per eps and rule would form them, to the last bit.
+places a schedule's X(eps), evaluating an envelope once per probe point for
+the whole schedule.  The panel mesh is a deterministic function of the
+configuration (never of sampled integrand values), so two integrands that
+agree pointwise are integrated on identical nodes, and one mesh is built
+per distinct truncation point.  A panel's rule has 36 nodes: the 24
+Gauss-Legendre nodes of the main rule, then the 12 of the error rule.  f is
+called once on the widest mesh of a schedule, reweighted by exp(-eps x^2)
+for each eps, and called once more on the panels an eps's mesh does not
+share; an eps whose mesh is the widest one reuses its nodes as they are.
+The sums are formed exactly as a separate evaluation per eps and rule would
+form them, to the last bit.
 """
 
 from __future__ import annotations
@@ -193,10 +197,12 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
                        support_radius: Optional[float]) -> list:
     """(X, allowance for the damped tail beyond X) for each eps of cfg's
     schedule: the support radius; else the least X = 10 * 1.25^j (j <= 60)
-    with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10; else a bound
-    on |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10],
-    serves every eps.  A round that finds f inf or NaN ends at its own
-    interval, with an infinite allowance."""
+    with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10, the envelope
+    evaluated once per probe point for the whole schedule; else a bound on
+    |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10], serves
+    every eps.  A search that finds the envelope NaN ends at that probe,
+    and a round that finds f inf or NaN at its own interval, either with an
+    infinite allowance."""
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
@@ -205,21 +211,27 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
                              f"got {support_radius}")
         return [(float(support_radius), 0.0)] * len(schedule)
 
-    def tail(X, eps):
-        return float(envelope(X)) * math.exp(-eps * X * X) * (1.0 + X)
-
     def reach(m, eps):
         return math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
 
     points = []
     if envelope is not None:
+        probes = [(10.0, float(envelope(10.0)))]    # (X, envelope(X))
         for eps in schedule:
-            X = 10.0
-            for _ in range(60):
-                if tail(X, eps) <= floor:
+            for j in range(61):
+                if j == len(probes):
+                    X = probes[-1][0] * 1.25
+                    probes.append((X, float(envelope(X))))
+                X, env = probes[j]
+                tail = env * math.exp(-eps * X * X) * (1.0 + X)
+                if tail <= floor:
                     break
-                X *= 1.25
-            points.append((X, tail(X, eps)))
+                if tail != tail:
+                    # no bound on the tail: integrate up to this probe, with
+                    # an unbounded allowance, so the result is not converged
+                    tail = math.inf
+                    break
+            points.append((X, tail))
         return points
     m0 = _magnitude(f, 10.0)
     for eps in schedule:
@@ -263,28 +275,37 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         are resolved); pass 0 for non-chirped integrands.
     """
     Xs, tails = zip(*_truncation_points(f, cfg, envelope, support_radius))
-    meshes = [_mesh(X, osc_scale, quad_phase) for X in Xs]
+    # one mesh per distinct X: eps that share an X share the mesh object
+    by_X = {X: _mesh(X, osc_scale, quad_phase) for X in dict.fromkeys(Xs)}
+    meshes = [by_X[X] for X in Xs]
     # the widest mesh; its integrand values serve every eps that shares a panel
-    wide = meshes[int(np.argmax(Xs))]
-    wide_values = _evaluate(f, _panel_nodes(wide, _RULE_X)[0])
+    wide = by_X[max(Xs)]
+    wide_nodes, wide_half = _panel_nodes(wide, _RULE_X)
+    wide_values = _evaluate(f, wide_nodes)
     evals = wide_values.size
     samples = []
     quad_err = 0.0
     for eps, edges in zip(cfg.epsilon_schedule, meshes):
-        # a panel is shared when both its edges are the wide mesh's, in place
-        m = min(len(edges), len(wide))
-        same = edges[:m] == wide[:m]
-        shared = np.zeros(len(edges) - 1, dtype=bool)
-        shared[:m - 1] = same[:-1] & same[1:]
-        reused, own = np.flatnonzero(shared), np.flatnonzero(~shared)
-        nodes, half = _panel_nodes(edges, _RULE_X)
-        values = np.empty(nodes.shape, dtype=complex)
-        values[reused] = wide_values[reused]
-        if own.size:
-            values[own] = _evaluate(f, nodes[own])
-            evals += own.size * _RULE_X.size
-        # in place: a second panels x 36 array would raise peak memory
-        values *= np.exp(-eps * nodes * nodes)
+        if edges is wide:
+            nodes, half = wide_nodes, wide_half
+            values = wide_values.copy()
+        else:
+            # a panel is shared when both its edges are the wide mesh's, in place
+            m = min(len(edges), len(wide))
+            same = edges[:m] == wide[:m]
+            shared = np.zeros(len(edges) - 1, dtype=bool)
+            shared[:m - 1] = same[:-1] & same[1:]
+            reused, own = np.flatnonzero(shared), np.flatnonzero(~shared)
+            nodes, half = _panel_nodes(edges, _RULE_X)
+            values = np.empty(nodes.shape, dtype=complex)
+            values[reused] = wide_values[reused]
+            if own.size:
+                values[own] = _evaluate(f, nodes[own])
+                evals += own.size * _RULE_X.size
+        # in place: a second panels x 36 array would raise peak memory; an
+        # inf value times a real factor gives NaN, which the result reports
+        with np.errstate(invalid="ignore"):
+            values *= np.exp(-eps * nodes * nodes)
         values *= _RULE_W
         p_main, p_err = _panel_sums(values, half)
         samples.append((eps, complex(p_main.sum())))

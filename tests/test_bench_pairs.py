@@ -41,3 +41,43 @@ class TestSeedsAlreadyRecorded:
                      "--workload", "chirped_spectrum", "--seeds", "1301-1303",
                      "--out", str(out)] + trace)
         assert out.read_text() == before
+
+
+class TestSuiteTimings:
+    def test_pairs_alternate_and_extend_the_suites_key(self, tmp_path, monkeypatch):
+        bp = _bench_pairs()
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"parent_commit": "p", "change_commit": "c",
+                                   "runs": ["kept"], "summary": {"w": "kept"}}))
+        monkeypatch.setattr(bp, "commit_of", lambda checkout: checkout.name)
+        monkeypatch.setattr(bp, "suite_names", lambda checkout: ["angular", "chi"])
+        walls = {"p": 2.0, "c": 1.0}
+        monkeypatch.setattr(bp, "time_once", lambda checkout, name:
+                            (walls[checkout.name], 0, f"{name} ok"))
+        argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                "--suites", "--out", str(out)]
+        bp.main(argv + ["--pairs", "2"])
+        bp.main(argv + ["--pairs", "1"])
+        doc = json.loads(out.read_text())
+        assert doc["runs"] == ["kept"] and doc["summary"] == {"w": "kept"}
+        runs = doc["suites"]["runs"]
+        assert [r["order"] for r in runs] == list(range(18))
+        # each pair runs every suite and tier-1 on both sides, the side that
+        # goes first alternating from pair to pair
+        firsts = [r["side"] for r in runs[::2]]
+        assert firsts == ["parent"] * 3 + ["change"] * 3 + ["parent"] * 3
+        assert [r["name"] for r in runs[:6:2]] == ["angular", "chi", "tier1"]
+        summary = doc["suites"]["summary"]
+        assert list(summary) == ["angular", "chi", "tier1"]
+        for entry in summary.values():
+            assert entry["parent_q1_median_q3"] == [2.0, 2.0, 2.0]
+            assert entry["change_q1_median_q3"] == [1.0, 1.0, 1.0]
+            assert entry["change_over_parent_median"] == 0.5
+            assert entry["pairs"] == 3 and entry["returncodes"] == [0]
+
+    def test_a_workload_run_needs_its_workload_and_seeds(self, tmp_path):
+        with pytest.raises(SystemExit):
+            _bench_pairs().main(["--parent", str(tmp_path), "--change", str(ROOT),
+                                 "--out", str(tmp_path / "BENCH.json")])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lorentzft import quadrature
 from lorentzft.quadrature import (
     QuadConfig,
     QuadResult,
@@ -324,10 +325,30 @@ class TestDampedSemiInfinite:
     def test_non_finite_integrand_without_envelope(self, f):
         # the truncation probes see the inf or NaN; the result is NaN and
         # not converged, as with an envelope
-        with np.errstate(invalid="ignore"):
-            res = integrate_semiinfinite_damped(f, CFG, quad_phase=0.0)
+        res = integrate_semiinfinite_damped(f, CFG, quad_phase=0.0)
         assert math.isnan(res.value.real)
         assert not res.converged
+
+    @pytest.mark.parametrize("envelope", [None, lambda x: np.exp(-0.5 * x)],
+                             ids=["no-envelope", "envelope"])
+    def test_inf_integrand_gives_nan_not_a_warning(self, envelope):
+        # damping an inf value gives NaN; under the suite's warnings-as-errors
+        # that must not raise
+        f = lambda x: np.where((x > 4.0) & (x < 6.0), np.inf, np.exp(-x))
+        res = integrate_semiinfinite_damped(f, CFG, envelope=envelope, quad_phase=0.0)
+        assert math.isnan(res.value.real)
+        assert not res.converged
+
+    def test_nan_envelope_ends_the_search(self):
+        # the search stops at the first probe past x = 30 with an unbounded
+        # tail allowance, instead of running to 10 * 1.25^60 and dropping it
+        cfg = QuadConfig(abs_tol=1e-2, rel_tol=1e-2)
+        res = integrate_semiinfinite_damped(
+            lambda x: np.exp(-x), cfg, envelope=lambda x: np.where(x > 30.0, np.nan, 1.0),
+            quad_phase=0.0)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        assert res.evaluations < 10_000
 
 
 class TestDampedInvariants:
@@ -468,6 +489,11 @@ _SCHEDULE_CASES = {
     "X_below_s1": (lambda x: np.exp(1j * np.asarray(x) ** 2),
                    QuadConfig(epsilon_schedule=(50.0, 10.0, 1.0, 0.1)),
                    dict(quad_phase=1.0)),
+    # an envelope below the floor at the first probe: every eps stops at
+    # X = 10 and shares one mesh, with no support radius
+    "fast_envelope": (lambda x: np.exp(-0.5 * x * x + 2j * x), CFG,
+                      dict(envelope=lambda x: np.exp(-0.5 * np.asarray(x) ** 2),
+                           osc_scale=2.0, quad_phase=0.0)),
 }
 
 
@@ -507,6 +533,9 @@ class TestSharedMesh:
         # a truncation point below the widest mesh's first edge s1
         Xs, _, wide = meshes("X_below_s1")
         assert min(Xs) < wide[_CASCADE + 1]
+        # one truncation point for the whole schedule, from an envelope
+        Xs, _, _ = meshes("fast_envelope")
+        assert Xs == [10.0] * len(CFG.epsilon_schedule)
 
     @pytest.mark.parametrize("with_envelope", [True, False])
     def test_evaluations_count_distinct_points(self, with_envelope):
@@ -529,3 +558,35 @@ class TestSharedMesh:
         res = integrate_semiinfinite_damped(f, cfg, **kw)
         ref = _per_eps_damped(f, cfg, **kw)
         assert res.evaluations * len(cfg.epsilon_schedule) == ref.evaluations
+
+    @pytest.mark.parametrize("case", ["support_radius", "fast_envelope"])
+    def test_one_mesh_per_truncation_point(self, case, monkeypatch):
+        built = []
+
+        def counting_mesh(*args):
+            built.append(args)
+            return _mesh(*args)
+
+        monkeypatch.setattr(quadrature, "_mesh", counting_mesh)
+        f, cfg, kw = _SCHEDULE_CASES[case]
+        integrate_semiinfinite_damped(f, cfg, **kw)
+        assert len(built) == 1
+
+    def test_envelope_probed_once_per_point(self):
+        f, cfg, kw = _SCHEDULE_CASES["chirped_envelope"]
+        probed = []
+
+        def envelope(x):
+            probed.append(x)
+            return kw["envelope"](x)
+
+        res = integrate_semiinfinite_damped(f, cfg, **dict(kw, envelope=envelope))
+        assert res == integrate_semiinfinite_damped(f, cfg, **kw)
+        # the probes 10 * 1.25^j up to the largest X, each once
+        Xs = _truncation_Xs(f, cfg, kw)
+        assert len(set(Xs)) > 1
+        expected = [10.0]
+        while len(expected) < len(probed):
+            expected.append(expected[-1] * 1.25)
+        assert probed == expected
+        assert probed[-1] == max(Xs)

@@ -24,6 +24,18 @@ over its median, the pairs the change wins, and a verdict: "worse than
 bound", "unresolved: parent IQR wider than bound" or "within bound".
 `gain_over_parent_iqr` is the median difference in the better direction
 over the parent's interquartile range: a gain is resolved above 1.
+
+    python tools/bench_pairs.py --parent PATH --change PATH \
+        --suites --pairs 3 --out BENCH_17.json
+
+`--suites` times, in each checkout's root with its `src/` on PYTHONPATH,
+`python -m lorentzft.cli validate --suite S` for each suite the change
+defines and one tier-1 run (`python -m pytest -q
+--continue-on-collection-errors`), as wall time of the whole process.
+Each pair runs every command once on each side, alternating which side
+goes first from one pair to the next.  The runs go under the file's
+`suites` key with each suite's quartiles per side and the change's median
+over the parent's.  These are uncalibrated wall times: they gate nothing.
 """
 
 import argparse
@@ -34,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 # the counts a traced pair must share: a change that keeps the numbers
 # keeps every call, point and evaluation count
@@ -64,6 +77,88 @@ def run_once(checkout, workload, seed, seconds, trace):
         sys.exit(f"error: {' '.join(cmd)} in {checkout} exited "
                  f"{out.returncode}:\n{out.stderr[-2000:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def suite_names(checkout):
+    """The validation suites `checkout` defines, in its order."""
+    cmd = [sys.executable, "-c",
+           "from lorentzft.validation import SUITES; print(*SUITES)"]
+    out = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+def _env(checkout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(checkout).resolve() / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _suite_command(name):
+    if name == "tier1":
+        return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors"]
+    return [sys.executable, "-m", "lorentzft.cli", "validate", "--suite", name]
+
+
+def time_once(checkout, name):
+    """(wall seconds, exit code, last output line) of one suite or tier-1 run
+    in `checkout`."""
+    cmd = _suite_command(name)
+    start = time.perf_counter()
+    out = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True,
+                         text=True)
+    wall = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    return wall, out.returncode, lines[-1] if lines else ""
+
+
+def summarize_suites(runs):
+    """Per suite: both sides' wall-time quartiles, the change's median over
+    the parent's, the pairs and the exit codes seen."""
+    summary = {}
+    for name in dict.fromkeys(r["name"] for r in runs):
+        walls = {side: [r["wall_s"] for r in runs
+                        if r["name"] == name and r["side"] == side]
+                 for side in ("parent", "change")}
+        if not (walls["parent"] and walls["change"]):
+            continue
+        pq, cq = quartiles(walls["parent"]), quartiles(walls["change"])
+        summary[name] = {
+            "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
+            "change_over_parent_median": round(cq[1] / pq[1], 4),
+            "pairs": min(len(walls["parent"]), len(walls["change"])),
+            "returncodes": sorted({r["returncode"] for r in runs if r["name"] == name})}
+    return summary
+
+
+def run_suites(doc, checkouts, pairs, out):
+    """Alternating parent/change pairs of every suite and tier-1, appended
+    under doc["suites"]; `out` is written after every pair."""
+    suites = doc.setdefault("suites", {
+        "description": ("Wall time of `python -m lorentzft.cli validate --suite S` "
+                        "per suite and of one tier-1 run (`name` tier1), each run "
+                        "from its own checkout's root with its `src/` on "
+                        "PYTHONPATH, in alternating parent/change pairs; "
+                        "uncalibrated, gating nothing."),
+        "runs": [], "summary": {}})
+    names = suite_names(checkouts["change"]) + ["tier1"]
+    done = max((r["pair"] + 1 for r in suites["runs"]), default=0)
+    for pair in range(done, done + pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for name in names:
+            for side in order:
+                wall, code, last = time_once(checkouts[side], name)
+                suites["runs"].append({"order": len(suites["runs"]), "pair": pair,
+                                       "side": side, "name": name,
+                                       "wall_s": round(wall, 4),
+                                       "returncode": code, "last_line": last})
+                print(f"suite {name} pair {pair} {side}: {wall:.2f} s, exit {code}",
+                      flush=True)
+        suites["summary"] = summarize_suites(suites["runs"])
+        out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def machine():
@@ -139,25 +234,34 @@ def main(argv=None):
                     help="git checkout of the parent commit")
     ap.add_argument("--change", required=True, type=pathlib.Path,
                     help="git checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, type=parse_seeds, help="A-B")
+    ap.add_argument("--workload")
+    ap.add_argument("--seeds", type=parse_seeds, help="A-B")
     ap.add_argument("--trace", action="store_true",
                     help="traced pairs (--seconds 4 --trace 1), parent first")
+    ap.add_argument("--suites", action="store_true",
+                    help="time each validate suite and tier-1 instead of a workload")
+    ap.add_argument("--pairs", type=int, default=3,
+                    help="pairs of suite timings (with --suites)")
     ap.add_argument("--out", required=True, type=pathlib.Path,
                     help="BENCH_<pr>.json to create or extend")
     args = ap.parse_args(argv)
+    if not args.suites and (args.workload is None or args.seeds is None):
+        ap.error("--workload and --seeds are required without --suites")
+    if args.suites and args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     commits = {"parent_commit": commit_of(args.parent),
                "change_commit": commit_of(args.change)}
     if args.out.exists():
         doc = json.loads(args.out.read_text())
-        runs = doc["traced_runs"] if args.trace else doc["runs"]
-        again = sorted({r["seed"] for r in runs if r["workload"] == args.workload}
-                       & set(args.seeds))
-        if again:
-            sys.exit(f"error: {args.out} already holds {args.workload} "
-                     f"seeds {again}")
+        if not args.suites:
+            runs = doc["traced_runs"] if args.trace else doc["runs"]
+            again = sorted({r["seed"] for r in runs if r["workload"] == args.workload}
+                           & set(args.seeds))
+            if again:
+                sys.exit(f"error: {args.out} already holds {args.workload} "
+                         f"seeds {again}")
         for key, value in commits.items():
             if doc.get(key) != value:
                 sys.exit(f"error: {args.out} records {key} {doc.get(key)}, not {value}")
@@ -176,7 +280,9 @@ def main(argv=None):
                                     "does not share"),
                "traced_runs": []}
     checkouts = {"parent": args.parent, "change": args.change}
-    if args.trace:
+    if args.suites:
+        run_suites(doc, checkouts, args.pairs, args.out)
+    elif args.trace:
         for seed in args.seeds:
             for side in ("parent", "change"):
                 result = run_once(checkouts[side], args.workload, seed, 4, 1)
