@@ -30,7 +30,7 @@ over the parent's interquartile range: a gain is resolved above 1.
 
 `--suites` times, in each checkout's root with its `src/` on PYTHONPATH,
 `python -m lorentzft.cli validate --suite S` for each suite the change
-defines and one tier-1 run (`python -m pytest -q
+defines and one tier-1 run (`python -m pytest -q -p no:cacheprovider
 --continue-on-collection-errors`), as wall time of the whole process.
 Each pair runs every command once on each side, alternating which side
 goes first from one pair to the next.  The runs go under the file's
@@ -96,17 +96,14 @@ def _env(checkout):
     return env
 
 
-def _suite_command(name):
-    if name == "tier1":
-        return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                "--continue-on-collection-errors"]
-    return [sys.executable, "-m", "lorentzft.cli", "validate", "--suite", name]
-
-
 def time_once(checkout, name):
     """(wall seconds, exit code, last output line) of one suite or tier-1 run
     in `checkout`."""
-    cmd = _suite_command(name)
+    if name == "tier1":
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+    else:
+        cmd = [sys.executable, "-m", "lorentzft.cli", "validate", "--suite", name]
     start = time.perf_counter()
     out = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True,
                          text=True)
@@ -247,8 +244,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if not args.suites and (args.workload is None or args.seeds is None):
         ap.error("--workload and --seeds are required without --suites")
-    if args.suites and args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     commits = {"parent_commit": commit_of(args.parent),
