@@ -58,16 +58,18 @@ class TestSuiteTimings:
                             (walls[checkout.name], 0, f"{name} ok"))
         argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
                 "--suites", "--out", str(out)]
-        bp.main(argv + ["--pairs", "2"])
-        bp.main(argv + ["--pairs", "1"])
+        bp.main(argv)
+        bp.main(argv)
         doc = json.loads(out.read_text())
         assert doc["runs"] == ["kept"] and doc["summary"] == {"w": "kept"}
         runs = doc["suites"]["runs"]
-        assert [r["order"] for r in runs] == list(range(18))
+        assert [r["order"] for r in runs] == list(range(36))
+        # the second call numbers its three pairs on from the first's
+        assert [r["pair"] for r in runs[::6]] == list(range(6))
         # each pair runs every suite and tier-1 on both sides, the side that
         # goes first alternating from pair to pair
         firsts = [r["side"] for r in runs[::2]]
-        assert firsts == ["parent"] * 3 + ["change"] * 3 + ["parent"] * 3
+        assert firsts == (["parent"] * 3 + ["change"] * 3) * 3
         assert [r["name"] for r in runs[:6:2]] == ["angular", "chi", "tier1"]
         summary = doc["suites"]["summary"]
         assert list(summary) == ["angular", "chi", "tier1"]
@@ -75,7 +77,19 @@ class TestSuiteTimings:
             assert entry["parent_q1_median_q3"] == [2.0, 2.0, 2.0]
             assert entry["change_q1_median_q3"] == [1.0, 1.0, 1.0]
             assert entry["change_over_parent_median"] == 0.5
-            assert entry["pairs"] == 3 and entry["returncodes"] == [0]
+            assert entry["pairs"] == 6 and entry["returncodes"] == [0]
+
+    @pytest.mark.parametrize("extra", [["--trace"], ["--workload", "identities"],
+                                       ["--seeds", "1701-1702"]])
+    def test_suites_refuses_workload_flags_before_any_run(self, tmp_path,
+                                                          monkeypatch, extra):
+        bp = _bench_pairs()
+        monkeypatch.setattr(bp, "time_once", lambda *a: pytest.fail("timed a suite"))
+        out = tmp_path / "BENCH.json"
+        with pytest.raises(SystemExit):
+            bp.main(["--parent", str(tmp_path), "--change", str(ROOT), "--suites",
+                     "--out", str(out)] + extra)
+        assert not out.exists()
 
     def test_a_workload_run_needs_its_workload_and_seeds(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -26,15 +26,17 @@ bound", "unresolved: parent IQR wider than bound" or "within bound".
 over the parent's interquartile range: a gain is resolved above 1.
 
     python tools/bench_pairs.py --parent PATH --change PATH \
-        --suites --pairs 3 --out BENCH_17.json
+        --suites --out BENCH_17.json
 
 `--suites` times, in each checkout's root with its `src/` on PYTHONPATH,
 `python -m lorentzft.cli validate --suite S` for each suite the change
 defines and one tier-1 run (`python -m pytest -q -p no:cacheprovider
 --continue-on-collection-errors`), as wall time of the whole process.
-Each pair runs every command once on each side, alternating which side
-goes first from one pair to the next.  The runs go under the file's
-`suites` key with each suite's quartiles per side and the change's median
+Each run of the tool adds three pairs, numbered on from those the file
+holds, so running it again lengthens the series.  A pair runs every
+command once on each side, alternating which side goes first from one
+pair to the next.  `--suites` takes no `--trace`, `--workload` or
+`--seeds`.  The runs go under the file's `suites` key with each suite's quartiles per side and the change's median
 over the parent's.  These are uncalibrated wall times: they gate nothing.
 """
 
@@ -51,6 +53,9 @@ import time
 # the counts a traced pair must share: a change that keeps the numbers
 # keeps every call, point and evaluation count
 _COUNT_SUFFIXES = (".calls", ".points", ".evals", ".converged_ratio")
+
+# pairs of suite timings one run of the tool adds
+_SUITE_PAIRS = 3
 
 
 def parse_seeds(text):
@@ -131,7 +136,7 @@ def summarize_suites(runs):
     return summary
 
 
-def run_suites(doc, checkouts, pairs, out):
+def run_suites(doc, checkouts, out):
     """Alternating parent/change pairs of every suite and tier-1, appended
     under doc["suites"]; `out` is written after every pair."""
     suites = doc.setdefault("suites", {
@@ -143,7 +148,7 @@ def run_suites(doc, checkouts, pairs, out):
         "runs": [], "summary": {}})
     names = suite_names(checkouts["change"]) + ["tier1"]
     done = max((r["pair"] + 1 for r in suites["runs"]), default=0)
-    for pair in range(done, done + pairs):
+    for pair in range(done, done + _SUITE_PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for name in names:
             for side in order:
@@ -237,11 +242,11 @@ def main(argv=None):
                     help="traced pairs (--seconds 4 --trace 1), parent first")
     ap.add_argument("--suites", action="store_true",
                     help="time each validate suite and tier-1 instead of a workload")
-    ap.add_argument("--pairs", type=int, default=3,
-                    help="pairs of suite timings (with --suites)")
     ap.add_argument("--out", required=True, type=pathlib.Path,
                     help="BENCH_<pr>.json to create or extend")
     args = ap.parse_args(argv)
+    if args.suites and (args.trace or args.workload or args.seeds):
+        ap.error("--suites takes no --trace, --workload or --seeds")
     if not args.suites and (args.workload is None or args.seeds is None):
         ap.error("--workload and --seeds are required without --suites")
 
@@ -276,7 +281,7 @@ def main(argv=None):
                "traced_runs": []}
     checkouts = {"parent": args.parent, "change": args.change}
     if args.suites:
-        run_suites(doc, checkouts, args.pairs, args.out)
+        run_suites(doc, checkouts, args.out)
     elif args.trace:
         for seed in args.seeds:
             for side in ("parent", "change"):
