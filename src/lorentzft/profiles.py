@@ -10,8 +10,10 @@ Tabulated profiles are read from CSV with header
 
     s,re_timelike,im_timelike,re_spacelike,im_spacelike
 
-strictly increasing s >= 0; values are interpolated with a monotone cubic
-scheme inside the sample range and extended by zero beyond it.
+strictly increasing s >= 0 and every entry finite; values are interpolated
+with a monotone cubic scheme inside the sample range and extended by zero
+beyond it.  The interpolator (scipy.interpolate) is imported when the first
+table is built, so a process that uses only builtin profiles never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "RadialProfile",
@@ -128,7 +129,11 @@ def builtin_profile(name: str) -> RadialProfile:
 
 def complex_pchip(x: np.ndarray, y: np.ndarray) -> Callable:
     """Monotone cubic interpolant of complex samples y(x); zero outside
-    [x[0], x[-1]]."""
+    [x[0], x[-1]].  scipy's PchipInterpolator is imported on the first call."""
+    # imported here: scipy.interpolate loads scipy.optimize too, ~0.2 s and
+    # ~25 MB that a process building no table should not pay
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(x, np.column_stack([y.real, y.imag]),
                                extrapolate=False)
 
@@ -166,6 +171,8 @@ def profile_from_csv(source) -> RadialProfile:
                     dtype=float)
     if data.size == 0:
         raise ValueError("profile CSV has no samples")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("profile CSV entries must be finite (no nan or inf)")
     s = data[:, 0]
     if np.any(s < 0) or np.any(np.diff(s) <= 0):
         raise ValueError("profile CSV requires strictly increasing s >= 0")

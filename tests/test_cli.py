@@ -246,6 +246,21 @@ def test_non_finite_number_exits_2(argv, capsys):
     assert "lightlike" not in err
 
 
+@pytest.mark.parametrize("body", ["nan,1,0,1,0\n", "inf,1,0,1,0\n", "0.5,inf,0,1,0\n",
+                                  "0,1,0,1,0\n0.5,inf,0,1,0\n1,0,0,0,0\n"],
+                         ids=["one-row-nan-s", "one-row-inf-s", "one-row-inf-value",
+                              "multi-row-inf-value"])
+def test_non_finite_csv_entry_exits_2(body, tmp_path, capsys):
+    path = tmp_path / "profile.csv"
+    path.write_text("s,re_timelike,im_timelike,re_spacelike,im_spacelike\n" + body)
+    code, out, err = run_cli(["transform", "--n", "1", "--profile", f"csv:{path}",
+                              "--char", "timelike", "--kmin", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "profile CSV entries must be finite" in err
+
+
 @pytest.mark.parametrize("grid", ["linear", "log"])
 def test_repeated_momenta_exit_2(grid, capsys, monkeypatch):
     # 1 and the next float up: three grid points must repeat one of them

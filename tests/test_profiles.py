@@ -1,10 +1,15 @@
 """Profile construction, CSV round trips, interpolation behaviour."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lorentzft
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import (
     BUILTIN_PROFILES,
@@ -15,6 +20,21 @@ from lorentzft.profiles import (
 )
 from lorentzft.quadrature import QuadConfig
 from lorentzft.transform import transform
+
+
+CSV_HEADER_LINE = "s,re_timelike,im_timelike,re_spacelike,im_spacelike\n"
+
+# a nan or inf in each column, alone in the file and among other rows
+NON_FINITE_BODIES = [
+    pytest.param("nan,1,0,1,0\n", id="one-row-nan-s"),
+    pytest.param("inf,1,0,1,0\n", id="one-row-inf-s"),
+    pytest.param("0.5,inf,0,1,0\n", id="one-row-inf-re-timelike"),
+    pytest.param("0.5,1,0,1,-inf\n", id="one-row-inf-im-spacelike"),
+    pytest.param("0,1,0,1,0\nnan,1,0,1,0\n", id="multi-row-nan-s"),
+    pytest.param("0,1,0,1,0\n0.5,inf,0,1,0\n1,0,0,0,0\n", id="multi-row-inf-re-timelike"),
+    pytest.param("0,1,nan,1,0\n1,0,0,0,0\n", id="multi-row-nan-im-timelike"),
+    pytest.param("0,1,0,1,0\n1,0,0,nan,0\n", id="multi-row-nan-re-spacelike"),
+]
 
 
 class TestBuiltins:
@@ -93,3 +113,29 @@ class TestCsvRoundTrip:
     def test_empty_body(self):
         with pytest.raises(ValueError):
             profile_from_csv(io.StringIO("s,re_timelike,im_timelike,re_spacelike,im_spacelike\n"))
+
+    @pytest.mark.parametrize("body", NON_FINITE_BODIES)
+    def test_non_finite_entry_rejected(self, body):
+        with pytest.raises(ValueError, match="profile CSV entries must be finite"):
+            profile_from_csv(io.StringIO(CSV_HEADER_LINE + body))
+
+
+class TestImportGraph:
+    def test_interpolator_loads_at_the_first_table(self):
+        # a fresh interpreter: this session has long since loaded scipy.interpolate
+        code = """
+import io, sys
+import lorentzft, lorentzft.cli, lorentzft.validation
+heavy = ("scipy.interpolate", "scipy.optimize")
+assert not [m for m in heavy if m in sys.modules], "loaded at import"
+from lorentzft.profiles import profile_from_csv
+p = profile_from_csv(io.StringIO(sys.argv[1]))
+assert abs(p.f_timelike([0.25])[0] - 0.75) < 1e-12
+assert "scipy.interpolate" in sys.modules
+"""
+        body = "0,1,0,1,0\n0.5,0.5,0,0.5,0\n1,0,0,0,0\n"
+        src = str(pathlib.Path(lorentzft.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code, CSV_HEADER_LINE + body],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
