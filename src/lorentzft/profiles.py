@@ -130,8 +130,7 @@ def builtin_profile(name: str) -> RadialProfile:
 def complex_pchip(x: np.ndarray, y: np.ndarray) -> Callable:
     """Monotone cubic interpolant of complex samples y(x); zero outside
     [x[0], x[-1]].  scipy's PchipInterpolator is imported on the first call."""
-    # imported here: scipy.interpolate loads scipy.optimize too, ~0.2 s and
-    # ~25 MB that a process building no table should not pay
+    # deferred: scipy.interpolate also loads scipy.optimize (~0.2 s, ~25 MB)
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(x, np.column_stack([y.real, y.imag]),
