@@ -154,7 +154,8 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
 
 
 _GLN = 16
-_BLOCK = 2048   # cell pairs per f(u v) evaluation; bounds the working set
+_BLOCK = 2048   # cell pairs per einsum: fixes the summation order, so the bits
+_PIECE = 128    # cell pairs per f(u v) call: its temporaries stay in cache
 
 
 def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
@@ -253,10 +254,14 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     wmin = nearest[:, None] * nearest[None, :]
     iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
     del wmin    # cells x cells floats: not held while the blocks run
+    buf = np.empty((min(_BLOCK, len(iu)), _GLN, _GLN), dtype=complex)
     total = 0.0 + 0.0j
     for c0 in range(0, len(iu), _BLOCK):
         bu, bv = iu[c0:c0 + _BLOCK], iv[c0:c0 + _BLOCK]
-        g = fw(nodes[bu][:, :, None] * nodes[bv][:, None, :])
+        g = buf[:len(bu)]
+        for p0 in range(0, len(bu), _PIECE):
+            pu_, pv_ = bu[p0:p0 + _PIECE], bv[p0:p0 + _PIECE]
+            g[p0:p0 + _PIECE] = fw(nodes[pu_][:, :, None] * nodes[pv_][:, None, :])
         total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
     return 0.5 * total, len(iu) * _GLN * _GLN
 
@@ -266,10 +271,13 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
     """The eta loop of the 1+n oracle, n = 1 or 2: the plane integrand is
     f(u v) for n = 1 and the transverse table of a compact f for n = 2; the
     windowed integrals are extrapolated to eta = 0 at
-    `cfg.extrapolation_order`."""
+    `cfg.extrapolation_order`.  A profile supported on s = 0 alone has the
+    exact transform 0, returned as `transform` does, with no evaluation."""
     if n == 2 and f.support_radius is None:
         raise DomainError("the 1+2 window oracle requires a compactly "
                           "supported profile")
+    if f.support_radius == 0.0:
+        return _finish(0.0, 0.0, 0, cfg)
     fw = profile_on_invariant(f)
     support_w = math.inf if f.support_radius is None else f.support_radius ** 2
     samples = []

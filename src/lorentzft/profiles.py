@@ -10,10 +10,11 @@ Tabulated profiles are read from CSV with header
 
     s,re_timelike,im_timelike,re_spacelike,im_spacelike
 
-strictly increasing s >= 0 and every entry finite; values are interpolated
-with a monotone cubic scheme inside the sample range and extended by zero
-beyond it.  The interpolator (scipy.interpolate) is imported when the first
-table is built, so a process that uses only builtin profiles never loads it.
+five entries a row, strictly increasing s >= 0 and every entry finite;
+values are interpolated with a monotone cubic scheme inside the sample range
+and extended by zero beyond it.  The interpolator (scipy.interpolate) is
+imported when the first table is built, so a process that uses only builtin
+profiles never loads it.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def complex_pchip(x: np.ndarray, y: np.ndarray) -> Callable:
                                extrapolate=False)
 
     def f(xq):
-        v = np.nan_to_num(interp(np.asarray(xq, dtype=float)), nan=0.0)
+        v = interp(np.asarray(xq, dtype=float))
+        v[np.isnan(v)] = 0.0    # outside [x[0], x[-1]]; finite samples give no inf
         return v[..., 0] + 1j * v[..., 1]
 
     return f
@@ -166,6 +168,11 @@ def profile_from_csv(source) -> RadialProfile:
     if not rows or [c.strip() for c in rows[0]] != PROFILE_CSV_HEADER:
         raise ValueError(f"profile CSV must start with header "
                          f"{','.join(PROFILE_CSV_HEADER)}")
+    width = len(PROFILE_CSV_HEADER)
+    for line, row in enumerate(rows[1:], start=2):
+        if row and len(row) != width:
+            raise ValueError(f"profile CSV line {line} has {len(row)} entries; "
+                             f"each row needs {width}")
     data = np.array([[float(c) for c in row] for row in rows[1:] if row],
                     dtype=float)
     if data.size == 0:

@@ -261,6 +261,20 @@ def test_non_finite_csv_entry_exits_2(body, tmp_path, capsys):
     assert "profile CSV entries must be finite" in err
 
 
+@pytest.mark.parametrize("body", ["0,1,0,1\n1,0,0,0\n", "0,1,0,1,0,7\n1,0,0,0,0,7\n",
+                                  "0,1,0,1,0\n0.5,1,0,1\n1,0,0,0,0\n"],
+                         ids=["every-row-four", "every-row-six", "one-short-row"])
+def test_csv_row_width_exits_2(body, tmp_path, capsys):
+    path = tmp_path / "profile.csv"
+    path.write_text("s,re_timelike,im_timelike,re_spacelike,im_spacelike\n" + body)
+    code, out, err = run_cli(["transform", "--n", "1", "--profile", f"csv:{path}",
+                              "--char", "timelike", "--kmin", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "entries; each row needs 5" in err
+
+
 @pytest.mark.parametrize("grid", ["linear", "log"])
 def test_repeated_momenta_exit_2(grid, capsys, monkeypatch):
     # 1 and the next float up: three grid points must repeat one of them

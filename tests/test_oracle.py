@@ -1,12 +1,14 @@
 """Cartesian window oracle and the angular-integral identities."""
 
 import importlib.util
+import io
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from lorentzft import oracle
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.oracle import (
     AngularIdentity,
@@ -18,8 +20,14 @@ from lorentzft.oracle import (
     check_angular_identity,
     window_config_for,
 )
-from lorentzft.profiles import RadialProfile, builtin_profile
-from lorentzft.quadrature import QuadConfig
+from lorentzft.profiles import (
+    PROFILE_CSV_HEADER,
+    RadialProfile,
+    builtin_profile,
+    complex_pchip,
+    profile_from_csv,
+)
+from lorentzft.quadrature import QuadConfig, QuadResult, _gauss_legendre, _panel_nodes
 from lorentzft.specfun import DomainError
 from lorentzft.transform import gaussian_reference, transform
 
@@ -201,6 +209,111 @@ class TestCartesian1p2:
                               n_etas=3)
         with pytest.raises(DomainError):
             cartesian_ft_1p2(profile, mom, w)
+
+
+class TestZeroSupport:
+    # a profile supported on s = 0 alone: one CSV row at s = 0, or a bump
+    # declared with support radius 0; its transform is exactly 0
+    @staticmethod
+    def _profiles():
+        csv_text = ",".join(PROFILE_CSV_HEADER) + "\n0,1,0,1,0\n"
+        bump = builtin_profile("compact_bump")
+        return (profile_from_csv(io.StringIO(csv_text)),
+                RadialProfile(f_timelike=bump.f_timelike, f_spacelike=bump.f_spacelike,
+                              support_radius=0.0))
+
+    @pytest.mark.parametrize("n, oracle_ft", [(1, cartesian_ft_1p1), (2, cartesian_ft_1p2)],
+                             ids=["1p1", "1p2"])
+    @pytest.mark.parametrize("char", [TL, SL])
+    def test_exact_zero_as_transform_gives(self, n, oracle_ft, char):
+        mom = MomentumMagnitude(0.5, char)
+        for profile in self._profiles():
+            cfg = window_config_for(profile, mom, dims=n)
+            res = oracle_ft(profile, mom, cfg)
+            assert res == QuadResult(0j, 0.0, True, 0, ())
+            assert res == transform(n, profile, mom, cfg)
+
+
+def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
+    """The plane integral with one fw call per einsum block: the loop that
+    `oracle._window_integral` splits into pieces, kept as a reference."""
+    xg, wg = _gauss_legendre(oracle._GLN)
+    nodes, half = _panel_nodes(edges, xg)
+    window = half[:, None] * wg[None, :] * np.exp(-eta * nodes ** 2 / 2.0)
+    sign_u = 1.0 if k.char is MomentumChar.SPACELIKE else -1.0
+    pu = window * np.exp(sign_u * 1j * math.pi * k.value * nodes)
+    pv = window * np.exp(-1j * math.pi * k.value * nodes)
+    nearest = np.clip(0.0, edges[:-1], edges[1:])
+    wmin = nearest[:, None] * nearest[None, :]
+    iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
+    total = 0.0 + 0.0j
+    for c0 in range(0, len(iu), oracle._BLOCK):
+        bu, bv = iu[c0:c0 + oracle._BLOCK], iv[c0:c0 + oracle._BLOCK]
+        g = fw(nodes[bu][:, :, None] * nodes[bv][:, None, :])
+        total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
+    return 0.5 * total, len(iu) * oracle._GLN * oracle._GLN
+
+
+class TestPieces:
+    # the plane integrand is evaluated in pieces of _PIECE cell pairs inside
+    # each _BLOCK-cell einsum; the pieces change no bit and no count
+    CASES = [
+        pytest.param(1, "compact_bump", 1.0, TL, {}, id="1p1-bump-timelike"),
+        pytest.param(1, "compact_bump", 1.0, SL, {}, id="1p1-bump-spacelike"),
+        pytest.param(2, "compact_bump", 0.5, TL, {"n_etas": 3}, id="1p2-bump"),
+        # etas 0.16 and 0.08: 1.3 and 5.3 blocks, pieces spanning both signs of w
+        pytest.param(1, "gauss_oscillatory", 1.0, TL, {"eta0": 0.16, "n_etas": 2},
+                     id="1p1-gauss-cheap"),
+    ]
+
+    @pytest.mark.parametrize("n, name, k, char, schedule", CASES)
+    def test_equal_to_one_call_per_block(self, n, name, k, char, schedule, monkeypatch):
+        profile, mom = builtin_profile(name), MomentumMagnitude(k, char)
+        cfg = window_config_for(profile, mom, dims=n, **schedule)
+        oracle_ft = {1: cartesian_ft_1p1, 2: cartesian_ft_1p2}[n]
+        res = oracle_ft(profile, mom, cfg)
+        monkeypatch.setattr(oracle, "_window_integral", _window_integral_per_block)
+        assert res == oracle_ft(profile, mom, cfg)
+
+    def test_calls_bounded_by_piece(self, monkeypatch):
+        sizes = []
+        inner = oracle.profile_on_invariant
+
+        def counting(profile):
+            fw = inner(profile)
+
+            def plane(w):
+                sizes.append(w.size)
+                return fw(w)
+
+            return plane
+
+        monkeypatch.setattr(oracle, "profile_on_invariant", counting)
+        profile, mom = builtin_profile("compact_bump"), MomentumMagnitude(1.0, TL)
+        res = cartesian_ft_1p1(profile, mom, window_config_for(profile, mom))
+        assert max(sizes) <= oracle._PIECE * oracle._GLN ** 2
+        assert sum(sizes) == res.evaluations
+        assert res.evaluations > oracle._BLOCK * oracle._GLN ** 2
+
+
+class TestComplexPchip:
+    X = np.array([0.0, 0.5, 1.5, 2.0])
+    Y = np.array([1.0 + 0.5j, 0.25 - 1.0j, -0.5 + 0.0j, 2.0 + 1.0j])
+
+    def test_zero_outside_and_at_nan(self):
+        f = complex_pchip(self.X, self.Y)
+        out = f(np.array([-1e-12, -3.0, 2.0 + 1e-12, 7.0, np.nan, -np.inf, np.inf]))
+        assert out.dtype == complex
+        assert np.all(out == 0.0)
+
+    def test_interpolant_inside(self):
+        from scipy.interpolate import PchipInterpolator
+        xq = np.linspace(0.0, 2.0, 41).reshape(41, 1, 1)
+        re = PchipInterpolator(self.X, self.Y.real)(xq)
+        im = PchipInterpolator(self.X, self.Y.imag)(xq)
+        out = complex_pchip(self.X, self.Y)(xq)
+        assert out.shape == xq.shape
+        assert np.array_equal(out.real, re) and np.array_equal(out.imag, im)
 
 
 class TestGoldenBits:

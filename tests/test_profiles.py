@@ -36,6 +36,13 @@ NON_FINITE_BODIES = [
     pytest.param("0,1,0,1,0\n1,0,0,nan,0\n", id="multi-row-nan-re-spacelike"),
 ]
 
+# rows that are not five entries wide: the line each error names
+BAD_WIDTH_BODIES = [
+    pytest.param("0,1,0,1\n1,0,0,0\n", 2, 4, id="every-row-four"),
+    pytest.param("0,1,0,1,0,7\n1,0,0,0,0,7\n", 2, 6, id="every-row-six"),
+    pytest.param("0,1,0,1,0\n0.5,1,0,1\n1,0,0,0,0\n", 3, 4, id="one-short-row"),
+]
+
 
 class TestBuiltins:
     def test_names(self):
@@ -113,6 +120,12 @@ class TestCsvRoundTrip:
     def test_empty_body(self):
         with pytest.raises(ValueError):
             profile_from_csv(io.StringIO("s,re_timelike,im_timelike,re_spacelike,im_spacelike\n"))
+
+    @pytest.mark.parametrize("body, line, width", BAD_WIDTH_BODIES)
+    def test_row_width_rejected(self, body, line, width):
+        with pytest.raises(ValueError, match=f"^profile CSV line {line} has {width} "
+                                             "entries; each row needs 5$"):
+            profile_from_csv(io.StringIO(CSV_HEADER_LINE + body))
 
     @pytest.mark.parametrize("body", NON_FINITE_BODIES)
     def test_non_finite_entry_rejected(self, body):
