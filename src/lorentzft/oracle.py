@@ -17,9 +17,13 @@ Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
 product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
-support.  The oracle takes the radial engine's `QuadConfig`: its
-`epsilon_schedule` is the eta schedule, which `window_config_for` sets by
-profile and dimension, with order min(3, etas - 1) and fixed tolerances.
+support.  Those cell pairs are summed in blocks of `_BLOCK`, one einsum
+each, which fixes the summation order and therefore the bits; within a
+block f(u v) is evaluated in pieces of `_PIECE` cell pairs, small enough that
+its temporaries stay in cache, into one buffer every block reuses.  The
+oracle takes the radial engine's `QuadConfig`: its `epsilon_schedule` is the
+eta schedule, which `window_config_for` sets by profile and dimension, with
+order min(3, etas - 1) and fixed tolerances.
 The box halfwidth L of each eta follows from the profile and eta, and the
 panels from the profile and the momentum.  One eta loop takes n = 1 or 2.
 """
@@ -241,7 +245,8 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     The Gaussian window and the phase factor over the axes into the node
     weights pu and pv; only fw(u v) couples them.  It is evaluated only on
     the cell pairs whose signed (min|u|) (min|v|), the value of u v nearest 0
-    on the cell, lies in [w_lo, w_hi].  Returns (value, evaluations).
+    on the cell, lies in [w_lo, w_hi], one piece of `_PIECE` cell pairs at a
+    time.  Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)
     nodes, half = _panel_nodes(edges, xg)
@@ -260,8 +265,8 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
         bu, bv = iu[c0:c0 + _BLOCK], iv[c0:c0 + _BLOCK]
         g = buf[:len(bu)]
         for p0 in range(0, len(bu), _PIECE):
-            pu_, pv_ = bu[p0:p0 + _PIECE], bv[p0:p0 + _PIECE]
-            g[p0:p0 + _PIECE] = fw(nodes[pu_][:, :, None] * nodes[pv_][:, None, :])
+            cu, cv = bu[p0:p0 + _PIECE], bv[p0:p0 + _PIECE]
+            g[p0:p0 + _PIECE] = fw(nodes[cu][:, :, None] * nodes[cv][:, None, :])
         total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
     return 0.5 * total, len(iu) * _GLN * _GLN
 
