@@ -42,6 +42,7 @@ from .profiles import RadialProfile, complex_pchip
 from .quadrature import (
     QuadConfig,
     QuadResult,
+    _checked_radius,
     _finish,
     _gauss_legendre,
     _halving,
@@ -277,7 +278,11 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
     f(u v) for n = 1 and the transverse table of a compact f for n = 2; the
     windowed integrals are extrapolated to eta = 0 at
     `cfg.extrapolation_order`.  A profile supported on s = 0 alone has the
-    exact transform 0, returned as `transform` does, with no evaluation."""
+    exact transform 0, returned as `transform` does, with no evaluation.
+    A support radius that is negative or not finite raises ValueError, as
+    in `transform`, before any evaluation."""
+    if f.support_radius is not None:
+        _checked_radius(f.support_radius)
     if n == 2 and f.support_radius is None:
         raise DomainError("the 1+2 window oracle requires a compactly "
                           "supported profile")

@@ -158,6 +158,18 @@ def _interp_branch(s: np.ndarray, vals: np.ndarray) -> Callable:
     return complex_pchip(s, vals)
 
 
+def _check_table(data: np.ndarray) -> None:
+    """ValueError unless data, one row per sample in the CSV column order,
+    is a table `profile_from_csv` accepts."""
+    if data.size == 0:
+        raise ValueError("profile CSV has no samples")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("profile CSV entries must be finite (no nan or inf)")
+    s = data[:, 0]
+    if np.any(s < 0) or np.any(np.diff(s) <= 0):
+        raise ValueError("profile CSV requires strictly increasing s >= 0")
+
+
 def profile_from_csv(source) -> RadialProfile:
     """Load a tabulated profile; `source` is a path or a text stream."""
     if hasattr(source, "read"):
@@ -175,13 +187,8 @@ def profile_from_csv(source) -> RadialProfile:
                              f"each row needs {width}")
     data = np.array([[float(c) for c in row] for row in rows[1:] if row],
                     dtype=float)
-    if data.size == 0:
-        raise ValueError("profile CSV has no samples")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("profile CSV entries must be finite (no nan or inf)")
+    _check_table(data)
     s = data[:, 0]
-    if np.any(s < 0) or np.any(np.diff(s) <= 0):
-        raise ValueError("profile CSV requires strictly increasing s >= 0")
     ft = _interp_branch(s, data[:, 1] + 1j * data[:, 2])
     fs = _interp_branch(s, data[:, 3] + 1j * data[:, 4])
     return RadialProfile(f_timelike=ft, f_spacelike=fs,
@@ -189,14 +196,18 @@ def profile_from_csv(source) -> RadialProfile:
 
 
 def profile_to_csv(profile: RadialProfile, s_grid, stream=None) -> str:
-    """Sample both branches on s_grid and write the CSV format."""
-    out = stream if stream is not None else io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PROFILE_CSV_HEADER)
+    """Sample both branches on s_grid and write the CSV format.  A table
+    `profile_from_csv` would refuse (an empty, negative, non-increasing or
+    non-finite grid, or non-finite values) raises its ValueError instead,
+    with nothing written."""
     sg = np.asarray(s_grid, dtype=float)
     vt = np.asarray(profile.f_timelike(sg), dtype=complex)
     vs = np.asarray(profile.f_spacelike(sg), dtype=complex)
-    for i in range(len(sg)):
-        writer.writerow([f"{x:.17g}" for x in
-                         (sg[i], vt[i].real, vt[i].imag, vs[i].real, vs[i].imag)])
+    table = np.column_stack([sg, vt.real, vt.imag, vs.real, vs.imag])
+    _check_table(table)
+    out = stream if stream is not None else io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PROFILE_CSV_HEADER)
+    for row in table:
+        writer.writerow([f"{x:.17g}" for x in row])
     return out.getvalue() if stream is None else ""

@@ -169,8 +169,10 @@ _RULE_X, _RULE_W = map(np.concatenate,
 
 
 def _panel_sums(terms, half):
-    """Main- and error-rule sums of each panel from its weighted terms."""
-    return terms[:, :_GL_MAIN].sum(axis=1) * half, terms[:, _GL_MAIN:].sum(axis=1) * half
+    """Main- and error-rule sums of each panel from its weighted terms (the
+    rule's nodes along the last axis)."""
+    return (terms[..., :_GL_MAIN].sum(axis=-1) * half,
+            terms[..., _GL_MAIN:].sum(axis=-1) * half)
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -193,6 +195,13 @@ def _magnitude(f: Callable, X: float) -> float:
     return 0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
 
 
+def _checked_radius(radius) -> float:
+    """A support radius as a float; ValueError unless it is finite and >= 0."""
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"support_radius must be finite and >= 0, got {radius}")
+    return float(radius)
+
+
 def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable],
                        support_radius: Optional[float]) -> list:
     """(X, allowance for the damped tail beyond X) for each eps of cfg's
@@ -206,10 +215,7 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
-        if not 0 <= support_radius < math.inf:
-            raise ValueError("support_radius must be finite and >= 0, "
-                             f"got {support_radius}")
-        return [(float(support_radius), 0.0)] * len(schedule)
+        return [(_checked_radius(support_radius), 0.0)] * len(schedule)
 
     def reach(m, eps):
         return math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
@@ -275,22 +281,22 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
         are resolved); pass 0 for non-chirped integrands.
     """
     Xs, tails = zip(*_truncation_points(f, cfg, envelope, support_radius))
-    # one mesh per distinct X: eps that share an X share the mesh object
-    by_X = {X: _mesh(X, osc_scale, quad_phase) for X in dict.fromkeys(Xs)}
-    meshes = [by_X[X] for X in Xs]
+    eps = np.array(cfg.epsilon_schedule)
+    # the eps of each distinct X, widest last, as its values are damped last
+    by_X = {X: [i for i, x in enumerate(Xs) if x == X] for X in sorted(set(Xs))}
     # the widest mesh; its integrand values serve every eps that shares a panel
-    wide = by_X[max(Xs)]
+    X_wide = max(Xs)
+    wide = _mesh(X_wide, osc_scale, quad_phase)
     wide_nodes, wide_half = _panel_nodes(wide, _RULE_X)
     wide_values = _evaluate(f, wide_nodes)
     evals = wide_values.size
-    samples = []
-    quad_err = 0.0
-    for eps, edges in zip(cfg.epsilon_schedule, meshes):
-        if edges is wide:
-            nodes, half = wide_nodes, wide_half
-            values = wide_values.copy()
+    main_sums, panel_errs = [None] * len(Xs), [None] * len(Xs)
+    for X, rows in by_X.items():
+        if X == X_wide:
+            nodes, half, values = wide_nodes, wide_half, wide_values
         else:
             # a panel is shared when both its edges are the wide mesh's, in place
+            edges = _mesh(X, osc_scale, quad_phase)
             m = min(len(edges), len(wide))
             same = edges[:m] == wide[:m]
             shared = np.zeros(len(edges) - 1, dtype=bool)
@@ -301,15 +307,24 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
             values[reused] = wide_values[reused]
             if own.size:
                 values[own] = _evaluate(f, nodes[own])
-                evals += own.size * _RULE_X.size
-        # in place: a second panels x 36 array would raise peak memory; an
-        # inf value times a real factor gives NaN, which the result reports
+                # counted once per eps, as when each eps called f on its own
+                evals += own.size * _RULE_X.size * len(rows)
+        # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
+        # is damped in place, as no later mesh reads its values (a second
+        # array would raise peak memory).  An inf value times a real factor
+        # gives NaN, which the result reports
+        damping = np.exp(-eps[rows, None, None] * nodes * nodes)
+        terms = values[None]
         with np.errstate(invalid="ignore"):
-            values *= np.exp(-eps * nodes * nodes)
-        values *= _RULE_W
-        p_main, p_err = _panel_sums(values, half)
-        samples.append((eps, complex(p_main.sum())))
-        quad_err = max(quad_err, float(np.abs(p_main - p_err).sum()))
+            terms = np.multiply(terms, damping, out=terms if len(rows) == 1 else None)
+        terms *= _RULE_W
+        p_main, p_err = _panel_sums(terms, half)
+        for r, i in enumerate(rows):
+            main_sums[i] = complex(p_main[r].sum())
+            panel_errs[i] = float(np.abs(p_main[r] - p_err[r]).sum())
+    samples = list(zip(cfg.epsilon_schedule, main_sums))
+    # in schedule order from 0.0, as a running max over the eps would take it
+    quad_err = max([0.0] + panel_errs)
     value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
     err = resid + 4.0 * quad_err + max(tails)
     return _finish(value, err, evals, cfg)
@@ -355,11 +370,15 @@ def extrapolate_to_zero(samples: Sequence, order: int):
     (value, residual).
     """
     pts = sorted(((float(e), complex(v)) for e, v in samples), key=lambda p: p[0])
+    if not isinstance(order, (int, np.integer)):
+        raise ValueError("order must be an integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if len(pts) < order + 1:
         raise ValueError("need at least order+1 samples")
     xs = [p[0] for p in pts]
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError("the samples' eps must be finite")
     if any(x1 == x2 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("duplicate eps in samples")
 

@@ -50,7 +50,10 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
     radius overrides both.
     """
     def integrand(s):
-        return np.asarray(g(s), dtype=complex) * weight(s)
+        gs = np.asarray(g(s), dtype=complex)
+        # g vanishing on every node gives exact zeros with no weight call;
+        # NaN is nonzero, so it still reaches the weight
+        return gs * weight(s) if gs.any() else gs
 
     envelope = None
     if bound is not None:

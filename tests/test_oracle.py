@@ -234,6 +234,30 @@ class TestZeroSupport:
             assert res == transform(n, profile, mom, cfg)
 
 
+class TestBadSupportRadius:
+    # transform's ValueError, raised before the profile is evaluated once
+    @pytest.mark.parametrize("n, oracle_ft", [(1, cartesian_ft_1p1), (2, cartesian_ft_1p2)],
+                             ids=["1p1", "1p2"])
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, math.inf])
+    def test_raises_before_any_evaluation(self, n, oracle_ft, radius):
+        bump = builtin_profile("compact_bump")
+        calls = []
+
+        def branch(s):
+            calls.append(s)
+            return bump.f_timelike(s)
+
+        profile = RadialProfile(f_timelike=branch, f_spacelike=branch,
+                                support_radius=radius)
+        mom = MomentumMagnitude(0.5, TL)
+        cfg = window_config_for(bump, mom, dims=n)
+        with pytest.raises(ValueError, match="support_radius"):
+            oracle_ft(profile, mom, cfg)
+        with pytest.raises(ValueError, match="support_radius"):
+            transform(n, profile, mom, cfg)
+        assert calls == []
+
+
 def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
     """The plane integral with one fw call per einsum block: the loop that
     `oracle._window_integral` splits into pieces, kept as a reference."""

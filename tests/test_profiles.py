@@ -36,6 +36,18 @@ NON_FINITE_BODIES = [
     pytest.param("0,1,0,1,0\n1,0,0,nan,0\n", id="multi-row-nan-re-spacelike"),
 ]
 
+# s grids the reader refuses, with its message
+_INCREASING = "profile CSV requires strictly increasing s >= 0"
+_FINITE = "profile CSV entries must be finite"
+BAD_GRIDS = [
+    pytest.param([0.0, 0.5, 0.25], _INCREASING, id="decreasing"),
+    pytest.param([0.0, 0.5, 0.5], _INCREASING, id="repeated"),
+    pytest.param([-0.5, 0.0, 0.5], _INCREASING, id="negative"),
+    pytest.param([0.0, float("nan")], _FINITE, id="nan"),
+    pytest.param([0.0, float("inf")], _FINITE, id="inf"),
+    pytest.param([], "profile CSV has no samples", id="empty"),
+]
+
 # rows that are not five entries wide: the line each error names
 BAD_WIDTH_BODIES = [
     pytest.param("0,1,0,1\n1,0,0,0\n", 2, 4, id="every-row-four"),
@@ -131,6 +143,24 @@ class TestCsvRoundTrip:
     def test_non_finite_entry_rejected(self, body):
         with pytest.raises(ValueError, match="profile CSV entries must be finite"):
             profile_from_csv(io.StringIO(CSV_HEADER_LINE + body))
+
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    def test_writer_refuses_what_the_reader_refuses(self, grid, message):
+        # the reader's error for the rows the writer would write, raised by
+        # the writer, with nothing written
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            profile_to_csv(builtin_profile("compact_bump"), grid, out)
+        assert out.getvalue() == ""
+        body = "".join(f"{s:.17g},1,0,1,0\n" for s in grid)
+        with pytest.raises(ValueError, match=message):
+            profile_from_csv(io.StringIO(CSV_HEADER_LINE + body))
+
+    def test_writer_refuses_non_finite_values(self):
+        inf = lambda s: np.full(np.shape(s), complex(np.inf, 0.0))
+        profile = RadialProfile(f_timelike=inf, f_spacelike=inf)
+        with pytest.raises(ValueError, match="profile CSV entries must be finite"):
+            profile_to_csv(profile, [0.0, 1.0])
 
 
 class TestImportGraph:

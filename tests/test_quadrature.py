@@ -410,6 +410,18 @@ class TestExtrapolation:
         with pytest.raises(ValueError):
             extrapolate_to_zero([(0.1, 1.0), (0.05, 1.1)], 2)
 
+    @pytest.mark.parametrize("order", [1.5, 1.0, "1", None])
+    def test_non_integer_order_rejected(self, order):
+        samples = [(e, 1.0 + e) for e in (0.1, 0.05, 0.025)]
+        with pytest.raises(ValueError, match="order must be an integer"):
+            extrapolate_to_zero(samples, order)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, bad):
+        samples = [(0.1, 1.0), (bad, 2.0), (0.025, 1.5)]
+        with pytest.raises(ValueError, match="eps must be finite"):
+            extrapolate_to_zero(samples, 1)
+
     def test_uses_smallest_eps(self):
         # order 1 through the two smallest samples: line through (.025, 1.025),
         # (.0125, 1.0125) hits 1 at eps = 0
@@ -490,6 +502,10 @@ _SCHEDULE_CASES = {
     "X_below_s1": (lambda x: np.exp(1j * np.asarray(x) ** 2),
                    QuadConfig(epsilon_schedule=(50.0, 10.0, 1.0, 0.1)),
                    dict(quad_phase=1.0)),
+    # the two largest eps stop at the same X, below the widest one: one
+    # mesh that is not the widest serves two eps
+    "shared_inner_mesh": (_chirp, QuadConfig(epsilon_schedule=(0.1, 0.095, 0.05, 0.025)),
+                          dict(envelope=_chirp_env, quad_phase=1.0)),
     # an envelope below the floor at the first probe: every eps stops at
     # X = 10 and shares one mesh, with no support radius
     "fast_envelope": (lambda x: np.exp(-0.5 * x * x + 2j * x), CFG,
@@ -537,6 +553,25 @@ class TestSharedMesh:
         # one truncation point for the whole schedule, from an envelope
         Xs, _, _ = meshes("fast_envelope")
         assert Xs == [10.0] * len(CFG.epsilon_schedule)
+        # two eps sharing a mesh that is not the widest
+        Xs, _, _ = meshes("shared_inner_mesh")
+        assert Xs[0] == Xs[1] < Xs[2] < Xs[3]
+
+    def test_shared_inner_mesh_called_once(self):
+        f, cfg, kw = _SCHEDULE_CASES["shared_inner_mesh"]
+        received = []
+
+        def counting(x):
+            received.append(np.size(x))
+            return f(x)
+
+        res = integrate_semiinfinite_damped(counting, cfg, **kw)
+        # one call on the widest mesh, one on each narrower mesh's own panels
+        assert len(received) == 3
+        # the shared mesh's own panels count once per eps, the count a call
+        # per eps would give
+        assert res.evaluations == 23760
+        assert sum(received) < res.evaluations
 
     @pytest.mark.parametrize("with_envelope", [True, False])
     def test_evaluations_count_distinct_points(self, with_envelope):

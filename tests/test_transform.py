@@ -2,6 +2,7 @@
 specialization fixtures, Hankel transforms, recursion, spectra."""
 
 import cmath
+import dataclasses
 import importlib
 import io
 import math
@@ -9,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from lorentzft import specfun
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import RadialProfile, builtin_profile, profile_from_csv
-from lorentzft.quadrature import QuadConfig, integrate_semiinfinite_damped
+from lorentzft.quadrature import QuadConfig, QuadResult, integrate_semiinfinite_damped
 from lorentzft.specfun import DomainError
 from lorentzft.transform import (
     gaussian_reference,
@@ -77,6 +79,64 @@ class TestZeroAndVanishing:
             support_radius=1.0)
         res = transform(2, profile, tmom(0.8), CFG)
         assert res.value == 0.0
+
+    @staticmethod
+    def _counted(profile, monkeypatch):
+        """profile with each branch counting its points, and the list of
+        point counts of every special-function call."""
+        points = {"timelike": [], "spacelike": [], "bessel": []}
+        ufunc = specfun._ufunc
+
+        def counting_ufunc(fn, nu, arr):
+            points["bessel"].append(arr.size)
+            return ufunc(fn, nu, arr)
+
+        def counting(name):
+            g = profile.branch(name)
+
+            def branch(s):
+                points[name].append(np.size(s))
+                return g(s)
+            return branch
+
+        counted = dataclasses.replace(profile, f_timelike=counting("timelike"),
+                                      f_spacelike=counting("spacelike"))
+        for calls in points.values():      # the continuity check's calls
+            calls.clear()
+        monkeypatch.setattr(specfun, "_ufunc", counting_ufunc)
+        return counted, points
+
+    # the parent's results: a branch zero on every node is integrated with
+    # no kernel call, to the same value, estimate and evaluation count
+    @pytest.mark.parametrize("name, n, mom, expected", [
+        ("gauss_decay_timelike", 2, smom(0.75),
+         QuadResult(0.0969499226671605 + 0j, 3.010940263672033e-10, True, 5184)),
+        ("gauss_decay_timelike", 3, tmom(0.75),
+         QuadResult(0.1755843344279821 + 0j, 7.594762144901736e-09, True, 5184)),
+        ("zero", 1, tmom(0.75), QuadResult(0j, 0.0, True, 4680)),
+        ("zero", 2, smom(0.75), QuadResult(0j, 0.0, True, 4680)),
+    ])
+    def test_no_kernel_call_for_a_zero_branch(self, name, n, mom, expected,
+                                              monkeypatch):
+        profile, points = self._counted(builtin_profile(name), monkeypatch)
+        res = transform(n, profile, mom, QuadConfig(abs_tol=1e-4, rel_tol=1e-4))
+        assert res == expected
+        # both integrands are called on every node of their meshes
+        assert sum(points["timelike"]) + sum(points["spacelike"]) == res.evaluations
+        assert sum(points["spacelike"]) > 0
+        # the kernel is called on the nonzero branch's nodes alone
+        nonzero = 0 if name == "zero" else sum(points["timelike"])
+        assert sum(points["bessel"]) == nonzero
+
+    def test_nan_branch_reaches_the_kernel(self, monkeypatch):
+        decay = builtin_profile("gauss_decay_timelike")
+        nan_branch = dataclasses.replace(
+            decay, f_spacelike=lambda s: np.full(np.shape(s), complex(math.nan, 0.0)))
+        profile, points = self._counted(nan_branch, monkeypatch)
+        res = transform(3, profile, tmom(0.75), CFG)
+        assert sum(points["bessel"]) == res.evaluations
+        assert math.isnan(res.value.real) and not res.converged
+        assert res.failed_branches == ("spacelike",)
 
     def test_nonconvergence_names_branches(self):
         strict = QuadConfig(abs_tol=1e-16, rel_tol=1e-16)
