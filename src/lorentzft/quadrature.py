@@ -14,11 +14,13 @@ configuration (never of sampled integrand values), so two integrands that
 agree pointwise are integrated on identical nodes, and one mesh is built
 per distinct truncation point.  A panel's rule has 36 nodes: the 24
 Gauss-Legendre nodes of the main rule, then the 12 of the error rule.  f is
-called once on the widest mesh of a schedule, reweighted by exp(-eps x^2)
-for each eps, and called once more on the panels an eps's mesh does not
-share; an eps whose mesh is the widest one reuses its nodes as they are.
-The sums are formed exactly as a separate evaluation per eps and rule would
-form them, to the last bit.
+called once on the widest mesh of a schedule and once more on the panels
+each narrower mesh does not share with it.  Each mesh's values are then
+reweighted by exp(-eps x^2) for all the eps whose mesh it is in one array
+pass, the widest mesh last and in place when one eps uses it; an eps whose
+mesh is the widest one reuses its nodes as they are.  The sums are formed
+exactly as a separate evaluation per eps and rule would form them, to the
+last bit.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class QuadResult:
 
     `evaluations` counts distinct integrand points.  A damped integral
     evaluates a panel's nodes once for all eps whose meshes contain that
-    panel, and the probes that place its truncation points are not counted.
+    panel, and the probes that place its truncation points are not counted;
+    the panels a narrower mesh does not share with the widest are evaluated
+    once but counted once per eps of that mesh.
     """
 
     value: complex
@@ -367,7 +371,9 @@ def extrapolate_to_zero(samples: Sequence, order: int):
 
     Uses the order+1 samples with the smallest eps (Neville's scheme at 0);
     the residual is the change from the order-1 result.  Returns
-    (value, residual).
+    (value, residual).  An order that is not a nonnegative integer, too few
+    samples, and a non-finite or repeated eps raise ValueError, as
+    QuadConfig does for its fields.
     """
     pts = sorted(((float(e), complex(v)) for e, v in samples), key=lambda p: p[0])
     if not isinstance(order, (int, np.integer)):

@@ -3,7 +3,9 @@
 The (n+1)-dimensional transform of a radial profile reduces to two
 one-dimensional integrals over the timelike and spacelike branch radii
 weighted by the kernels of `lorentzft.kernels`; `transform` evaluates them
-with the damped semi-infinite prescription.  `hankel_transform` is the purely
+with the damped semi-infinite prescription.  A vanishing kernel is not
+integrated, and a branch that is zero on every node of a mesh is integrated
+without a kernel call (its terms are exact zeros either way).  `hankel_transform` is the purely
 Euclidean radial transform against chi_n, on the same radial driver
 (`_radial_integral`).  `recursion_step` realizes the
 dimension-raising derivative, and `gaussian_reference` is the closed-form
@@ -47,7 +49,8 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
 
     k sets the linear phase rate 2 pi k; `bound` (an upper bound on |g|, or
     None) times `weight_envelope` places the truncation points.  A support
-    radius overrides both.
+    radius overrides both.  Where g is zero on every node of a call, weight
+    is not called and the zeros are returned.
     """
     def integrand(s):
         gs = np.asarray(g(s), dtype=complex)
@@ -71,7 +74,9 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
 
     Sums the damped radial integrals of both profile branches against the
     matching Minkowski kernels.  Branches whose quadrature fails to converge
-    are named in the result's failed_branches.
+    are named in the result's failed_branches.  A profile zero on one side
+    (as `gauss_decay_timelike` is on the spacelike one) costs that branch's
+    integrand calls but no kernel call.
     """
     value = 0.0 + 0.0j
     err = 0.0
