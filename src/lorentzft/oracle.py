@@ -42,6 +42,7 @@ from .profiles import RadialProfile, complex_pchip
 from .quadrature import (
     QuadConfig,
     QuadResult,
+    _check_rates,
     _checked_radius,
     _finish,
     _gauss_legendre,
@@ -279,10 +280,12 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
     windowed integrals are extrapolated to eta = 0 at
     `cfg.extrapolation_order`.  A profile supported on s = 0 alone has the
     exact transform 0, returned as `transform` does, with no evaluation.
-    A support radius that is negative or not finite raises ValueError, as
-    in `transform`, before any evaluation."""
+    A support radius that is negative or not finite, and a phase scale
+    that is negative or not finite, raise ValueError, as in `transform`,
+    before any evaluation."""
     if f.support_radius is not None:
         _checked_radius(f.support_radius)
+    _check_rates(phase_scale=f.phase_scale)
     if n == 2 and f.support_radius is None:
         raise DomainError("the 1+2 window oracle requires a compactly "
                           "supported profile")

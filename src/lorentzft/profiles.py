@@ -2,15 +2,17 @@
 
 A profile represents f(s^2) through f_timelike(s0) = f(s0^2) on the timelike
 side and f_spacelike(s1) = f(-s1^2) on the spacelike side, both evaluable for
-radius >= 0 and complex-valued.  Profiles may carry an envelope hint (an upper
-bound on |f| used for tail truncation), a support radius (beyond which both
-branches vanish identically), and a phase-scale hint for oscillatory profiles.
+radius >= 0; `RadialProfile` states what a branch returns.  Profiles may carry
+an envelope hint (an upper bound on |f| used for tail truncation), a support
+radius (beyond which both branches vanish identically), and a phase-scale
+hint for oscillatory profiles.
 
 Tabulated profiles are read from CSV with header
 
     s,re_timelike,im_timelike,re_spacelike,im_spacelike
 
-five entries a row, strictly increasing s >= 0 and every entry finite;
+five entries a row, strictly increasing s >= 0 and every entry finite (a
+UTF-8 byte-order mark before the header is accepted);
 values are interpolated with a monotone cubic scheme inside the sample range
 and extended by zero beyond it.  The interpolator (scipy.interpolate) is
 imported when the first table is built, so a process that uses only builtin
@@ -40,10 +42,14 @@ PROFILE_CSV_HEADER = ["s", "re_timelike", "im_timelike", "re_spacelike", "im_spa
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Two complex branches of a Lorentz-invariant function.
+    """Two complex branches of a Lorentz-invariant function, as plain data.
 
     f_timelike(s0) is f at s^2 = s0^2 > 0; f_spacelike(s1) is f at
-    s^2 = -s1^2 < 0.  Both must accept numpy arrays of radii.
+    s^2 = -s1^2 < 0.  A branch maps an array of radii to complex values
+    that broadcast to that array's shape, so a constant branch, such as
+    `lambda s: 0.0` for a function supported on one side, may return a
+    scalar; every reader of a profile honours this.  The builtins are
+    shared frozen instances.
     """
 
     f_timelike: Callable
@@ -51,15 +57,6 @@ class RadialProfile:
     envelope_hint: Optional[Callable] = None
     support_radius: Optional[float] = None
     phase_scale: float = 0.0    # bound on |d arg f / d(s^2)|, 0 if non-oscillatory
-    continuous_at_lightcone: bool = False
-
-    def __post_init__(self):
-        if self.continuous_at_lightcone:
-            a = complex(np.asarray(self.f_timelike(np.array([0.0])))[0])
-            b = complex(np.asarray(self.f_spacelike(np.array([0.0])))[0])
-            if abs(a - b) > 1e-12 * (1.0 + abs(a)):
-                raise ValueError("branches disagree at the light-cone although "
-                                 "declared continuous")
 
     def branch(self, name: str) -> Callable:
         if name == "timelike":
@@ -69,56 +66,37 @@ class RadialProfile:
         raise KeyError(name)
 
 
-def _gauss_oscillatory() -> RadialProfile:
-    # f(s^2) = exp(i s^2): unit modulus, quadratic phase on both branches
-    return RadialProfile(
-        f_timelike=lambda s: np.exp(1j * np.asarray(s) ** 2),
-        f_spacelike=lambda s: np.exp(-1j * np.asarray(s) ** 2),
-        envelope_hint=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        phase_scale=1.0,
-        continuous_at_lightcone=True,
-    )
+def _bump(s):
+    sa = np.asarray(s, dtype=float)
+    return np.where(sa < 1.0, (1.0 - np.minimum(sa, 1.0) ** 2) ** 3, 0.0) + 0j
 
 
-def _gauss_decay_timelike() -> RadialProfile:
-    return RadialProfile(
-        f_timelike=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2) + 0j,
-        f_spacelike=lambda s: np.zeros(np.shape(s), dtype=complex),
-        envelope_hint=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2),
-    )
-
-
-def _compact_bump() -> RadialProfile:
-    def branch(s):
-        sa = np.asarray(s, dtype=float)
-        return np.where(sa < 1.0, (1.0 - np.minimum(sa, 1.0) ** 2) ** 3, 0.0) + 0j
-
-    return RadialProfile(
-        f_timelike=branch,
-        f_spacelike=branch,
-        support_radius=1.0,
-        continuous_at_lightcone=True,
-    )
-
-
-def _zero() -> RadialProfile:
-    z = lambda s: np.zeros(np.shape(s), dtype=complex)
-    return RadialProfile(f_timelike=z, f_spacelike=z, support_radius=1.0,
-                         continuous_at_lightcone=True)
+def _zeros(s):
+    return np.zeros(np.shape(s), dtype=complex)
 
 
 BUILTIN_PROFILES = {
-    "gauss_oscillatory": _gauss_oscillatory,
-    "gauss_decay_timelike": _gauss_decay_timelike,
-    "compact_bump": _compact_bump,
-    "zero": _zero,
+    # f(s^2) = exp(i s^2): unit modulus, quadratic phase on both branches
+    "gauss_oscillatory": RadialProfile(
+        f_timelike=lambda s: np.exp(1j * np.asarray(s) ** 2),
+        f_spacelike=lambda s: np.exp(-1j * np.asarray(s) ** 2),
+        envelope_hint=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        phase_scale=1.0),
+    "gauss_decay_timelike": RadialProfile(
+        f_timelike=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2) + 0j,
+        f_spacelike=_zeros,
+        envelope_hint=lambda s: np.exp(-np.asarray(s, dtype=float) ** 2)),
+    "compact_bump": RadialProfile(f_timelike=_bump, f_spacelike=_bump,
+                                  support_radius=1.0),
+    "zero": RadialProfile(f_timelike=_zeros, f_spacelike=_zeros,
+                          support_radius=1.0),
 }
 
 
 def builtin_profile(name: str) -> RadialProfile:
-    """Construct one of the named builtin profiles."""
+    """The named builtin profile: the same frozen instance on every call."""
     try:
-        return BUILTIN_PROFILES[name]()
+        return BUILTIN_PROFILES[name]
     except KeyError:
         raise KeyError(f"unknown builtin profile {name!r}; available: "
                        f"{sorted(BUILTIN_PROFILES)}") from None
@@ -177,6 +155,9 @@ def profile_from_csv(source) -> RadialProfile:
     else:
         with open(source, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
+    if rows and rows[0]:
+        # spreadsheets often start a UTF-8 file with a byte-order mark
+        rows[0][0] = rows[0][0].removeprefix("\ufeff")
     if not rows or [c.strip() for c in rows[0]] != PROFILE_CSV_HEADER:
         raise ValueError(f"profile CSV must start with header "
                          f"{','.join(PROFILE_CSV_HEADER)}")
@@ -201,8 +182,8 @@ def profile_to_csv(profile: RadialProfile, s_grid, stream=None) -> str:
     non-finite grid, or non-finite values) raises its ValueError instead,
     with nothing written."""
     sg = np.asarray(s_grid, dtype=float)
-    vt = np.asarray(profile.f_timelike(sg), dtype=complex)
-    vs = np.asarray(profile.f_spacelike(sg), dtype=complex)
+    vt, vs = (np.broadcast_to(np.asarray(f(sg), dtype=complex), sg.shape)
+              for f in (profile.f_timelike, profile.f_spacelike))
     table = np.column_stack([sg, vt.real, vt.imag, vs.real, vs.imag])
     _check_table(table)
     out = stream if stream is not None else io.StringIO()

@@ -18,7 +18,9 @@ called once on the widest mesh of a schedule and once more on the panels
 each narrower mesh does not share with it.  Each mesh's values are then
 reweighted by exp(-eps x^2) for all the eps whose mesh it is in one array
 pass, the widest mesh last and in place when one eps uses it; an eps whose
-mesh is the widest one reuses its nodes as they are.  The sums are formed
+mesh is the widest one reuses its nodes as they are.  That in-place pass
+writes a copy: the array f returns is never written, so f may return a
+read-only array or keep the one it returned.  The sums are formed
 exactly as a separate evaluation per eps and rule would form them, to the
 last bit.
 """
@@ -117,6 +119,13 @@ _LIN_RAD = 6.0                # linear-phase advance allowed per panel
 _MAX_PANELS = 20000           # panels per mesh, cascade included
 
 
+def _check_rates(**rates) -> None:
+    """ValueError unless every named phase rate is finite and >= 0."""
+    if not all(0 <= rate < math.inf for rate in rates.values()):
+        raise ValueError("phase rates must be finite and >= 0, got "
+                         + ", ".join(f"{k}={v}" for k, v in rates.items()))
+
+
 def _mesh(X: float, osc_scale: float, quad_phase: float):
     """Deterministic panel edges on [0, X], at most _MAX_PANELS panels.
 
@@ -127,9 +136,7 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
     """
     if not math.isfinite(X):
         raise ValueError(f"a panel mesh needs a finite end, got X={X}")
-    if not (0 <= osc_scale < math.inf and 0 <= quad_phase < math.inf):
-        raise ValueError("phase rates must be finite and >= 0, got "
-                         f"osc_scale={osc_scale}, quad_phase={quad_phase}")
+    _check_rates(osc_scale=osc_scale, quad_phase=quad_phase)
     if X <= 0:
         return np.array([0.0])
     # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
@@ -180,9 +187,11 @@ def _panel_sums(terms, half):
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f on the float array x of any shape, in one call, as complex: an
-    integrand maps a float array to an array of the same shape."""
-    out = np.asarray(f(x.ravel()), dtype=complex)
+    """f on the float array x of any shape, in one call, as a complex array
+    the caller owns: an integrand maps a float array to an array of the
+    same shape, and the array it returns is never written."""
+    # a copy: the engine damps the widest mesh's values in place
+    out = np.array(f(x.ravel()), dtype=complex)
     if out.shape != (x.size,):
         raise ValueError("an integrand must map a float array to an array of "
                          f"the same shape; got shape {out.shape} for {(x.size,)}")

@@ -47,13 +47,14 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
     """The damped integral of g(s) weight(s) over s > 0: one branch of
     `transform`, or all of `hankel_transform`.
 
-    k sets the linear phase rate 2 pi k; `bound` (an upper bound on |g|, or
-    None) times `weight_envelope` places the truncation points.  A support
-    radius overrides both.  Where g is zero on every node of a call, weight
-    is not called and the zeros are returned.
+    g follows the branch contract of `RadialProfile`.  k sets the linear
+    phase rate 2 pi k; `bound` (an upper bound on |g|, or None) times
+    `weight_envelope` places the truncation points.  A support radius
+    overrides both.  Where g is zero on every node of a call, weight is not
+    called and the zeros are returned.
     """
     def integrand(s):
-        gs = np.asarray(g(s), dtype=complex)
+        gs = np.broadcast_to(np.asarray(g(s), dtype=complex), np.shape(s))
         # g vanishing on every node gives exact zeros with no weight call;
         # NaN is nonzero, so it still reaches the weight
         return gs * weight(s) if gs.any() else gs
@@ -76,7 +77,8 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
     matching Minkowski kernels.  Branches whose quadrature fails to converge
     are named in the result's failed_branches.  A profile zero on one side
     (as `gauss_decay_timelike` is on the spacelike one) costs that branch's
-    integrand calls but no kernel call.
+    integrand calls but no kernel call; a zero branch may return the scalar
+    0.0, under the branch contract of `RadialProfile`, to the same result.
     """
     value = 0.0 + 0.0j
     err = 0.0
@@ -107,7 +109,9 @@ def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
                      phase_scale: float = 1.0) -> QuadResult:
     """Euclidean radial transform int_0^inf chi_n(r, k) g(r) dr (damped).
 
-    By the symmetry of chi_n the same operation with the transform as input
+    g follows the branch contract of `RadialProfile`: its values broadcast
+    to the shape of the radii, so a constant g may return a scalar.  By the
+    symmetry of chi_n the same operation with the transform as input
     inverts it: hankel_transform(n, F, r, cfg) recovers g(r).
     """
     if not k > 0:

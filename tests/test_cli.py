@@ -153,6 +153,21 @@ class TestTransformCommand:
         # tabulated bump stays close to the exact bump transform
         assert abs(float(rows[0]["re"]) - (-0.1013933428)) < 1e-3
 
+    def test_csv_byte_order_mark_accepted(self, tmp_path, capsys):
+        from lorentzft.profiles import builtin_profile, profile_to_csv
+        text = profile_to_csv(builtin_profile("compact_bump"), np.linspace(0.0, 1.1, 111))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outs = []
+        for path in (plain, marked):
+            code, out, _ = run_cli(["transform", "--n", "1", "--profile", f"csv:{path}",
+                                    "--char", "timelike", "--kmin", "1"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_bad_profile_exits_2(self, capsys):
         code, _, err = run_cli(["transform", "--n", "1",
                                 "--profile", "builtin:nope",

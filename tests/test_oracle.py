@@ -258,6 +258,35 @@ class TestBadSupportRadius:
         assert calls == []
 
 
+class TestBadPhaseScale:
+    # transform's ValueError, raised before the profile is evaluated once
+    @pytest.mark.parametrize("n, oracle_ft, name", [
+        (1, cartesian_ft_1p1, "gauss_oscillatory"),
+        (1, cartesian_ft_1p1, "compact_bump"),
+        (2, cartesian_ft_1p2, "compact_bump"),
+    ], ids=["1p1-unbounded", "1p1-compact", "1p2-compact"])
+    @pytest.mark.parametrize("phase_scale", [math.nan, -1.0, math.inf])
+    def test_raises_before_any_evaluation(self, n, oracle_ft, name, phase_scale):
+        base = builtin_profile(name)
+        calls = []
+
+        def branch(s):
+            calls.append(s)
+            return base.f_timelike(s)
+
+        profile = RadialProfile(f_timelike=branch, f_spacelike=branch,
+                                envelope_hint=base.envelope_hint,
+                                support_radius=base.support_radius,
+                                phase_scale=phase_scale)
+        mom = MomentumMagnitude(1.0, TL)
+        cfg = window_config_for(base, mom, dims=n)
+        with pytest.raises(ValueError, match="phase rates"):
+            oracle_ft(profile, mom, cfg)
+        assert calls == []
+        with pytest.raises(ValueError, match="phase rates"):
+            transform(n, profile, mom, cfg)
+
+
 def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
     """The plane integral with one fw call per einsum block: the loop that
     `oracle._window_integral` splits into pieces, kept as a reference."""

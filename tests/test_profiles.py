@@ -79,12 +79,10 @@ class TestBuiltins:
         assert vals[0] == 1.0
         assert vals[3] == 0.0 and vals[4] == 0.0
 
-    def test_continuity_declaration_enforced(self):
-        with pytest.raises(ValueError):
-            RadialProfile(
-                f_timelike=lambda s: np.ones(np.shape(s), dtype=complex),
-                f_spacelike=lambda s: np.zeros(np.shape(s), dtype=complex),
-                continuous_at_lightcone=True)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROFILES))
+    def test_one_shared_instance(self, name):
+        assert builtin_profile(name) is builtin_profile(name)
+        assert builtin_profile(name) is BUILTIN_PROFILES[name]
 
 
 class TestCsvRoundTrip:
@@ -109,6 +107,25 @@ class TestCsvRoundTrip:
         v1 = transform(1, p1, mom, cfg).value
         v2 = transform(1, p2, mom, cfg).value
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
+
+    def test_scalar_branch_round_trip(self):
+        # a constant branch may return a scalar; the writer broadcasts it
+        bump = builtin_profile("compact_bump")
+        grid = np.linspace(0.0, 1.2, 13)
+        scalar = RadialProfile(f_timelike=bump.f_timelike,
+                               f_spacelike=lambda s: 0.5 - 0.25j)
+        loaded = profile_from_csv(io.StringIO(profile_to_csv(scalar, grid)))
+        assert np.array_equal(loaded.f_timelike(grid), bump.f_timelike(grid))
+        assert np.array_equal(loaded.f_spacelike(grid), np.full(grid.shape, 0.5 - 0.25j))
+
+    def test_byte_order_mark_accepted(self):
+        text = CSV_HEADER_LINE + "0,1,0,1,0\n1,0.5,-0.25,0.5,0.25\n"
+        plain = profile_from_csv(io.StringIO(text))
+        marked = profile_from_csv(io.StringIO("\ufeff" + text))
+        s = np.linspace(0.0, 1.5, 16)
+        for branch in ("f_timelike", "f_spacelike"):
+            assert np.array_equal(getattr(marked, branch)(s), getattr(plain, branch)(s))
+        assert marked.support_radius == plain.support_radius
 
     def test_zero_extension(self):
         text = "s,re_timelike,im_timelike,re_spacelike,im_spacelike\n" \

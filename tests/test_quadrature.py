@@ -176,6 +176,32 @@ class TestIntegrandContract:
         with pytest.raises(ValueError, match="same shape"):
             integrate(lambda x: 1.0)
 
+    def test_returned_array_is_never_written(self):
+        # one eps on the widest mesh: the engine damps its values in place,
+        # so it must own them; f may return a read-only array or keep it
+        envelope = lambda x: 1.0 / (1.0 + np.asarray(x))
+
+        def cos_over(x):
+            return np.cos(3.0 * x) / (1.0 + x) + 0j
+
+        def read_only(x):
+            out = cos_over(x)
+            out.flags.writeable = False
+            return out
+
+        kept = []
+
+        def keeping(x):
+            out = cos_over(x)
+            kept.append((out, out.copy()))
+            return out
+
+        expected = integrate_semiinfinite_damped(cos_over, CFG, envelope=envelope)
+        assert abs(expected.value - 0.0792215) < 1e-7
+        assert integrate_semiinfinite_damped(read_only, CFG, envelope=envelope) == expected
+        assert integrate_semiinfinite_damped(keeping, CFG, envelope=envelope) == expected
+        assert kept and all(np.array_equal(out, copy) for out, copy in kept)
+
     @pytest.mark.parametrize("integrate", _ENGINES)
     def test_integrand_exception_propagates(self, integrate):
         def f(x):

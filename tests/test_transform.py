@@ -101,8 +101,6 @@ class TestZeroAndVanishing:
 
         counted = dataclasses.replace(profile, f_timelike=counting("timelike"),
                                       f_spacelike=counting("spacelike"))
-        for calls in points.values():      # the continuity check's calls
-            calls.clear()
         monkeypatch.setattr(specfun, "_ufunc", counting_ufunc)
         return counted, points
 
@@ -127,6 +125,17 @@ class TestZeroAndVanishing:
         # the kernel is called on the nonzero branch's nodes alone
         nonzero = 0 if name == "zero" else sum(points["timelike"])
         assert sum(points["bessel"]) == nonzero
+
+    # timelike odd n integrates both branches; so does a spacelike momentum
+    @pytest.mark.parametrize("n, mom", [(1, tmom(0.75)), (3, tmom(0.75)),
+                                        (2, smom(0.75))])
+    def test_scalar_zero_branch_as_array_zero(self, n, mom):
+        # the branch contract: a constant branch may return a scalar
+        decay = builtin_profile("gauss_decay_timelike")
+        scalar = dataclasses.replace(decay, f_spacelike=lambda s: 0.0)
+        array = dataclasses.replace(
+            decay, f_spacelike=lambda s: np.zeros(np.shape(s), dtype=complex))
+        assert transform(n, scalar, mom, CFG) == transform(n, array, mom, CFG)
 
     def test_nan_branch_reaches_the_kernel(self, monkeypatch):
         decay = builtin_profile("gauss_decay_timelike")
@@ -280,6 +289,7 @@ class TestHankel:
     def test_zero_input(self):
         res = hankel_transform(2, lambda r: np.zeros(np.shape(r)), 1.0, CFG)
         assert res.value == 0.0
+        assert hankel_transform(2, lambda r: 0.0, 1.0, CFG) == res
 
     def test_infinite_k_raises(self):
         g = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
