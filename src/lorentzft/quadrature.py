@@ -18,8 +18,8 @@ called once on the widest mesh of a schedule and once more on the panels
 each narrower mesh does not share with it.  Each mesh's values are then
 reweighted by exp(-eps x^2) for all the eps whose mesh it is in one array
 pass, the widest mesh last and in place when one eps uses it; an eps whose
-mesh is the widest one reuses its nodes as they are.  That in-place pass
-writes a copy: the array f returns is never written, so f may return a
+mesh is the widest one reuses its nodes as they are.  The engine damps its
+own copy of what f returns and never writes f's array, so f may return a
 read-only array or keep the one it returned.  The sums are formed
 exactly as a separate evaluation per eps and rule would form them, to the
 last bit.
