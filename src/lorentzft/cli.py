@@ -36,10 +36,6 @@ def _parse_profile(text: str):
     raise ValueError(f"profile must be builtin:<name> or csv:<path>, got {text!r}")
 
 
-def _quad_config(tol: float, epsilon0: float) -> QuadConfig:
-    return QuadConfig(abs_tol=tol, rel_tol=tol, epsilon_schedule=_halving(epsilon0, 6))
-
-
 def _momentum_grid(kmin, kmax, kcount, spacing, char):
     if kcount == 1:
         vals = [kmin]
@@ -61,11 +57,14 @@ def cmd_transform(args) -> int:
         check_dimension(args.n)
         profile = _parse_profile(args.profile)
         char = MomentumChar(args.char)
+        if args.kmax is not None and not math.isfinite(args.kmax):
+            raise ValueError(f"--kmax must be finite, got {args.kmax}")
         if args.kcount < 1 or args.kmin <= 0 or (
-                args.kcount > 1 and not args.kmin < kmax < math.inf):
+                args.kcount > 1 and not args.kmin < kmax):
             raise ValueError("need kmin > 0 and a finite kmax > kmin (for kcount > 1)")
         grid = _momentum_grid(args.kmin, kmax, args.kcount, args.grid, char)
-        cfg = _quad_config(args.tol, args.epsilon0)
+        cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol,
+                         epsilon_schedule=_halving(args.epsilon0, 6))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -115,8 +114,7 @@ def cmd_chi(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rr = np.linspace(args.rmin, rmax, args.rcount) if args.rcount != 1 \
-        else np.array([args.rmin])
+    rr = np.linspace(args.rmin, rmax, args.rcount)
     # tabulates chi_n(k, r); the r = 0 rows are the small-argument limit
     pos = rr > 0
     vals = np.full(rr.shape, chi_small_argument_limit(args.n, args.k))

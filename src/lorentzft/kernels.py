@@ -64,8 +64,9 @@ class MomentumChar(enum.Enum):
 
 
 class Branch(enum.Enum):
-    """Profile branch of a radial integral; the value names the branch in
-    `RadialProfile.branch` and in failed_branches."""
+    """Profile branch of a radial integral, in the order of the fields
+    `RadialProfile.f_timelike` and `f_spacelike`; the value names the branch
+    in failed_branches."""
 
     TIMELIKE_PROFILE = "timelike"    # support at s^2 > 0, radius s0
     SPACELIKE_PROFILE = "spacelike"  # support at s^2 < 0, radius s1

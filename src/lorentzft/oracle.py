@@ -31,6 +31,7 @@ panels from the profile and the momentum.  One eta loop takes n = 1 or 2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -142,10 +143,7 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
     """
     a = ident.a
     interval, g, rhs = _IDENTITIES[ident.kind]
-
-    def integrand(x):
-        return g(a, x)
-
+    integrand = functools.partial(g, a)
     if interval is None:
         res = integrate_semiinfinite_damped(integrand, cfg, osc_scale=a, quad_phase=0.0)
     else:
@@ -162,6 +160,9 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
 _GLN = 16
 _BLOCK = 2048   # cell pairs per einsum: fixes the summation order, so the bits
 _PIECE = 128    # cell pairs per f(u v) call: its temporaries stay in cache
+# cells per axis: the cells x cells float product and mask that select the
+# cell pairs take about 150 MB at this size
+_MAX_CELLS = 4096
 
 
 def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
@@ -171,11 +172,18 @@ def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
     limited uniform panels, mirrored so that u = 0 and v = 0 (the light-cone
     kink) are panel edges.  Unbounded profiles: uniform panels that resolve
     both the momentum phase and the profile phase over the whole box.
+    DomainError when the axis needs more than `_MAX_CELLS` cells, checked
+    as the edges grow, so a refused axis costs at most that many steps.
     """
+    too_many = DomainError(
+        f"the window oracle needs more than {_MAX_CELLS} cells an axis at "
+        f"k={kappa}, phase_scale={profile.phase_scale}, box halfwidth {L:.6g}")
     w_osc = 6.0 / (math.pi * max(kappa, 0.1))
     if profile.support_radius is None:
         q = max(profile.phase_scale, 0.25)
         n = max(2, int(math.ceil(2.0 * L / min(w_osc, 10.0 / (q * L)))))
+        if n > _MAX_CELLS:
+            raise too_many
         return np.linspace(-L, L, n + 1)
     w = min(w_osc, max(profile.support_radius ** 2 / L, 1e-12))
     half = [0.0, w]
@@ -183,6 +191,8 @@ def _axis_edges(profile: RadialProfile, L: float, kappa: float) -> np.ndarray:
         w = min(2.0 * w, L)
         half.append(w)
     while w < L:
+        if 2 * len(half) > _MAX_CELLS:
+            raise too_many
         w = min(L, w + w_osc)
         half.append(w)
     half = np.asarray(half)
@@ -282,7 +292,8 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
     exact transform 0, returned as `transform` does, with no evaluation.
     A support radius that is negative or not finite, and a phase scale
     that is negative or not finite, raise ValueError, as in `transform`,
-    before any evaluation."""
+    before any evaluation; so does, with DomainError, an eta whose axis
+    needs more than `_MAX_CELLS` cells."""
     if f.support_radius is not None:
         _checked_radius(f.support_radius)
     _check_rates(phase_scale=f.phase_scale)
@@ -291,14 +302,17 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
                           "supported profile")
     if f.support_radius == 0.0:
         return _finish(0.0, 0.0, 0, cfg)
+    # every eta's axis, so an axis over the cell cap raises before any
+    # evaluation
+    axes = [_axis_edges(f, _box_halfwidth(f, eta), k.value)
+            for eta in cfg.epsilon_schedule]
     fw = profile_on_invariant(f)
     support_w = math.inf if f.support_radius is None else f.support_radius ** 2
     samples = []
     evals = 0
-    for eta in cfg.epsilon_schedule:
+    for eta, edges in zip(cfg.epsilon_schedule, axes):
         plane, w_hi = ((fw, support_w) if n == 1
                        else _transverse_table(fw, support_w, eta))
-        edges = _axis_edges(f, _box_halfwidth(f, eta), k.value)
         val, ne = _window_integral(eta, k, plane, edges, -support_w, w_hi)
         samples.append((eta, val))
         evals += ne

@@ -58,13 +58,6 @@ class RadialProfile:
     support_radius: Optional[float] = None
     phase_scale: float = 0.0    # bound on |d arg f / d(s^2)|, 0 if non-oscillatory
 
-    def branch(self, name: str) -> Callable:
-        if name == "timelike":
-            return self.f_timelike
-        if name == "spacelike":
-            return self.f_spacelike
-        raise KeyError(name)
-
 
 def _bump(s):
     sa = np.asarray(s, dtype=float)

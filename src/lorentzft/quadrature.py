@@ -8,11 +8,11 @@ Semi-infinite integrals of decaying-oscillatory integrands are defined as
 For each eps in a decreasing schedule the damped integral is evaluated on
 [0, X(eps)] with X chosen so the damped tail is negligible, and the sequence
 of values is extrapolated polynomially to eps = 0; `_truncation_points`
-places a schedule's X(eps), evaluating an envelope once per probe point for
-the whole schedule.  The panel mesh is a deterministic function of the
-configuration (never of sampled integrand values), so two integrands that
-agree pointwise are integrated on identical nodes, and one mesh is built
-per distinct truncation point.  A panel's rule has 36 nodes: the 24
+places a schedule's X(eps) in one forward search, evaluating an envelope
+once per probe point for the whole schedule.  The panel mesh is a
+deterministic function of the configuration (never of sampled integrand
+values), so two integrands that agree pointwise are integrated on
+identical nodes, and one mesh is built per distinct truncation point.  A panel's rule has 36 nodes: the 24
 Gauss-Legendre nodes of the main rule, then the 12 of the error rule.  f is
 called once on the widest mesh of a schedule and once more on the panels
 each narrower mesh does not share with it.  Each mesh's values are then
@@ -219,12 +219,14 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
                        support_radius: Optional[float]) -> list:
     """(X, allowance for the damped tail beyond X) for each eps of cfg's
     schedule: the support radius; else the least X = 10 * 1.25^j (j <= 60)
-    with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10, the envelope
-    evaluated once per probe point for the whole schedule; else a bound on
-    |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10], serves
-    every eps.  A search that finds the envelope NaN ends at that probe,
-    and a round that finds f inf or NaN at its own interval, either with an
-    infinite allowance."""
+    with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10; else a bound
+    on |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10],
+    serves every eps.  The eps decrease, so the tail at a probe never
+    shrinks from one eps to the next: each eps's envelope search continues
+    from the probe where the previous one stopped, and each probe is
+    evaluated once for the whole schedule.  A search that finds the
+    envelope NaN ends at that probe, and a round that finds f inf or NaN at
+    its own interval, either with an infinite allowance."""
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
@@ -235,22 +237,16 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
 
     points = []
     if envelope is not None:
-        probes = [(10.0, float(envelope(10.0)))]    # (X, envelope(X))
+        X, j, env = 10.0, 0, float(envelope(10.0))
         for eps in schedule:
-            for j in range(61):
-                if j == len(probes):
-                    X = probes[-1][0] * 1.25
-                    probes.append((X, float(envelope(X))))
-                X, env = probes[j]
+            tail = env * math.exp(-eps * X * X) * (1.0 + X)
+            while tail > floor and j < 60:
+                X, j = X * 1.25, j + 1
+                env = float(envelope(X))
                 tail = env * math.exp(-eps * X * X) * (1.0 + X)
-                if tail <= floor:
-                    break
-                if tail != tail:
-                    # no bound on the tail: integrate up to this probe, with
-                    # an unbounded allowance, so the result is not converged
-                    tail = math.inf
-                    break
-            points.append((X, tail))
+            # a NaN tail has no bound: integrate up to this probe, with an
+            # unbounded allowance, so the result is not converged
+            points.append((X, math.inf if tail != tail else tail))
         return points
     m0 = _magnitude(f, 10.0)
     for eps in schedule:

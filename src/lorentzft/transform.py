@@ -84,15 +84,14 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
     err = 0.0
     evals = 0
     failed = []
-    for branch in Branch:
+    for branch, g in zip(Branch, (profile.f_timelike, profile.f_spacelike)):
         spec = KernelSpec(n, l.char, branch)
         # a vanishing kernel contributes exactly zero; integrating it would
         # only add its truncation allowance to the error estimate
         if spec.vanishes:
             continue
         res = _radial_integral(
-            profile.branch(branch.value),
-            lambda s: minkowski_kernel(spec, s, l), cfg, l.value,
+            g, lambda s: minkowski_kernel(spec, s, l), cfg, l.value,
             profile.envelope_hint, kernel_envelope(spec, l),
             profile.support_radius, profile.phase_scale)
         value += res.value

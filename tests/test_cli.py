@@ -175,6 +175,15 @@ class TestTransformCommand:
         assert code == 2
         assert "error" in err
 
+    def test_profile_without_source_prefix_exits_2(self, capsys):
+        code, out, err = run_cli(["transform", "--n", "1",
+                                  "--profile", "gauss_oscillatory",
+                                  "--char", "timelike", "--kmin", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: profile must be builtin:<name> or csv:<path>, "
+                       "got 'gauss_oscillatory'\n")
+
     def test_bad_krange_exits_2(self, capsys):
         code, _, _ = run_cli(["transform", "--n", "1",
                               "--profile", "builtin:zero",
@@ -252,6 +261,8 @@ _ZERO = "transform --n 1 --profile builtin:zero --char timelike"
     f"{_ZERO} --kmin nan",
     f"{_ZERO} --kmin 0.5 --kmax nan --kcount 3",
     f"{_ZERO} --kmin 0.5 --kmax inf --kcount 3 --grid log",
+    f"{_ZERO} --kmin 0.5 --kmax nan",
+    f"{_ZERO} --kmin 0.5 --kmax inf",
 ])
 def test_non_finite_number_exits_2(argv, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -371,6 +382,22 @@ class TestChiCommand:
         code, _, _ = run_cli(["chi", "--n", "1", "--k", "-1.0",
                               "--rmin", "0", "--rmax", "1", "--rcount", "3"], capsys)
         assert code == 2
+
+    def test_rmax_below_rmin_exits_2(self, capsys):
+        code, out, err = run_cli(["chi", "--n", "1", "--k", "1.0", "--rmin", "2",
+                                  "--rmax", "1", "--rcount", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need rmax >= rmin\n"
+
+    def test_one_radius_is_rmin(self, capsys):
+        # one radius is --rmin, whatever --rmax says
+        outs = [run_cli(["chi", "--n", "3", "--k", "1.0", "--rmin", "0.5",
+                         "--rcount", "1", *extra], capsys)
+                for extra in ([], ["--rmax", "7"], ["--rmax", "0.2"])]
+        chi_row = lorentzft.kernels.chi(3, 1.0, np.array([0.5]))[0]
+        assert outs[0] == (0, f"r,chi\n0.5,{chi_row:.17g}\n", "")
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     @pytest.mark.parametrize("n", ["0", "11"])
     def test_dimension_out_of_range_exits_2(self, n, capsys):

@@ -287,6 +287,42 @@ class TestBadPhaseScale:
             transform(n, profile, mom, cfg)
 
 
+class TestCellCap:
+    # an axis past the cap would need a cells x cells product of many GB
+    @pytest.mark.parametrize("n, oracle_ft, name, k, phase_scale", [
+        (1, cartesian_ft_1p1, "compact_bump", 100.0, 0.0),
+        (2, cartesian_ft_1p2, "compact_bump", 100.0, 0.0),
+        (1, cartesian_ft_1p1, "gauss_oscillatory", 1.0, 100.0),
+    ], ids=["1p1-compact-k100", "1p2-compact-k100", "1p1-unbounded-phase100"])
+    def test_raises_before_any_evaluation(self, n, oracle_ft, name, k, phase_scale):
+        base = builtin_profile(name)
+        calls = []
+
+        def branch(s):
+            calls.append(s)
+            return base.f_timelike(s)
+
+        profile = RadialProfile(f_timelike=branch, f_spacelike=branch,
+                                envelope_hint=base.envelope_hint,
+                                support_radius=base.support_radius,
+                                phase_scale=phase_scale)
+        mom = MomentumMagnitude(k, TL)
+        with pytest.raises(DomainError, match=f"more than {oracle._MAX_CELLS} cells"):
+            oracle_ft(profile, mom, window_config_for(base, mom, dims=n))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["compact_bump", "gauss_oscillatory"])
+    def test_an_axis_of_the_cap_is_admitted(self, name, monkeypatch):
+        profile = builtin_profile(name)
+        L = _box_halfwidth(profile, 0.02)
+        cells = len(oracle._axis_edges(profile, L, 2.0)) - 1
+        monkeypatch.setattr(oracle, "_MAX_CELLS", cells)
+        assert len(oracle._axis_edges(profile, L, 2.0)) - 1 == cells
+        monkeypatch.setattr(oracle, "_MAX_CELLS", cells - 1)
+        with pytest.raises(DomainError, match=f"more than {cells - 1} cells"):
+            oracle._axis_edges(profile, L, 2.0)
+
+
 def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
     """The plane integral with one fw call per einsum block: the loop that
     `oracle._window_integral` splits into pieces, kept as a reference."""

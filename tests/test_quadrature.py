@@ -442,6 +442,11 @@ class TestExtrapolation:
         with pytest.raises(ValueError, match="order must be an integer"):
             extrapolate_to_zero(samples, order)
 
+    def test_negative_order_rejected(self):
+        samples = [(e, 1.0 + e) for e in (0.1, 0.05, 0.025)]
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            extrapolate_to_zero(samples, -1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_rejected(self, bad):
         samples = [(0.1, 1.0), (bad, 2.0), (0.025, 1.5)]
@@ -652,3 +657,91 @@ class TestSharedMesh:
             expected.append(expected[-1] * 1.25)
         assert probed == expected
         assert probed[-1] == max(Xs)
+
+
+def _restarted_search(envelope, cfg):
+    """Reference: the envelope search of `_truncation_points` with each eps
+    restarting at the first probe, over a probe list grown as needed."""
+    floor = cfg.abs_tol / 10.0
+    probes = [(10.0, float(envelope(10.0)))]
+    points = []
+    for eps in cfg.epsilon_schedule:
+        for j in range(61):
+            if j == len(probes):
+                X = probes[-1][0] * 1.25
+                probes.append((X, float(envelope(X))))
+            X, env = probes[j]
+            tail = env * math.exp(-eps * X * X) * (1.0 + X)
+            if tail <= floor:
+                break
+            if tail != tail:
+                tail = math.inf
+                break
+        points.append((X, tail))
+    return points
+
+
+def _random_schedule(rng):
+    """A strictly decreasing eps schedule: halving, arbitrary, or a run of
+    one-ulp neighbours."""
+    terms = int(rng.integers(1, 9))
+    eps0 = 10.0 ** rng.uniform(-15.0, 1.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        return tuple(eps0 * 2.0 ** (-j) for j in range(terms))
+    if kind == 1:
+        return tuple(sorted(set(10.0 ** rng.uniform(-15.0, 1.0, terms)), reverse=True))
+    eps = [eps0]
+    while len(eps) < terms:
+        eps.append(float(np.nextafter(eps[-1], 0.0)))
+    return tuple(eps)
+
+
+def _random_envelope(rng):
+    """A scalar envelope: polynomial, exponential or Gaussian, possibly
+    negative, or NaN or inf beyond a random point."""
+    c = 10.0 ** rng.uniform(-8.0, 8.0)
+    a = 10.0 ** rng.uniform(-4.0, 0.0)
+    shapes = [lambda x, p=p: c * x ** p for p in (-3.0, -1.0, 0.0, 1.0, 3.0)] + [
+        lambda x: c * np.exp(-a * x), lambda x: c * np.exp(a * x),
+        lambda x: c * np.exp(-a * x * x)]
+    shape = shapes[rng.integers(len(shapes))]
+    beyond = 10.0 * 1.25 ** rng.uniform(0.0, 62.0)
+    kind = rng.integers(4)
+    if kind == 0:
+        return shape
+    if kind == 1:
+        return lambda x: -shape(x)
+    bad = math.nan if kind == 2 else math.inf
+    return lambda x: bad if x > beyond else shape(x)
+
+
+class TestForwardSearch:
+    def test_equal_to_restarted_search(self):
+        # the forward search gives the restarted search's (X, tail) list and
+        # probes the envelope at the same points in the same order
+        rng = np.random.default_rng(20260)
+        seen = set()
+        with np.errstate(all="ignore"):
+            for _ in range(10_000):
+                cfg = QuadConfig(abs_tol=10.0 ** rng.uniform(-12.0, -1.0),
+                                 epsilon_schedule=_random_schedule(rng),
+                                 extrapolation_order=0)
+                env = _random_envelope(rng)
+                calls, ref_calls = [], []
+                got = _truncation_points(None, cfg, lambda x: calls.append(x) or env(x),
+                                         None)
+                ref = _restarted_search(lambda x: ref_calls.append(x) or env(x), cfg)
+                assert got == ref
+                assert calls == ref_calls
+                # a finite tail above the floor ends only the 61st probe
+                seen.update("unbounded" if tail == math.inf else
+                            "cap" if tail > cfg.abs_tol / 10.0 else
+                            "negative" if tail < 0.0 else
+                            "below" for _, tail in got)
+        assert seen == {"unbounded", "cap", "negative", "below"}
+
+    def test_a_tail_on_the_floor_ends_the_search(self):
+        # exp(-eps X^2) rounds to 1, so the tail 1 * 1 * (1 + 10) is the floor
+        cfg = QuadConfig(abs_tol=110.0, epsilon_schedule=(1e-300,), extrapolation_order=0)
+        assert _truncation_points(None, cfg, lambda x: 1.0, None) == [(10.0, 11.0)]

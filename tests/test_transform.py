@@ -92,7 +92,7 @@ class TestZeroAndVanishing:
             return ufunc(fn, nu, arr)
 
         def counting(name):
-            g = profile.branch(name)
+            g = getattr(profile, f"f_{name}")
 
             def branch(s):
                 points[name].append(np.size(s))
@@ -295,6 +295,14 @@ class TestHankel:
         g = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
         with pytest.raises(ValueError, match="phase rates"):
             hankel_transform(1, g, math.inf, CFG, support_radius=1.0)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_k_not_positive_raises_before_any_call(self, k):
+        calls = []
+        with pytest.raises(DomainError, match="requires k > 0"):
+            hankel_transform(1, lambda r: calls.append(r) or np.ones(np.shape(r)), k, CFG,
+                             support_radius=1.0)
+        assert calls == []
 
     def test_self_inverse_on_gaussian(self):
         # forward transform tabulated on a grid, then the inverse (same
