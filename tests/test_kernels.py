@@ -82,10 +82,11 @@ class TestChi:
         for n in (0, 11, 2.5):
             with pytest.raises(DomainError, match="spatial dimension"):
                 chi_small_argument_limit(n, 1.0)
-        # and a momentum that is not > 0
-        for k in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError, match="requires k > 0"):
-                chi_small_argument_limit(1, k)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_small_argument_limit_needs_positive_k(self, k):
+        with pytest.raises(DomainError, match="requires k > 0"):
+            chi_small_argument_limit(1, k)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_envelope_bounds_chi(self, n):
