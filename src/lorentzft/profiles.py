@@ -170,11 +170,11 @@ def profile_from_csv(source) -> RadialProfile:
 
 
 def profile_to_csv(profile: RadialProfile, s_grid, stream=None) -> str:
-    """Sample both branches on s_grid and write the CSV format.  A table
-    `profile_from_csv` would refuse (an empty, negative, non-increasing or
-    non-finite grid, or non-finite values) raises its ValueError instead,
-    with nothing written."""
-    sg = np.asarray(s_grid, dtype=float)
+    """Sample both branches on s_grid, flattened to one row per radius, and
+    write the CSV format.  A table `profile_from_csv` would refuse (an
+    empty, negative, non-increasing or non-finite grid, or non-finite
+    values) raises its ValueError instead, with nothing written."""
+    sg = np.ravel(np.asarray(s_grid, dtype=float))
     vt, vs = (np.broadcast_to(np.asarray(f(sg), dtype=complex), sg.shape)
               for f in (profile.f_timelike, profile.f_spacelike))
     table = np.column_stack([sg, vt.real, vt.imag, vs.real, vs.imag])

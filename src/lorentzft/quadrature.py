@@ -225,8 +225,8 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
     shrinks from one eps to the next: each eps's envelope search continues
     from the probe where the previous one stopped, and each probe is
     evaluated once for the whole schedule.  A search that finds the
-    envelope NaN ends at that probe, and a round that finds f inf or NaN at
-    its own interval, either with an infinite allowance."""
+    envelope NaN or negative ends at that probe, and a round that finds f
+    inf or NaN at its own interval, either with an infinite allowance."""
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
@@ -244,9 +244,9 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
                 X, j = X * 1.25, j + 1
                 env = float(envelope(X))
                 tail = env * math.exp(-eps * X * X) * (1.0 + X)
-            # a NaN tail has no bound: integrate up to this probe, with an
-            # unbounded allowance, so the result is not converged
-            points.append((X, math.inf if tail != tail else tail))
+            # a NaN or negative tail has no bound: integrate up to this
+            # probe, with an unbounded allowance, so the result is not converged
+            points.append((X, tail if tail >= 0.0 else math.inf))
         return points
     m0 = _magnitude(f, 10.0)
     for eps in schedule:
@@ -278,7 +278,9 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     cfg : QuadConfig
         Supplies the eps schedule, tolerances and extrapolation order.
     envelope : callable, optional
-        Upper bound on |f| used to place the truncation point.
+        Upper bound on |f| used to place the truncation point.  A NaN or
+        negative value ends the search there with an infinite allowance,
+        so the result is not converged.
     support_radius : float, optional
         If given, f vanishes beyond it and the integral is truncated there
         exactly.
@@ -374,11 +376,13 @@ def integrate_finite(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadRe
 def extrapolate_to_zero(samples: Sequence, order: int):
     """Polynomial extrapolation of (eps, value) samples to eps = 0.
 
-    Uses the order+1 samples with the smallest eps (Neville's scheme at 0);
-    the residual is the change from the order-1 result.  Returns
-    (value, residual).  An order that is not a nonnegative integer, too few
-    samples, and a non-finite or repeated eps raise ValueError, as
-    QuadConfig does for its fields.
+    Uses the order+1 samples with the smallest eps, in one Neville tableau
+    at 0; the residual is the change from the order-1 extrapolant, which
+    the tableau holds before its last step.  At order 0 it is the change to
+    the next sample, or inf when there is none, so a one-value schedule is
+    never converged.  Returns (value, residual).  An order that is not a
+    nonnegative integer, too few samples, and a non-finite or repeated eps
+    raise ValueError, as QuadConfig does for its fields.
     """
     pts = sorted(((float(e), complex(v)) for e, v in samples), key=lambda p: p[0])
     if not isinstance(order, (int, np.integer)):
@@ -392,19 +396,14 @@ def extrapolate_to_zero(samples: Sequence, order: int):
         raise ValueError("the samples' eps must be finite")
     if any(x1 == x2 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("duplicate eps in samples")
-
-    def neville(points):
-        # incremental form: exact when the samples are constant
-        x = np.array([p[0] for p in points])
-        t = np.array([p[1] for p in points], dtype=complex)
-        for m in range(1, len(x)):
-            for i in range(len(x) - m):
-                t[i] = t[i] - x[i] * (t[i] - t[i + 1]) / (x[i] - x[i + m])
-        return complex(t[0])
-
-    value = neville(pts[: order + 1])
-    if order == 0:
-        residual = 0.0 if len(pts) == 1 else abs(value - pts[1][1])
-    else:
-        residual = abs(value - neville(pts[:order]))
-    return value, float(residual)
+    x = np.array(xs[: order + 1])
+    t = np.array([p[1] for p in pts[: order + 1]], dtype=complex)
+    # order 0 compares with the next sample, and bounds nothing without one
+    prev = pts[1][1] if len(pts) > 1 else math.inf
+    # exact when the samples are constant; t[0] before a step is one order lower
+    for m in range(1, order + 1):
+        prev = complex(t[0])
+        for i in range(order + 1 - m):
+            t[i] = t[i] - x[i] * (t[i] - t[i + 1]) / (x[i] - x[i + m])
+    value = complex(t[0])
+    return value, float(abs(value - prev))

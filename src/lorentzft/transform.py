@@ -23,6 +23,7 @@ from .kernels import (
     Branch,
     KernelSpec,
     MomentumMagnitude,
+    check_dimension,
     chi,
     chi_envelope,
     kernel_envelope,
@@ -111,8 +112,11 @@ def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
     g follows the branch contract of `RadialProfile`: its values broadcast
     to the shape of the radii, so a constant g may return a scalar.  By the
     symmetry of chi_n the same operation with the transform as input
-    inverts it: hankel_transform(n, F, r, cfg) recovers g(r).
+    inverts it: hankel_transform(n, F, r, cfg) recovers g(r).  An
+    unsupported n and a k that is not > 0 raise DomainError before g is
+    called.
     """
+    check_dimension(n)
     if not k > 0:
         raise DomainError("hankel_transform requires k > 0")
     return _radial_integral(g, lambda r: chi(n, r, k), cfg, k, envelope,

@@ -176,6 +176,23 @@ class TestCartesian1p1:
         assert abs(r2.value - r1.value) <= r1.error_estimate
 
 
+class TestOneEta:
+    @pytest.mark.parametrize("char", [TL, SL])
+    def test_one_eta_is_unbounded(self, char):
+        # one eta bounds no extrapolation error; the value is the windowed
+        # integral at that eta, as in a longer schedule
+        bump = builtin_profile("compact_bump")
+        k = MomentumMagnitude(0.5, char)
+        one = window_config_for(bump, k, n_etas=1)
+        res = cartesian_ft_1p1(bump, k, one)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        two = QuadConfig(abs_tol=one.abs_tol, rel_tol=one.rel_tol,
+                         epsilon_schedule=(0.02,) + one.epsilon_schedule,
+                         extrapolation_order=0)
+        assert res.value == cartesian_ft_1p1(bump, k, two).value
+
+
 class TestCartesian1p2:
     def test_zero_profile(self):
         profile = builtin_profile("zero")

@@ -118,6 +118,17 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.f_timelike(grid), bump.f_timelike(grid))
         assert np.array_equal(loaded.f_spacelike(grid), np.full(grid.shape, 0.5 - 0.25j))
 
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2]], [[0.1], [0.2]], 0.1],
+                             ids=["row", "column", "scalar"])
+    def test_grid_of_any_shape_round_trips(self, grid):
+        bump = builtin_profile("compact_bump")
+        text = profile_to_csv(bump, grid)
+        flat = np.ravel(grid)
+        assert text == profile_to_csv(bump, flat)
+        loaded = profile_from_csv(io.StringIO(text))
+        for branch in ("f_timelike", "f_spacelike"):
+            assert np.array_equal(getattr(loaded, branch)(flat), getattr(bump, branch)(flat))
+
     def test_byte_order_mark_accepted(self):
         text = CSV_HEADER_LINE + "0,1,0,1,0\n1,0.5,-0.25,0.5,0.25\n"
         plain = profile_from_csv(io.StringIO(text))

@@ -460,6 +460,96 @@ class TestExtrapolation:
         value, _ = extrapolate_to_zero(samples, 1)
         assert abs(value - 1.0) < 1e-13
 
+    def test_one_tableau_equals_two_passes(self):
+        # value and residual, bit for bit, as two Neville passes give them
+        rng = np.random.default_rng(23)
+        for _ in range(3000):
+            order = int(rng.integers(9))
+            eps = _random_eps(rng, max(order + 1, 2) + int(rng.integers(3)))
+            values = 10.0 ** rng.uniform(-10.0, 3.0, len(eps)) \
+                * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(eps)))
+            samples = list(zip(eps, values))
+            rng.shuffle(samples)
+            got = extrapolate_to_zero(samples, order)
+            assert got == _two_pass_extrapolation(samples, order)
+            assert math.isfinite(got[1])
+
+    def test_one_sample_is_unbounded(self):
+        assert extrapolate_to_zero([(0.1, 1.0)], 0) == (1.0, math.inf)
+
+
+def _random_eps(rng, terms):
+    """`terms` distinct eps in (1e-6, 1]: halving, arbitrary, or a run of
+    one-ulp neighbours."""
+    eps0 = 10.0 ** rng.uniform(-6.0, 0.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        return [eps0 * 2.0 ** (-j) for j in range(terms)]
+    if kind == 1:
+        eps = set()
+        while len(eps) < terms:
+            eps.add(10.0 ** rng.uniform(-6.0, 0.0))
+        return list(eps)
+    eps = [eps0]
+    while len(eps) < terms:
+        eps.append(float(np.nextafter(eps[-1], 0.0)))
+    return eps
+
+
+def _two_pass_extrapolation(samples, order):
+    """Reference: Neville's scheme run on the order+1 and the order smallest
+    eps, the residual their difference; at order 0 the change to the next
+    sample (the samples hold at least two)."""
+    pts = sorted(((float(e), complex(v)) for e, v in samples), key=lambda p: p[0])
+
+    def neville(points):
+        x = np.array([p[0] for p in points])
+        t = np.array([p[1] for p in points], dtype=complex)
+        for m in range(1, len(x)):
+            for i in range(len(x) - m):
+                t[i] = t[i] - x[i] * (t[i] - t[i + 1]) / (x[i] - x[i + m])
+        return complex(t[0])
+
+    value = neville(pts[: order + 1])
+    if order == 0:
+        return value, float(abs(value - pts[1][1]))
+    return value, float(abs(value - neville(pts[:order])))
+
+
+class TestUnboundedError:
+    """An error the engine cannot bound is reported as infinite: the result
+    keeps its value and is not converged."""
+
+    def test_one_value_schedule(self):
+        # the value is the smallest-eps sample of a longer schedule
+        f = lambda x: np.exp(-np.asarray(x)) * np.cos(2.0 * np.asarray(x))
+        env = lambda x: np.exp(-np.asarray(x))
+        for kw in ({}, {"envelope": env}, {"support_radius": 3.0}):
+            one = integrate_semiinfinite_damped(
+                f, QuadConfig(epsilon_schedule=(0.05,), extrapolation_order=0),
+                quad_phase=0.0, **kw)
+            two = integrate_semiinfinite_damped(
+                f, QuadConfig(epsilon_schedule=(0.1, 0.05), extrapolation_order=0),
+                quad_phase=0.0, **kw)
+            assert one.error_estimate == math.inf
+            assert not one.converged
+            assert one.value == two.value
+            assert two.error_estimate < math.inf
+
+    @pytest.mark.parametrize("envelope", [
+        lambda x: -1.0 / (1.0 + x), lambda x: -1000.0,
+    ], ids=["decaying", "constant"])
+    def test_negative_envelope(self, envelope):
+        f = lambda x: np.cos(3.0 * x) / (1.0 + x)
+        res = integrate_semiinfinite_damped(f, CFG, envelope=envelope,
+                                            osc_scale=3.0, quad_phase=0.0)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        # the search ends at its first probe, x = 10
+        assert res == integrate_semiinfinite_damped(
+            f, CFG, envelope=lambda x: np.where(x > 1.0, np.nan, 1.0),
+            osc_scale=3.0, quad_phase=0.0)
+
 
 # --------------------------------------------------------------------------
 # one evaluation per panel across the eps schedule
@@ -677,7 +767,7 @@ def _restarted_search(envelope, cfg):
             if tail != tail:
                 tail = math.inf
                 break
-        points.append((X, tail))
+        points.append((X, tail if tail >= 0.0 else math.inf))
     return points
 
 
@@ -737,9 +827,8 @@ class TestForwardSearch:
                 # a finite tail above the floor ends only the 61st probe
                 seen.update("unbounded" if tail == math.inf else
                             "cap" if tail > cfg.abs_tol / 10.0 else
-                            "negative" if tail < 0.0 else
                             "below" for _, tail in got)
-        assert seen == {"unbounded", "cap", "negative", "below"}
+        assert seen == {"unbounded", "cap", "below"}
 
     def test_a_tail_on_the_floor_ends_the_search(self):
         # exp(-eps X^2) rounds to 1, so the tail 1 * 1 * (1 + 10) is the floor

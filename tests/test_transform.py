@@ -304,6 +304,16 @@ class TestHankel:
                              support_radius=1.0)
         assert calls == []
 
+    @pytest.mark.parametrize("with_envelope", [False, True])
+    @pytest.mark.parametrize("n", [0, 11, 2.5])
+    def test_bad_dimension_raises_before_any_call(self, n, with_envelope):
+        calls = []
+        envelope = (lambda r: np.ones(np.shape(r))) if with_envelope else None
+        with pytest.raises(DomainError, match="spatial dimension"):
+            hankel_transform(n, lambda r: calls.append(r) or np.ones(np.shape(r)), 1.0,
+                             CFG, envelope=envelope)
+        assert calls == []
+
     def test_self_inverse_on_gaussian(self):
         # forward transform tabulated on a grid, then the inverse (same
         # operator by the weight's argument symmetry) recovers g
@@ -328,6 +338,41 @@ class TestHankel:
             back = hankel_transform(n, F, r0, cfg, support_radius=8.0,
                                     phase_scale=0.0)
             assert abs(back.value - g(r0)) < 1e-4
+
+
+class TestUnboundedError:
+    """A one-value schedule, or a negative envelope hint, leaves the error
+    unbounded: the estimate is infinite and the value is kept."""
+
+    ONE = QuadConfig(epsilon_schedule=(0.1,), extrapolation_order=0)
+    # its value is the smallest-eps sample of this schedule
+    TWO = QuadConfig(epsilon_schedule=(0.2, 0.1), extrapolation_order=0)
+
+    def test_one_value_transform(self):
+        bump = builtin_profile("compact_bump")
+        res = transform(1, bump, tmom(0.5), self.ONE)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        assert res.failed_branches == ("timelike", "spacelike")
+        assert res.value == transform(1, bump, tmom(0.5), self.TWO).value
+
+    def test_one_value_hankel(self):
+        g = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
+        res = hankel_transform(2, g, 1.0, self.ONE)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        assert res.value == hankel_transform(2, g, 1.0, self.TWO).value
+
+    @pytest.mark.parametrize("hint", [
+        lambda s: -np.ones(np.shape(s)), lambda s: -np.exp(-np.asarray(s) ** 2),
+    ], ids=["minus-one", "minus-gaussian"])
+    def test_negative_envelope_hint(self, hint):
+        profile = dataclasses.replace(builtin_profile("gauss_decay_timelike"),
+                                      envelope_hint=hint)
+        res = transform(1, profile, tmom(0.5), CFG)
+        assert res.error_estimate == math.inf
+        assert not res.converged
+        assert res.failed_branches == ("timelike", "spacelike")
 
 
 class TestRecursion:
