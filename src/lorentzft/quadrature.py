@@ -198,6 +198,17 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _envelope_at(envelope: Callable, X: float) -> float:
+    """envelope(X) as a float: an envelope maps a float to one real value, a
+    scalar or an array of shape (1,); anything else raises ValueError."""
+    value = np.asarray(envelope(X))
+    if value.shape not in ((), (1,)) or value.dtype.kind not in "biuf":
+        raise ValueError("an envelope must map a float to one real value, a "
+                         "scalar or an array of shape (1,); got shape "
+                         f"{value.shape} of dtype {value.dtype} at X = {X}")
+    return float(value.reshape(()))
+
+
 def _magnitude(f: Callable, X: float) -> float:
     """max |f| over 48 points of [1e-3, X], rounded up to a power of 2 so
     envelope jitter cannot reshuffle the mesh; inf when f is inf or NaN at
@@ -237,12 +248,12 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
 
     points = []
     if envelope is not None:
-        X, j, env = 10.0, 0, float(envelope(10.0))
+        X, j, env = 10.0, 0, _envelope_at(envelope, 10.0)
         for eps in schedule:
             tail = env * math.exp(-eps * X * X) * (1.0 + X)
             while tail > floor and j < 60:
                 X, j = X * 1.25, j + 1
-                env = float(envelope(X))
+                env = _envelope_at(envelope, X)
                 tail = env * math.exp(-eps * X * X) * (1.0 + X)
             # a NaN or negative tail has no bound: integrate up to this
             # probe, with an unbounded allowance, so the result is not converged
@@ -278,9 +289,11 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     cfg : QuadConfig
         Supplies the eps schedule, tolerances and extrapolation order.
     envelope : callable, optional
-        Upper bound on |f| used to place the truncation point.  A NaN or
-        negative value ends the search there with an infinite allowance,
-        so the result is not converged.
+        Upper bound on |f| used to place the truncation point: maps a float
+        X to one real value, a scalar or an array of shape (1,); anything
+        else raises ValueError before f is called.  A NaN or negative value
+        ends the search there with an infinite allowance, so the result is
+        not converged.
     support_radius : float, optional
         If given, f vanishes beyond it and the integral is truncated there
         exactly.

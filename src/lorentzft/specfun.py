@@ -15,6 +15,14 @@ is kept where `Im hankel1` is NaN (the overflow band next to x = 0, where
 `yv` is -inf, and x = inf) and for the one negative order, nu = -1/2, whose
 reflection `yv` computes differently.
 
+J_{-1/2}, the 1+1 weight, is -Im hankel1(1/2, x) for the same reason.  scipy's
+`jv` at a negative non-integer order reflects, J_{-nu} = cospi(nu) J_nu -
+sinpi(nu) N_nu, from one zbesj and one zbesy call; cospi(1/2) is exactly 0,
+so its value is -N_{1/2}, which one Hankel evaluation gives bit for bit in
+place of three.  `jv` is kept where -Im hankel1 is NaN (x below about
+2.2e-305, above about 2.25e15, and x = inf); -yv there would differ from
+`jv` near 0.  Every other order of `bessel_j` is `jv` itself.
+
 scipy's Bessel ufuncs release the GIL, so an argument array of three blocks
 or more is split into blocks that run on a thread pool sized from the CPUs
 the process may use and built at import, each block writing its own slice
@@ -125,31 +133,44 @@ def _ufunc(fn, nu: float, arr: np.ndarray):
     return out.reshape(arr.shape)
 
 
-def _neumann(nu: float, x: np.ndarray, out=None):
-    """yv(nu, x) for one block, as Im hankel1(nu, x) where that is not NaN
-    and nu >= 0 (see the module docstring)."""
-    if nu < 0:
-        return _sp.yv(nu, x, out=out)
+def _hankel_imag(order: float, sign: float, exact, nu: float, x: np.ndarray,
+                 out=None):
+    """exact(nu, x) for one block, as sign * Im hankel1(order, x) where that
+    is not NaN (see the module docstring)."""
     out = np.empty(x.shape) if out is None else out
-    out[...] = _sp.hankel1(nu, x).imag
+    np.multiply(_sp.hankel1(order, x).imag, sign, out=out)
     nan = np.isnan(out)
     if nan.any():
-        out[nan] = _sp.yv(nu, x[nan])
+        out[nan] = exact(nu, x[nan])
     return out
+
+
+def _neumann(nu: float, x: np.ndarray, out=None):
+    """yv(nu, x) for one block, from one Hankel evaluation when nu >= 0."""
+    if nu < 0:
+        return _sp.yv(nu, x, out=out)
+    return _hankel_imag(nu, 1.0, _sp.yv, nu, x, out)
+
+
+def _j_minus_half(nu: float, x: np.ndarray, out=None):
+    """jv(-1/2, x) for one block, as -N_{1/2}(x) from one Hankel evaluation."""
+    return _hankel_imag(0.5, -1.0, _sp.jv, nu, x, out)
 
 
 def bessel_j(nu: Order, x):
     """Bessel function of the first kind J_nu(x).
 
     x may be a scalar or array, x > 0 (x = 0 allowed for nu >= 0); a NaN
-    argument raises DomainError.
+    argument raises DomainError.  The values are scipy's `jv`, bit for bit;
+    for nu = -1/2 they come from one `hankel1` call (see the module
+    docstring), with `jv` where that is NaN.
     """
     arr, scalar = _as_array(x)
     if not np.all(arr >= 0):
         raise DomainError("bessel_j requires x >= 0")
     if nu.twice_nu < 0 and np.any(arr == 0):
         raise DomainError("bessel_j at x = 0 requires nu >= 0")
-    out = _ufunc(_sp.jv, nu.nu, arr)
+    out = _ufunc(_j_minus_half if nu.twice_nu == -1 else _sp.jv, nu.nu, arr)
     return float(out) if scalar else out
 
 

@@ -211,6 +211,41 @@ class TestIntegrandContract:
             integrate(f)
 
 
+class TestEnvelopeContract:
+    """An envelope maps a float to one real value: a scalar or an array of
+    shape (1,)."""
+
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array([[0.5]]), 1j],
+                             ids=["two-values", "one-by-one", "complex"])
+    def test_wrong_value_raises_before_any_call(self, value):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(-x)
+
+        with pytest.raises(ValueError, match="an envelope must map a float to one real value"):
+            integrate_semiinfinite_damped(f, CFG, envelope=lambda x: value)
+        assert calls == []
+
+    def test_one_element_array_equals_zero_d(self):
+        f = lambda x: np.cos(3.0 * x) / (1.0 + x)
+        expected = integrate_semiinfinite_damped(
+            f, CFG, envelope=lambda x: np.array(1.0 / (1.0 + x)))
+        assert integrate_semiinfinite_damped(
+            f, CFG, envelope=lambda x: np.array([1.0 / (1.0 + x)])) == expected
+
+    @pytest.mark.parametrize("kind", [int, np.float32, np.float64, np.array,
+                                      lambda v: np.array([v])],
+                             ids=["int", "float32", "float64", "zero-d", "one-element"])
+    def test_valid_values_read_as_float(self, kind):
+        # 5e5 decays below the floor at a probe past the first for every eps
+        f = lambda x: np.exp(-x)
+        expected = integrate_semiinfinite_damped(f, CFG, envelope=lambda x: 5e5)
+        assert integrate_semiinfinite_damped(
+            f, CFG, envelope=lambda x: kind(500000)) == expected
+
+
 def _walk_by_cases(X, osc_scale, quad_phase):
     """Reference: the mesh walk with one branch per step on quad_phase (the
     loop the one-statement walk of `_mesh` replaced), for finite X."""

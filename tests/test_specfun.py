@@ -378,26 +378,63 @@ def _child_bessel_n(x):
 
 
 # ---------------------------------------------------------------------------
-# bessel_n is Im H1 for nu >= 0: the same bits as scipy's yv everywhere
+# bessel_n for nu >= 0 and bessel_j for nu = -1/2 are one Hankel evaluation:
+# the same bits as scipy's yv and jv everywhere
 
 # down to 1e-320, so the overflow band near 0 (yv = -inf, Im H1 = NaN) is in;
-# at x = inf both are NaN.  Long enough to run on the pool.
+# past 2.26e15, where Im H1 is NaN again, up to the largest float; at x = inf
+# both are NaN.  Long enough to run on the pool.
 _NEUMANN_X = np.concatenate([np.logspace(-320.0, 12.0, 12000),
                              np.linspace(1e-3, 200.0, 12000),
-                             np.linspace(200.0, 2000.0, 600), [np.inf]])
+                             np.linspace(200.0, 2000.0, 600),
+                             np.logspace(12.0, 308.0, 3000),
+                             [np.finfo(float).max, np.inf]])
+
+def _hankel_cases(neumann_orders):
+    """(function, scipy's function, 2 nu): bessel_n at each 2 nu, with 2 nu
+    as id, and bessel_j at nu = -1/2."""
+    return [pytest.param(bessel_n, sp.yv, twice_nu, id=str(twice_nu))
+            for twice_nu in neumann_orders] + [
+        pytest.param(bessel_j, sp.jv, -1, id="j-minus-half")]
+
+
+class _CountingSpecial:
+    """scipy.special with each call of jv recorded with its argument size."""
+
+    def __init__(self):
+        self.jv_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+    def jv(self, nu, x, *args, **kwargs):
+        self.jv_sizes.append(np.size(x))
+        return sp.jv(nu, x, *args, **kwargs)
 
 
 class TestNeumannBits:
-    @pytest.mark.parametrize("twice_nu", range(-1, 22))
-    def test_equal_to_yv(self, pool, twice_nu):
-        out = bessel_n(Order(twice_nu), _NEUMANN_X)
-        assert np.array_equal(out, sp.yv(twice_nu / 2, _NEUMANN_X), equal_nan=True)
+    @pytest.mark.parametrize("fn, raw, twice_nu", _hankel_cases(range(-1, 22)))
+    def test_equal_to_yv(self, pool, fn, raw, twice_nu):
+        out = fn(Order(twice_nu), _NEUMANN_X)
+        ref = raw(twice_nu / 2, _NEUMANN_X)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
         if pool is not None:
             assert pool.tasks == -(-_NEUMANN_X.size // BLOCK)
 
-    @pytest.mark.parametrize("twice_nu", [-1, 0, 1, 9, 21])
-    def test_scalar_and_zero_d(self, twice_nu):
+    @pytest.mark.parametrize("fn, raw, twice_nu", _hankel_cases([-1, 0, 1, 9, 21]))
+    def test_scalar_and_zero_d(self, fn, raw, twice_nu):
         for x in (1e-310, 1e-40, 0.75, 31.0, 1e10, np.float64(2.5), np.array(6.0)):
-            out = bessel_n(Order(twice_nu), x)
+            out = fn(Order(twice_nu), x)
             assert type(out) is float
-            assert out == sp.yv(twice_nu / 2, float(x))
+            assert out == raw(twice_nu / 2, float(x))
+
+    def test_j_minus_half_calls_no_jv(self, pool, monkeypatch):
+        # off the NaN bands of Im H1, jv is never called: one Hankel
+        # evaluation a point
+        counting = _CountingSpecial()
+        monkeypatch.setattr(specfun, "_sp", counting)
+        x = ARGUMENTS["5block+17"]
+        out = bessel_j(MINUS_HALF, x)
+        assert counting.jv_sizes == []
+        assert np.array_equal(out, sp.jv(-0.5, x))
