@@ -390,6 +390,7 @@ _NEUMANN_X = np.concatenate([np.logspace(-320.0, 12.0, 12000),
                              np.logspace(12.0, 308.0, 3000),
                              [np.finfo(float).max, np.inf]])
 
+
 def _hankel_cases(neumann_orders):
     """(function, scipy's function, 2 nu): bessel_n at each 2 nu, with 2 nu
     as id, and bessel_j at nu = -1/2."""
