@@ -13,10 +13,9 @@ Tabulated profiles are read from CSV with header
 
 five entries a row, strictly increasing s >= 0 and every entry finite (a
 UTF-8 byte-order mark before the header is accepted);
-values are interpolated with a monotone cubic scheme inside the sample range
-and extended by zero beyond it.  The interpolator (scipy.interpolate) is
-imported when the first table is built, so a process that uses only builtin
-profiles never loads it.
+values are interpolated by `complex_pchip`, the package's own PCHIP
+(scipy 1.17's `PchipInterpolator` values, bit for bit), inside the sample
+range and extended by zero beyond it.
 """
 
 from __future__ import annotations
@@ -100,18 +99,79 @@ def builtin_profile(name: str) -> RadialProfile:
 
 
 def complex_pchip(x: np.ndarray, y: np.ndarray) -> Callable:
-    """Monotone cubic interpolant of complex samples y(x); zero outside
-    [x[0], x[-1]].  scipy's PchipInterpolator is imported on the first call."""
-    # deferred: scipy.interpolate also loads scipy.optimize (~0.2 s, ~25 MB)
-    from scipy.interpolate import PchipInterpolator
+    """PCHIP interpolant of complex samples y(x), the real and imaginary
+    parts each its own monotone cubic (Fritsch & Butland, SIAM J. Sci. Stat.
+    Comput. 5, 1984); zero outside [x[0], x[-1]] and at nan.
 
-    interp = PchipInterpolator(x, np.column_stack([y.real, y.imag]),
-                               extrapolate=False)
+    The knot slopes are the weighted harmonic mean of the neighbouring
+    secants, 0 where those change sign or one is 0; the end slopes are
+    one-sided three-point estimates, clamped to keep the data's shape;
+    two knots give the line.  Intervals are x[i] <= x < x[i+1], the last
+    closed.  The floating-point operations are those of scipy 1.17's
+    `PchipInterpolator(x, [y.real, y.imag], extrapolate=False)` on the same
+    operands, so the values are scipy's bit for bit, sign bits included.
+    A query of any shape gives a complex result of that shape.  Fewer than
+    two knots, a y not of x's shape, non-finite samples or a non-increasing
+    x raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    if x.ndim != 1 or len(x) < 2 or y.shape != x.shape:
+        raise ValueError("complex_pchip needs at least two knots and one "
+                         "sample per knot")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("complex_pchip needs finite knots and samples")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("complex_pchip needs strictly increasing knots")
+    yp = np.array([y.real, y.imag], dtype=float)    # one row per part
+    m = np.diff(yp) / h
+    if len(x) == 2:
+        d = np.concatenate([m, m], axis=1)
+    else:
+        sm = np.sign(m)
+        flat = (sm[:, 1:] != sm[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.zeros_like(yp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+            d[:, 1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        # both ends at once: the end interval and its neighbour
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[:, [0, -1]], m[:, [1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        keep = np.sign(e) == np.sign(m0)
+        steep = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        d[:, [0, -1]] = np.where(steep, 3.0 * m0, np.where(keep, e, 0.0))
+    t = (d[:, :-1] + d[:, 1:] - 2 * m) / h
+    # a column per interval i: x[i], then the coefficients of s^0..s^3 at
+    # s = x - x[i], each for the real and the imaginary part; scipy's sum
+    # starts from 0.0, which turns a -0.0 sample into +0.0
+    rows = np.concatenate([x[None, :-1], yp[:, :-1] + 0.0, d[:, :-1],
+                           (m - d[:, :-1]) / h - t, t / h])
+    inner, lo, hi = x[1:-1], x[0], x[-1]
 
     def f(xq):
-        v = interp(np.asarray(xq, dtype=float))
-        v[np.isnan(v)] = 0.0    # outside [x[0], x[-1]]; finite samples give no inf
-        return v[..., 0] + 1j * v[..., 1]
+        xq = np.asarray(xq, dtype=float)
+        xf = xq.ravel()
+        # searching the inner knots gives x[i] <= xf < x[i+1], the last closed
+        r = rows.take(np.searchsorted(inner, xf, side="right"), axis=1)
+        s = np.subtract(xf, r[0], out=r[0])
+        # outside the knots s is nan, like a nan query, and the value 0 below
+        np.copyto(s, np.nan, where=(xf < lo) | (xf > hi))
+        c0, c1, c2, c3 = r[1:3], r[3:5], r[5:7], r[7:9]
+        # ((c0 + c1 s) + c2 s^2) + c3 s^3 with s^3 = (s s) s, in place
+        v = c1 * s
+        v += c0
+        s2 = s * s
+        c2 *= s2
+        v += c2
+        s2 *= s
+        c3 *= s2
+        v += c3
+        v[np.isnan(v)] = 0.0
+        v = v.reshape((2,) + xq.shape)
+        return v[0] + 1j * v[1]
 
     return f
 

@@ -128,10 +128,12 @@ def recursion_step(F_n: Callable, k: float):
 
     Raises the spatial dimension by two: applied to F^(n) as a function of
     the spatial momentum magnitude it yields F^(n+2) at the same magnitude.
-    Returns (value, error_estimate); the error estimate is the step-halving
-    change of the Richardson-combined derivative.  The step is
-    h = max(1e-3, 1e-3 k), so k must exceed 2e-3 for F_n(k - h) to stay
-    at momenta above k/2.
+    For a timelike invariant magnitude l the derivative enters with the
+    opposite sign, F^(n+2)(l) = +(1/(2 pi l)) dF^(n)/dl, so the caller
+    negates the value there.  Returns (value, error_estimate); the error
+    estimate is the step-halving change of the Richardson-combined
+    derivative.  The step is h = max(1e-3, 1e-3 k), so k must exceed 2e-3
+    for F_n(k - h) to stay at momenta above k/2.
     """
     h = max(1e-3, 1e-3 * k)
     if not h < k / 2:

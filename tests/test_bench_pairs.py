@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,8 +56,9 @@ class TestSuiteTimings:
         monkeypatch.setattr(bp, "commit_of", lambda checkout: checkout.name)
         monkeypatch.setattr(bp, "suite_names", lambda checkout: ["angular", "chi"])
         walls = {"p": 2.0, "c": 1.0}
+        rss = {"p": 80.0, "c": 60.0}
         monkeypatch.setattr(bp, "time_once", lambda checkout, name:
-                            (walls[checkout.name], 0, f"{name} ok"))
+                            (walls[checkout.name], 0, f"{name} ok", rss[checkout.name]))
         argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
                 "--suites", "--out", str(out)]
         bp.main(argv)
@@ -78,6 +81,30 @@ class TestSuiteTimings:
             assert entry["change_q1_median_q3"] == [1.0, 1.0, 1.0]
             assert entry["change_over_parent_median"] == 0.5
             assert entry["pairs"] == 6 and entry["returncodes"] == [0]
+            assert entry["parent_rss_mb_q1_median_q3"] == [80.0, 80.0, 80.0]
+            assert entry["change_rss_mb_q1_median_q3"] == [60.0, 60.0, 60.0]
+        assert {r["peak_rss_mb"] for r in runs} == {80.0, 60.0}
+
+    def test_peak_rss_of_a_real_child(self, tmp_path):
+        # Linux counts the spawning process's resident set in a child's
+        # ru_maxrss, so the children are spawned from a fresh interpreter,
+        # not from this test session.  A bare child reads that interpreter's
+        # baseline; a child that writes 50 MB peaks well above it
+        code = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bp = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bp)
+bare = bp.measure([sys.executable, "-c", "pass"], sys.argv[2])
+big = bp.measure(
+    [sys.executable, "-c", "b = b'x' * (50 << 20); print('done', len(b))"], sys.argv[2])
+assert bare[1] == big[1] == 0 and big[2] == f"done {50 << 20}", (bare, big)
+assert big[3] > bare[3] + 30.0, (bare, big)
+"""
+        run = subprocess.run([sys.executable, "-c", code,
+                              str(ROOT / "tools" / "bench_pairs.py"), str(tmp_path)],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("extra", [["--trace"], ["--workload", "identities"],
                                        ["--seeds", "1701-1702"]])

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,133 @@ class TestComplexPchip:
         out = complex_pchip(self.X, self.Y)(xq)
         assert out.shape == xq.shape
         assert np.array_equal(out.real, re) and np.array_equal(out.imag, im)
+
+
+def _scipy_pchip(x, y):
+    """The reference: scipy's interpolant of both parts, nan set to 0."""
+    from scipy.interpolate import PchipInterpolator
+    interp = PchipInterpolator(x, np.column_stack([y.real, y.imag]),
+                               extrapolate=False)
+
+    def f(xq):
+        v = interp(np.asarray(xq, dtype=float))
+        v[np.isnan(v)] = 0.0
+        return v[..., 0] + 1j * v[..., 1]
+
+    return f
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype == complex
+            and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def _transverse_knots(eta):
+    """The knots and samples of the bump's 1+2 transverse table at eta."""
+    seen = []
+
+    def record(x, y):
+        seen.append((x, y))
+        return complex_pchip(x, y)
+
+    fw = oracle.profile_on_invariant(builtin_profile("compact_bump"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "complex_pchip", record)
+        oracle._transverse_table(fw, 1.0, eta)
+    return seen[0]
+
+
+def _pchip_tables():
+    """(id, x, y): seeded tables covering the derivative rule's branches."""
+    rng = np.random.default_rng(2604)
+    tables = [
+        ("two-knots", np.array([-0.5, 2.0]), np.array([1.0 - 2.0j, -3.0 + 0.5j])),
+        # a -0.0 sample where scipy's sum, started from 0.0, gives +0.0
+        ("signed-zero", np.array([0.180479, 0.50913159, 1.0334836]),
+         np.array([2.04824527 - 1.23849129j, -0.0 - 1.650011j,
+                   -3.29122601 - 1.52703244j])),
+        # flat secants of either zero sign: the knot between them has slope 0
+        ("signed-zero-secants", np.arange(6.0),
+         np.array([1.0, 0.0, -0.0, 0.0, -0.0, 2.0]) + 1j * np.array([0.0, -0.0, 0.0, 0.0, 1.0, 1.0])),
+    ]
+    for j in range(8):
+        n = (3, 4, 7, 40)[j % 4]
+        x = np.cumsum(rng.exponential(size=n)) - 1.0
+        ties = np.round(rng.normal(size=(2, n)))
+        tables += [
+            (f"ties-zero-slopes-{j}", x, ties[0] + 1j * ties[1]),
+            (f"sign-changes-{j}", x,
+             np.cos(3.0 * x) * rng.normal(size=n) + 1j * rng.normal(size=n)),
+            (f"real-only-{j}", x, rng.normal(size=n)),
+            (f"negative-x-{j}", x - x[-1] - 0.5,
+             np.cumsum(rng.random(n)) * (1.0 - 1.0j) * (rng.random(n) < 0.7)),
+        ]
+    eta = window_config_for(builtin_profile("compact_bump"), MomentumMagnitude(0.5, SL),
+                            dims=2).epsilon_schedule[-1]
+    tables.append(("transverse-table", *_transverse_knots(eta)))
+    return [pytest.param(x, y, id=name) for name, x, y in tables]
+
+
+class TestComplexPchipBits:
+    """complex_pchip against scipy's PchipInterpolator, bit for bit."""
+
+    @pytest.mark.parametrize("x, y", _pchip_tables())
+    def test_equal_to_scipy(self, x, y):
+        rng = np.random.default_rng(len(x))
+        span = x[-1] - x[0]
+        xq = np.concatenate([
+            x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            [x[0] - 1e-3 * span, x[-1] + 1e-3 * span, -1e300, 1e300],
+            rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 2000),
+            [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+        got = complex_pchip(x, y)(xq)
+        assert _same_bits(got, _scipy_pchip(x, y)(xq))
+        assert np.all(got[-5:-2] == 0.0)
+
+    def test_oracle_queries_on_the_transverse_table(self):
+        # the products u v of node pairs the 1+2 window integral asks for
+        x, y = _transverse_knots(0.02)
+        rng = np.random.default_rng(5)
+        xq = rng.uniform(-40.0, 40.0, (128, 16, 1)) * rng.uniform(-40.0, 40.0, (128, 1, 16))
+        assert _same_bits(complex_pchip(x, y)(xq), _scipy_pchip(x, y)(xq))
+
+    @pytest.mark.parametrize("xq", [0.7, 2.0, -1.0, np.float64(0.25), np.array(1.5),
+                                    np.array(np.nan), [0.1, 1.9],
+                                    np.linspace(-0.5, 2.5, 60).reshape(3, 4, 5)],
+                             ids=["scalar", "last-knot", "outside", "float64", "0-d",
+                                  "0-d-nan", "list", "3-d"])
+    def test_shapes(self, xq):
+        x, y = TestComplexPchip.X, TestComplexPchip.Y
+        got = complex_pchip(x, y)(xq)
+        assert np.shape(got) == np.shape(xq)
+        assert _same_bits(got, _scipy_pchip(x, y)(xq))
+
+    def test_nan_and_inf_queries_warn_nothing(self):
+        f = complex_pchip(TestComplexPchip.X, TestComplexPchip.Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f(np.array([[np.nan, np.inf], [-np.inf, 1.0]]))
+        assert np.all(out[0] == 0.0) and out[1, 0] == 0.0 and out[1, 1] != 0.0
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.5], [1.0 + 0j]),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, np.nan, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, complex(2.0, np.nan), 3.0]),
+    ], ids=["one-knot", "repeated-x", "decreasing-x", "nan-x", "inf-x", "inf-y",
+            "nan-imag-y"])
+    def test_refused_as_scipy_refuses(self, x, y):
+        x, y = np.array(x), np.array(y, dtype=complex)
+        with pytest.raises(ValueError):
+            _scipy_pchip(x, y)
+        with pytest.raises(ValueError):
+            complex_pchip(x, y)
 
 
 class TestGoldenBits:

