@@ -119,6 +119,7 @@ def measure(cmd, checkout):
                                  stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
+        # reaped above: Popen must not wait for it again
         child.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         lines = out.read().decode(errors="replace").strip().splitlines()
