@@ -122,3 +122,46 @@ assert big[3] > bare[3] + 30.0, (bare, big)
         with pytest.raises(SystemExit):
             _bench_pairs().main(["--parent", str(tmp_path), "--change", str(ROOT),
                                  "--out", str(tmp_path / "BENCH.json")])
+
+
+class TestSummary:
+    @staticmethod
+    def _runs(pairs):
+        """Runs of one workload from (parent, change) values of each metric
+        per seed."""
+        runs = []
+        for seed, values in enumerate(pairs):
+            for side, i in (("parent", 0), ("change", 1)):
+                metrics = {name: {"value": v[i]} for name, v in values.items()}
+                runs.append({"workload": "w", "seed": seed, "side": side,
+                             "result": {"metrics": metrics}})
+        return runs
+
+    def test_gain_resolved_and_every_change_run_better(self):
+        metrics = [{"name": "tail", "better": "lower", "bound": 0.25},
+                   {"name": "tied", "better": "lower", "bound": 0.25},
+                   {"name": "rate", "better": "higher", "bound": 0.25},
+                   {"name": "apart", "better": "higher", "bound": 0.25}]
+        parent = [100.0 + i for i in range(10)]
+        pairs = [{"tail": (p, p - 8.0 if i else p),       # 9 wins, 1 tie
+                  "tied": (p, p - 8.0 if i > 1 else p),   # 8 wins, 2 ties
+                  "rate": (p, p + 4.0),                   # 10 wins, gain below 1 IQR
+                  "apart": (p, p + 20.0)}                 # every change run above
+                 for i, p in enumerate(parent)]
+        summary = _bench_pairs().summarize(self._runs(pairs), metrics)["w"]
+        # the parent's quartiles are 102.25 and 106.75: an IQR of 4.5
+        assert summary["tail"]["change_wins"] == "9/10"
+        assert summary["tail"]["gain_over_parent_iqr"] > 1
+        assert summary["tail"]["gain_resolved"] is True
+        assert summary["tail"]["every_change_run_better"] is False
+        assert summary["tied"]["change_wins"] == "8/10"
+        assert summary["tied"]["gain_over_parent_iqr"] > 1
+        assert summary["tied"]["gain_resolved"] is False
+        assert summary["rate"]["change_wins"] == "10/10"
+        assert 0 < summary["rate"]["gain_over_parent_iqr"] <= 1
+        assert summary["rate"]["gain_resolved"] is False
+        assert summary["rate"]["every_change_run_better"] is False
+        assert summary["apart"]["gain_resolved"] is True
+        assert summary["apart"]["every_change_run_better"] is True
+        # the verdict is unchanged by either
+        assert {entry["verdict"] for entry in summary.values()} == {"within bound"}

@@ -1,15 +1,20 @@
 """Profile construction, CSV round trips, interpolation behaviour."""
 
 import io
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import lorentzft
+from lorentzft import oracle, profiles, specfun
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import (
     BUILTIN_PROFILES,
@@ -218,3 +223,174 @@ assert not loaded, f"loaded {loaded}"
         run = subprocess.run([sys.executable, "-c", code, CSV_HEADER_LINE + body],
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+# ---------------------------------------------------------------------------
+# gauss_oscillatory's branches: the bits of np.exp(+-1j s**2), with a long
+# radii array split into blocks on the specfun pool
+
+CHIRP_MIN = profiles._CHIRP_POOL_MIN
+BLOCK = specfun._BLOCK
+CHIRP = builtin_profile("gauss_oscillatory")
+CHIRP_BRANCHES = [pytest.param(CHIRP.f_timelike, 1j, id="timelike"),
+                  pytest.param(CHIRP.f_spacelike, -1j, id="spacelike")]
+
+
+def _radii(size, low=0.0, high=40.0):
+    return np.random.default_rng(size).uniform(low, high, size)
+
+
+CHIRP_RADII = {
+    "0": _radii(0),
+    "1": _radii(1),
+    "min-1": _radii(CHIRP_MIN - 1),
+    "min": _radii(CHIRP_MIN),
+    "min+1": _radii(CHIRP_MIN + 1),
+    "300001": _radii(300_001),
+    "negative": _radii(CHIRP_MIN + 5, -40.0, 40.0),
+    "2d": _radii(3 * 30_000).reshape(3, 30_000),
+    "float32": _radii(CHIRP_MIN + 1).astype(np.float32),
+    "int": np.arange(CHIRP_MIN) % 41,
+    "0d": np.array(1.75),
+    "float": 1.75,
+    "list": [0.0, 0.5, -1.25, 3.0],
+}
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A two-worker pool that counts the blocks submitted to it."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A counting two-worker pool in place of the shared one, even on one CPU."""
+    with CountingPool() as counting:
+        monkeypatch.setattr(specfun, "_pool", counting)
+        yield counting
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(got, ref, equal_nan=True)
+            and np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(ref.imag)))
+
+
+def _with_non_finite(size, where):
+    """Radii of `size` points with nan, inf and -inf at `where`."""
+    s = _radii(size)
+    s[where] = [np.nan, np.inf, -np.inf]
+    return s
+
+
+# nan and +-inf in the first block and in the last block of a pooled array
+NON_FINITE_RADII = [
+    pytest.param(_with_non_finite(CHIRP_MIN + 100, [3, 4, 5]), id="first-block"),
+    pytest.param(_with_non_finite(CHIRP_MIN + 100, [-3, -2, -1]), id="last-block"),
+]
+
+
+def _child_chirp(s):
+    assert _same_bits(CHIRP.f_timelike(s), np.exp(1j * s ** 2))
+    assert _same_bits(CHIRP.f_spacelike(s), np.exp(-1j * s ** 2))
+
+
+class TestChirp:
+    @pytest.mark.parametrize("name", sorted(CHIRP_RADII))
+    @pytest.mark.parametrize("branch, rate", CHIRP_BRANCHES)
+    def test_bits_of_the_inline_expression(self, pool, branch, rate, name):
+        s = CHIRP_RADII[name]
+        got, ref = branch(s), np.exp(rate * np.asarray(s) ** 2)
+        assert type(got) is type(ref)
+        assert _same_bits(got, ref)
+        size = np.size(s)
+        assert pool.tasks == (-(-size // BLOCK) if size >= CHIRP_MIN else 0)
+
+    def test_oracle_pieces_stay_inline(self):
+        # the 1+n oracle sends f(u v) one piece of cell pairs at a time;
+        # below the chirp's minimum the hand-off costs what the split saves
+        assert oracle._PIECE * oracle._GLN ** 2 < CHIRP_MIN
+
+    @pytest.mark.parametrize("s", NON_FINITE_RADII)
+    @pytest.mark.parametrize("branch, rate", CHIRP_BRANCHES)
+    def test_warnings_as_errors_raise_as_inline(self, pool, branch, rate, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning) as inline:
+                np.exp(rate * s ** 2)
+            with pytest.raises(RuntimeWarning) as pooled:
+                branch(s)
+        assert str(pooled.value) == str(inline.value)
+        assert pool.tasks == -(-s.size // BLOCK)
+
+    @pytest.mark.parametrize("s", NON_FINITE_RADII)
+    @pytest.mark.parametrize("branch, rate", CHIRP_BRANCHES)
+    def test_errstate_holds_in_the_workers(self, pool, branch, rate, s):
+        # the blocks run in a copy of the caller's context, which holds
+        # np.errstate; a worker's own context would warn, an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                ref = np.exp(rate * s ** 2)
+                got = branch(s)
+        assert _same_bits(got, ref)
+        assert pool.tasks == -(-s.size // BLOCK)
+
+    def test_a_failing_block_raises_after_every_block_ends(self, pool, monkeypatch):
+        block = profiles._chirp_block
+        s = CHIRP_RADII["300001"]
+        ran = []
+
+        def failing(rate, x, out=None):
+            if x[0] == s[0]:
+                raise ZeroDivisionError("block 0")
+            time.sleep(0.01)
+            ran.append(x.size)
+            return block(rate, x, out=out)
+
+        futures = []
+        submit = pool.submit
+
+        def recording_submit(*args, **kwargs):
+            futures.append(submit(*args, **kwargs))
+            return futures[-1]
+
+        monkeypatch.setattr(profiles, "_chirp_block", failing)
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        with pytest.raises(ZeroDivisionError, match="block 0"):
+            CHIRP.f_timelike(s)
+        assert len(futures) == -(-s.size // BLOCK)
+        assert all(f.done() for f in futures)
+        assert sum(ran) == s.size - BLOCK
+
+    def test_forked_child_after_the_pool_ran(self, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        # a pool built as at import, with two workers, whose threads run
+        # before the fork; the child must build its own
+        monkeypatch.setattr(specfun, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(specfun, "_pool", specfun._new_pool())
+        s = CHIRP_RADII["300001"]
+        CHIRP.f_timelike(s)
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_child_chirp, args=(s,))
+            child.start()
+            child.join(timeout=20)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+            assert not hung
+            assert child.exitcode == 0
+        finally:
+            specfun._pool.shutdown()

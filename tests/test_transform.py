@@ -6,6 +6,8 @@ import dataclasses
 import importlib
 import io
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -498,3 +500,62 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="increase"):
             spectrum(1, builtin_profile("zero"), [tmom(1.0), tmom(0.5)], CFG)
         assert calls == []
+
+
+class TestParallelWork:
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
+        # the benchmark's tracer keeps one span stack, so every name it wraps
+        # on this path must run on the caller's thread; only leaf numpy and
+        # scipy calls (Bessel blocks, chirp blocks) may go to the pool
+        calls = []
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        kernels = importlib.import_module("lorentzft.kernels")
+        quadrature = importlib.import_module("lorentzft.quadrature")
+        for module, name in [(TRANSFORM_MODULE, "minkowski_kernel"),
+                             (kernels, "bessel_j"), (kernels, "bessel_n"),
+                             (kernels, "bessel_k"),
+                             (TRANSFORM_MODULE, "integrate_semiinfinite_damped"),
+                             (quadrature, "extrapolate_to_zero")]:
+            monkeypatch.setattr(module, name, record(name, getattr(module, name)))
+
+        chirp_tasks = []
+
+        def branch(name, fn):
+            def counted(s):
+                before = pool.tasks
+                out = fn(s)
+                chirp_tasks.append(pool.tasks - before)
+                return out
+            return record(name, counted)
+
+        profile = builtin_profile("gauss_oscillatory")
+        profile = dataclasses.replace(
+            profile, f_timelike=branch("timelike", profile.f_timelike),
+            f_spacelike=branch("spacelike", profile.f_spacelike))
+        with CountingPool() as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            transform(5, profile, tmom(1.25), QuadConfig(1e-4, 1e-4))
+        assert {name for name, _ in calls} >= {
+            "timelike", "spacelike", "minkowski_kernel", "bessel_n", "bessel_k",
+            "integrate_semiinfinite_damped", "extrapolate_to_zero"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        # the branches' long meshes sent chirp blocks to the pool
+        assert sum(chirp_tasks) > 0 and pool.tasks > sum(chirp_tasks)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A two-worker pool that counts the blocks submitted to it."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)

@@ -23,7 +23,12 @@ median in the worse direction, the bound, the parent's interquartile range
 over its median, the pairs the change wins, and a verdict: "worse than
 bound", "unresolved: parent IQR wider than bound" or "within bound".
 `gain_over_parent_iqr` is the median difference in the better direction
-over the parent's interquartile range: a gain is resolved above 1.
+over the parent's interquartile range.  `gain_resolved` is true when the
+change wins at least 9 in 10 of the pairs (a tie is a win for neither
+side) and `gain_over_parent_iqr` exceeds 1.  `every_change_run_better` is
+true when every change run reads better than every parent run: a metric
+whose spread is wider than its bound is no worse in that case.  Neither
+alters the verdict, and the tool gates nothing.
 
     python tools/bench_pairs.py --parent PATH --change PATH \
         --suites --out BENCH_17.json
@@ -235,6 +240,10 @@ def summarize(runs, metrics):
                          "parent_iqr_over_median": round(iqr, 4),
                          "change_wins": f"{wins}/{len(pairs)}",
                          "gain_over_parent_iqr": None if gain is None else round(gain, 2),
+                         "gain_resolved": (10 * wins >= 9 * len(pairs)
+                                           and gain is not None and gain > 1),
+                         "every_change_run_better":
+                             max(sign * c for c in chg) < min(sign * p for p in par),
                          "verdict": verdict}
         summary[workload] = out
     return summary
