@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from lorentzft.profiles import (
 )
 from lorentzft.quadrature import QuadConfig
 from lorentzft.transform import transform
+from test_specfun import CountingPool
 
 
 CSV_HEADER_LINE = "s,re_timelike,im_timelike,re_spacelike,im_spacelike\n"
@@ -255,18 +255,6 @@ CHIRP_RADII = {
     "float": 1.75,
     "list": [0.0, 0.5, -1.25, 3.0],
 }
-
-
-class CountingPool(ThreadPoolExecutor):
-    """A two-worker pool that counts the blocks submitted to it."""
-
-    def __init__(self):
-        super().__init__(2)
-        self.tasks = 0
-
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
 
 
 @pytest.fixture

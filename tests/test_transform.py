@@ -7,7 +7,6 @@ import importlib
 import io
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from lorentzft.transform import (
     spectrum,
     transform,
 )
+from test_specfun import CountingPool
 
 TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
 CFG = QuadConfig()
@@ -547,15 +547,3 @@ class TestParallelWork:
         assert {ident for _, ident in calls} == {threading.get_ident()}
         # the branches' long meshes sent chirp blocks to the pool
         assert sum(chirp_tasks) > 0 and pool.tasks > sum(chirp_tasks)
-
-
-class CountingPool(ThreadPoolExecutor):
-    """A two-worker pool that counts the blocks submitted to it."""
-
-    def __init__(self):
-        super().__init__(2)
-        self.tasks = 0
-
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
