@@ -77,8 +77,8 @@ def _zeros(s):
 
 
 # Shorter radii arrays evaluate the chirp inline: below about 64k points the
-# hand-off to the pool costs what the split saves.  The oracle's plane pieces
-# send at most 32,768 points to a branch, so they stay inline.
+# split saves little or nothing, and pooling the oracle's plane pieces (at
+# most 32,768 points a branch call) made the oracle slower.
 _CHIRP_POOL_MIN = 65536
 
 

@@ -29,10 +29,12 @@ the process may use and built at import, each block writing its own slice
 of one output array.  The ufunc is elementwise, so the result is
 bit-identical to one call.  The same splitter, `_ufunc`, serves the chirp
 exp(+-i s^2) of the `gauss_oscillatory` profile, from its own minimum of
-65,536 points (see `profiles`): measured on a 2-core machine, one branch
-call of 64k points took 2.3 ms pooled against 2.8-3.3 ms inline, while at
-16k and 32k points the hand-off cost what the split saved.  The Bessel
-minimum is three blocks (24,576 points).  Each block runs in a copy of the
+65,536 points (see `profiles`).  Measured on a 2-core machine, one branch
+call of 64k points took 2.3-2.9 ms pooled against 2.8-3.8 ms inline; at
+16k points the split gained nothing, at 32k its gain came and went between
+runs, and a minimum of 24,576 points made the 1+1 oracle on that profile
+(pieces of 32,768 points) slower.  The Bessel minimum is three blocks
+(24,576 points).  Each block runs in a copy of the
 caller's `contextvars` context, so the caller's `np.errstate` holds in the
 workers, and every block is waited for before an error is raised.  Only
 leaf numpy and scipy ufunc calls run on the pool: the wrappers, the
