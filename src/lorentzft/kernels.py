@@ -124,7 +124,8 @@ class MomentumMagnitude:
 
 def check_dimension(n: int) -> None:
     """Raise DomainError unless the spatial dimension n is supported."""
-    if not isinstance(n, (int, np.integer)):
+    # bool is an int subclass, but True is no dimension
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"spatial dimension n must be an integer, got {n!r}")
     if not _N_MIN <= n <= _N_MAX:
         raise DomainError(f"spatial dimension n={n} outside [{_N_MIN}, {_N_MAX}]")

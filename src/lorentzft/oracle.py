@@ -213,7 +213,8 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
     """
     if dims not in (1, 2):
         raise DomainError(f"the window oracle covers dims 1 and 2, got {dims!r}")
-    if n_etas is not None and not isinstance(n_etas, (int, np.integer)):
+    if n_etas is not None and (isinstance(n_etas, bool)
+                               or not isinstance(n_etas, (int, np.integer))):
         raise ValueError(f"n_etas must be an integer, got {n_etas!r}")
     if profile.support_radius is None:
         default = (0.08, 3)

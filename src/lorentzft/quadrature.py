@@ -9,20 +9,24 @@ For each eps in a decreasing schedule the damped integral is evaluated on
 [0, X(eps)] with X chosen so the damped tail is negligible, and the sequence
 of values is extrapolated polynomially to eps = 0; `_truncation_points`
 places a schedule's X(eps) in one forward search, evaluating an envelope
-once per probe point for the whole schedule.  The panel mesh is a
-deterministic function of the configuration (never of sampled integrand
-values), so two integrands that agree pointwise are integrated on
-identical nodes, and one mesh is built per distinct truncation point.  A panel's rule has 36 nodes: the 24
-Gauss-Legendre nodes of the main rule, then the 12 of the error rule.  f is
-called once on the widest mesh of a schedule and once more on the panels
-each narrower mesh does not share with it.  Each mesh's values are then
-reweighted by exp(-eps x^2) for all the eps whose mesh it is in one array
-pass, the widest mesh last and in place when one eps uses it; an eps whose
-mesh is the widest one reuses its nodes as they are.  The engine damps its
-own copy of what f returns and never writes f's array, so f may return a
-read-only array or keep the one it returned.  The sums are formed
-exactly as a separate evaluation per eps and rule would form them, to the
-last bit.
+once per probe point for the whole schedule, or else f in at most two
+probe calls.  The panel mesh is a deterministic function of the
+configuration (never of sampled integrand values), so two integrands that
+agree pointwise are integrated on identical nodes, and one mesh is built
+per distinct truncation point.  Only the widest is walked panel by panel:
+a narrower mesh whose walk would start at the same edge with the same
+widening is the widest mesh's edges below its X, then X (`_mesh_below`).
+A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main rule,
+then the 12 of the error rule.  f is called at most twice on the meshes:
+once on the widest, and once on the panels of their own of every narrower
+mesh together, so f's value at a point must not depend on the other points
+of a call.  Each mesh's values are then reweighted by exp(-eps x^2) for all
+the eps whose mesh it is in one array pass, the widest mesh last and in
+place when one eps uses it; an eps whose mesh is the widest one reuses its
+nodes as they are.  The engine damps its own copy of what f returns and
+never writes f's array, so f may return a read-only array or keep the one
+it returned.  The sums are formed exactly as a separate evaluation per eps
+and rule would form them, to the last bit.
 """
 
 from __future__ import annotations
@@ -68,9 +72,10 @@ class QuadConfig:
             raise ValueError("epsilon_schedule must contain finite positive values")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon_schedule must be strictly decreasing")
-        if not isinstance(self.extrapolation_order, (int, np.integer)):
+        order = self.extrapolation_order
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
             raise ValueError("extrapolation_order must be an integer")
-        if not 0 <= self.extrapolation_order <= len(eps) - 1:
+        if not 0 <= order <= len(eps) - 1:
             raise ValueError("extrapolation_order must be <= len(epsilon_schedule) - 1")
         object.__setattr__(self, "epsilon_schedule", eps)
 
@@ -126,6 +131,23 @@ def _check_rates(**rates) -> None:
                          + ", ".join(f"{k}={v}" for k, v in rates.items()))
 
 
+def _walk_start(X: float, osc_scale: float, quad_phase: float) -> tuple:
+    """(widen, c, w_lin, s1) of `_mesh`'s walk to X > 0: the budget's
+    widening factor, the quadratic-phase constant, the widened linear-phase
+    step and the end of the cascade."""
+    # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
+    # quadratic-phase steps, X / w_lin linear-phase steps and a last one
+    budget = _MAX_PANELS - _CASCADE - 2
+    est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
+    widen = est / budget if est > budget else 1.0
+    # a quadratic-phase step from s ends at sqrt(s^2 + c); c = inf: no such limit
+    c = _PHASE_STEP * widen / quad_phase if quad_phase > 0 else math.inf
+    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
+    # unwidened w_lin: a cascade it ends is the same for every X of a schedule
+    s1 = min(math.sqrt(c), w_lin, X)
+    return widen, c, w_lin * widen, s1
+
+
 def _mesh(X: float, osc_scale: float, quad_phase: float):
     """Deterministic panel edges on [0, X], at most _MAX_PANELS panels.
 
@@ -139,17 +161,7 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
     _check_rates(osc_scale=osc_scale, quad_phase=quad_phase)
     if X <= 0:
         return np.array([0.0])
-    # panels: _CASCADE + 1 up to s1, then at most quad_phase X^2 / delta
-    # quadratic-phase steps, X / w_lin linear-phase steps and a last one
-    budget = _MAX_PANELS - _CASCADE - 2
-    est = quad_phase * X * X / _PHASE_STEP + osc_scale * X / _LIN_RAD
-    widen = est / budget if est > budget else 1.0
-    # a quadratic-phase step from s ends at sqrt(s^2 + c); c = inf: no such limit
-    c = _PHASE_STEP * widen / quad_phase if quad_phase > 0 else math.inf
-    w_lin = _LIN_RAD / osc_scale if osc_scale > 0 else X
-    # unwidened w_lin: a cascade it ends is the same for every X of a schedule
-    s1 = min(math.sqrt(c), w_lin, X)
-    w_lin = w_lin * widen
+    _, c, w_lin, s1 = _walk_start(X, osc_scale, quad_phase)
     edges = [0.0] + [s1 * 2.0 ** (-m) for m in range(_CASCADE, 0, -1)] + [s1]
     # comparisons in place of min(): the same tie order, without the calls
     sqrt = math.sqrt
@@ -163,6 +175,23 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
         s = t if t < X else X
         append(s)
     return np.array(edges)
+
+
+def _mesh_below(wide, X: float, osc_scale: float, quad_phase: float):
+    """`_mesh(X, osc_scale, quad_phase)` for an X below the end of `wide`,
+    the mesh of the same rates to wide[-1].
+
+    Walks that start at the same s1 with the same widening take the same
+    steps until one reaches X, so the mesh to X is then the wide mesh's
+    edges below X followed by X; otherwise it is walked afresh.
+    """
+    widen, _, _, s1 = _walk_start(X, osc_scale, quad_phase)
+    wide_widen, _, _, wide_s1 = _walk_start(wide[-1], osc_scale, quad_phase)
+    # c follows from widen, and a w_lin of X (no linear phase) caps only
+    # steps that end beyond X
+    if widen == wide_widen and s1 == wide_s1:
+        return np.append(wide[:np.searchsorted(wide, X)], X)
+    return _mesh(X, osc_scale, quad_phase)
 
 
 def _panel_nodes(edges, x):
@@ -209,14 +238,15 @@ def _envelope_at(envelope: Callable, X: float) -> float:
     return float(value.reshape(()))
 
 
-def _magnitude(f: Callable, X: float) -> float:
-    """max |f| over 48 points of [1e-3, X], rounded up to a power of 2 so
-    envelope jitter cannot reshuffle the mesh; inf when f is inf or NaN at
-    any of them."""
-    m = float(np.max(np.abs(_evaluate(f, np.linspace(1e-3, X, 48)))))
-    if not m < math.inf:
-        return math.inf
-    return 0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
+def _magnitudes(f: Callable, ends) -> list:
+    """For each X of `ends`, max |f| over 48 points of [1e-3, X], rounded up
+    to a power of 2 so envelope jitter cannot reshuffle the mesh; inf when f
+    is inf or NaN at any of them.  f is called once, on every X's points."""
+    grids = np.concatenate([np.linspace(1e-3, X, 48) for X in ends])
+    peaks = np.abs(_evaluate(f, grids)).reshape(len(ends), 48).max(axis=1)
+    return [math.inf if not m < math.inf else
+            0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
+            for m in map(float, peaks)]
 
 
 def _checked_radius(radius) -> float:
@@ -231,13 +261,16 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
     """(X, allowance for the damped tail beyond X) for each eps of cfg's
     schedule: the support radius; else the least X = 10 * 1.25^j (j <= 60)
     with envelope(X) exp(-eps X^2) (1 + X) below abs_tol / 10; else a bound
-    on |f| from `_magnitude` in two rounds, whose first, on [1e-3, 10],
-    serves every eps.  The eps decrease, so the tail at a probe never
-    shrinks from one eps to the next: each eps's envelope search continues
-    from the probe where the previous one stopped, and each probe is
-    evaluated once for the whole schedule.  A search that finds the
-    envelope NaN or negative ends at that probe, and a round that finds f
-    inf or NaN at its own interval, either with an infinite allowance."""
+    on |f| from `_magnitudes` in two rounds of one call of f each: the
+    first, on [1e-3, 10], serves every eps, and the second takes each eps's
+    points on [1e-3, X] for the X the first round gives it.  A first round
+    that finds f zero or inf or NaN makes no second.  The eps decrease, so
+    the tail at a probe never shrinks from one eps to the next: each eps's
+    envelope search continues from the probe where the previous one
+    stopped, and each probe is evaluated once for the whole schedule.  A
+    search that finds the envelope NaN or negative ends at that probe, and
+    a round that finds f inf or NaN at an eps's own interval, either with an
+    infinite allowance."""
     floor = cfg.abs_tol / 10.0
     schedule = cfg.epsilon_schedule
     if support_radius is not None:
@@ -259,12 +292,12 @@ def _truncation_points(f: Callable, cfg: QuadConfig, envelope: Optional[Callable
             # probe, with an unbounded allowance, so the result is not converged
             points.append((X, tail if tail >= 0.0 else math.inf))
         return points
-    m0 = _magnitude(f, 10.0)
-    for eps in schedule:
-        end, m = 10.0, m0
-        if 0.0 < m0 < math.inf:
-            end = reach(m0, eps)
-            m = _magnitude(f, end)
+    [m0] = _magnitudes(f, [10.0])
+    ends, ms = [10.0] * len(schedule), [m0] * len(schedule)
+    if 0.0 < m0 < math.inf:
+        ends = [reach(m0, eps) for eps in schedule]
+        ms = _magnitudes(f, ends)
+    for eps, end, m in zip(schedule, ends, ms):
         if m == math.inf:
             # no bound on |f|: integrate up to the probe that found it, with
             # an unbounded tail, so the result is not converged
@@ -281,11 +314,18 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
                                   quad_phase: float = 1.0) -> QuadResult:
     """Damped semi-infinite integral of f with extrapolation eps -> 0.
 
+    f is called at most four times: at most two probe calls place the
+    truncation points (none with an envelope or a support radius), one
+    call evaluates the widest mesh and one the panels the narrower meshes
+    do not share with it.  As f is pointwise, the result is the same, to
+    the last bit, as with a mesh walked and f called for each eps.
+
     Parameters
     ----------
     f : callable
         Integrand: maps a float array of points to an array of the same
-        shape (real or complex values); anything else raises ValueError.
+        shape (real or complex values), each value depending on its own
+        point alone; anything else raises ValueError.
     cfg : QuadConfig
         Supplies the eps schedule, tolerances and extrapolation order.
     envelope : callable, optional
@@ -314,25 +354,40 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     wide_nodes, wide_half = _panel_nodes(wide, _RULE_X)
     wide_values = _evaluate(f, wide_nodes)
     evals = wide_values.size
-    main_sums, panel_errs = [None] * len(Xs), [None] * len(Xs)
+    # each narrower mesh's edges and its panels shared with the widest: a
+    # panel is shared when both its edges are the wide mesh's, in place
+    narrow = {}
     for X, rows in by_X.items():
-        if X == X_wide:
-            nodes, half, values = wide_nodes, wide_half, wide_values
-        else:
-            # a panel is shared when both its edges are the wide mesh's, in place
-            edges = _mesh(X, osc_scale, quad_phase)
+        if X != X_wide:
+            edges = _mesh_below(wide, X, osc_scale, quad_phase)
             m = min(len(edges), len(wide))
             same = edges[:m] == wide[:m]
             shared = np.zeros(len(edges) - 1, dtype=bool)
             shared[:m - 1] = same[:-1] & same[1:]
-            reused, own = np.flatnonzero(shared), np.flatnonzero(~shared)
+            narrow[X] = edges, np.flatnonzero(shared), np.flatnonzero(~shared)
+            # counted once per eps, as when each eps called f on its own
+            evals += narrow[X][2].size * _RULE_X.size * len(rows)
+    # one call on the panels of their own of every narrower mesh, in X
+    # order: (a, b) rows, whose nodes come from their edges alone (a mesh's
+    # full nodes are built below, one mesh at a time)
+    own_edges = [np.stack((edges[own], edges[own + 1]), axis=-1)
+                 for edges, _, own in narrow.values()]
+    if any(map(len, own_edges)):
+        own_values = _evaluate(
+            f, _panel_nodes(np.concatenate(own_edges), _RULE_X)[0][:, 0])
+    main_sums, panel_errs = [None] * len(Xs), [None] * len(Xs)
+    start = 0
+    for X, rows in by_X.items():
+        if X == X_wide:
+            nodes, half, values = wide_nodes, wide_half, wide_values
+        else:
+            edges, reused, own = narrow[X]
             nodes, half = _panel_nodes(edges, _RULE_X)
             values = np.empty(nodes.shape, dtype=complex)
             values[reused] = wide_values[reused]
             if own.size:
-                values[own] = _evaluate(f, nodes[own])
-                # counted once per eps, as when each eps called f on its own
-                evals += own.size * _RULE_X.size * len(rows)
+                values[own] = own_values[start:start + own.size]
+                start += own.size
         # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
         # is damped in place, as no later mesh reads its values (a second
         # array would raise peak memory).  An inf value times a real factor
@@ -398,7 +453,7 @@ def extrapolate_to_zero(samples: Sequence, order: int):
     raise ValueError, as QuadConfig does for its fields.
     """
     pts = sorted(((float(e), complex(v)) for e, v in samples), key=lambda p: p[0])
-    if not isinstance(order, (int, np.integer)):
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError("order must be an integer")
     if order < 0:
         raise ValueError("order must be nonnegative")

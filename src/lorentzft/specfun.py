@@ -76,7 +76,8 @@ class Order:
     twice_nu: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_nu, (int, np.integer)):
+        if isinstance(self.twice_nu, bool) or \
+                not isinstance(self.twice_nu, (int, np.integer)):
             raise DomainError(f"twice_nu must be an integer, got {self.twice_nu!r}")
         if not _TWICE_NU_MIN <= self.twice_nu <= _TWICE_NU_MAX:
             raise DomainError(

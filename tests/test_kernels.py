@@ -212,6 +212,14 @@ class TestMinkowskiKernel:
                 KernelSpec(n, TL, TP)
         assert KernelSpec(np.int64(3), TL, TP).weight == KernelSpec(3, TL, TP).weight
 
+    def test_bool_dimension_rejected(self):
+        # bool is an int subclass; True would otherwise pass as n = 1
+        for n in (True, False):
+            with pytest.raises(DomainError, match="spatial dimension n must be an integer"):
+                lorentzft.kernels.check_dimension(n)
+        lorentzft.kernels.check_dimension(1)
+        lorentzft.kernels.check_dimension(np.int64(1))
+
     def test_weight_names_its_function(self):
         z = {(n, char, branch): KernelSpec(n, char, branch).weight[1]
              for n in range(1, 11) for char in (TL, SL) for branch in (TP, SP)}

@@ -105,6 +105,16 @@ class TestWindowConfig:
             with pytest.raises(DomainError):
                 window_config_for(profile, mom, dims=dims)
 
+    def test_bool_n_etas_rejected(self):
+        # bool is an int subclass; True would otherwise give a one-eta schedule
+        profile = builtin_profile("compact_bump")
+        mom = MomentumMagnitude(1.0, TL)
+        for n_etas in (True, False):
+            with pytest.raises(ValueError, match="n_etas must be an integer"):
+                window_config_for(profile, mom, n_etas=n_etas)
+        assert window_config_for(profile, mom, n_etas=np.int64(4)) == \
+            window_config_for(profile, mom, n_etas=4)
+
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")
         w = window_config_for(profile, MomentumMagnitude(1.0, TL))

@@ -1,6 +1,7 @@
 """Quadrature engine: finite integrals, damped semi-infinite integrals,
 extrapolation to zero damping."""
 
+import importlib
 import math
 import warnings
 
@@ -20,8 +21,10 @@ from lorentzft.quadrature import (
     _finish,
     _gauss_legendre,
     _mesh,
+    _mesh_below,
     _panel_nodes,
     _truncation_points,
+    _walk_start,
     extrapolate_to_zero,
     integrate_finite,
     integrate_semiinfinite_damped,
@@ -72,6 +75,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="integer"):
                 QuadConfig(extrapolation_order=order)
         assert QuadConfig(extrapolation_order=np.int64(2)).extrapolation_order == 2
+
+    def test_bool_order_rejected(self):
+        # bool is an int subclass; True would otherwise pass as order 1
+        for order in (True, False):
+            with pytest.raises(ValueError, match="extrapolation_order must be an integer"):
+                QuadConfig(extrapolation_order=order)
 
     def test_result_invariant(self):
         with pytest.raises(ValueError):
@@ -153,7 +162,8 @@ class TestIntegrandContract:
         res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
         assert sizes == [res.evaluations]
 
-        # the widest mesh, then each eps whose mesh has panels of its own
+        # the widest mesh, then the panels of their own of every narrower
+        # mesh in one more call
         f, cfg, kw = _SCHEDULE_CASES["chirped_envelope"]
         Xs = _truncation_Xs(f, cfg, kw)
         meshes = [_mesh(X, 1.0, 1.0) for X in Xs]
@@ -162,7 +172,8 @@ class TestIntegrandContract:
         sizes.clear()
         res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
         assert 0 < sum(own) < len(own)
-        assert len(sizes) == 1 + sum(own)
+        assert sizes == [_panel_nodes(wide, quadrature._RULE_X)[0].size,
+                         sum(own) * (_GL_MAIN + _GL_ERR)]
         assert sum(sizes) == res.evaluations
 
     def test_no_point_outside_the_interval(self):
@@ -477,6 +488,14 @@ class TestExtrapolation:
         with pytest.raises(ValueError, match="order must be an integer"):
             extrapolate_to_zero(samples, order)
 
+    def test_bool_order_rejected(self):
+        # bool is an int subclass; True would otherwise pass as order 1
+        samples = [(e, 1.0 + e * e) for e in (0.1, 0.05, 0.025)]
+        for order in (True, False):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                extrapolate_to_zero(samples, order)
+        assert extrapolate_to_zero(samples, np.int64(1)) == extrapolate_to_zero(samples, 1)
+
     def test_negative_order_rejected(self):
         samples = [(e, 1.0 + e) for e in (0.1, 0.05, 0.025)]
         with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -722,8 +741,8 @@ class TestSharedMesh:
             return f(x)
 
         res = integrate_semiinfinite_damped(counting, cfg, **kw)
-        # one call on the widest mesh, one on each narrower mesh's own panels
-        assert len(received) == 3
+        # one call on the widest mesh, one on the narrower meshes' own panels
+        assert len(received) == 2
         # the shared mesh's own panels count once per eps, the count a call
         # per eps would give
         assert res.evaluations == 23760
@@ -782,6 +801,175 @@ class TestSharedMesh:
             expected.append(expected[-1] * 1.25)
         assert probed == expected
         assert probed[-1] == max(Xs)
+
+
+def _mesh_below_cases():
+    """(X_wide, X, osc_scale, quad_phase) with X < X_wide: seeded, with X a
+    fraction of X_wide, an edge of the wide mesh or a neighbour of one,
+    then every narrower truncation point of the schedule cases."""
+    rng = np.random.default_rng(3030)
+    cases = []
+    while len(cases) < 2000:
+        X_wide = 10.0 ** rng.uniform(-3.0, 2.5)
+        osc_scale = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2.0, 2.0)
+        quad_phase = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 1.0)
+        wide = _mesh(X_wide, osc_scale, quad_phase)
+        kind = rng.integers(3)
+        X = X_wide * rng.random() if kind == 0 else wide[rng.integers(1, len(wide) - 1)]
+        if kind == 2:
+            X = float(np.nextafter(X, (0.0, math.inf)[int(rng.integers(2))]))
+        if 0.0 < X < X_wide:
+            cases.append((X_wide, X, osc_scale, quad_phase))
+    for f, cfg, kw in _SCHEDULE_CASES.values():
+        Xs = _truncation_Xs(f, cfg, kw)
+        cases += [(max(Xs), X, kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0))
+                  for X in sorted(set(Xs)) if X < max(Xs)]
+    return cases
+
+
+class TestMeshBelow:
+    def test_equal_to_walked_mesh(self):
+        prefixes = walked = 0
+        for X_wide, X, osc_scale, quad_phase in _mesh_below_cases():
+            wide = _mesh(X_wide, osc_scale, quad_phase)
+            edges = _mesh_below(wide, X, osc_scale, quad_phase)
+            assert np.array_equal(edges, _mesh(X, osc_scale, quad_phase)), \
+                (X_wide, X, osc_scale, quad_phase)
+            widen, _, _, s1 = _walk_start(X, osc_scale, quad_phase)
+            wide_widen, _, _, wide_s1 = _walk_start(X_wide, osc_scale, quad_phase)
+            if (widen, s1) == (wide_widen, wide_s1):
+                prefixes += 1
+            else:
+                walked += 1
+        # both ways are taken, the walk for a widening or an s1 of its own
+        assert prefixes > 300 and walked > 300
+
+    @pytest.mark.parametrize("case", ["coarsened", "X_below_s1"])
+    def test_walked_afresh_when_the_start_differs(self, case, monkeypatch):
+        f, cfg, kw = _SCHEDULE_CASES[case]
+        Xs = _truncation_Xs(f, cfg, kw)
+        rates = kw.get("osc_scale", 1.0), kw.get("quad_phase", 1.0)
+        wide = _mesh(max(Xs), *rates)
+        built = []
+        narrower = sorted(set(Xs) - {max(Xs)})
+        # the meshes that are not the wide one's edges below X, then X
+        not_prefix = [X for X in narrower if not np.array_equal(
+            _mesh(X, *rates), np.append(wide[wide < X], X))]
+        assert not_prefix
+        monkeypatch.setattr(quadrature, "_mesh", lambda *a: built.append(a) or _mesh(*a))
+        for X in narrower:
+            assert np.array_equal(_mesh_below(wide, X, *rates), _mesh(X, *rates))
+        assert built == [(X, *rates) for X in not_prefix]
+
+
+def _per_eps_magnitude(f, X):
+    """Reference: max |f| over 48 points of [1e-3, X] from a call of its
+    own, rounded up to a power of 2, inf for an inf or NaN."""
+    m = float(np.max(np.abs(np.asarray(f(np.linspace(1e-3, X, 48)), dtype=complex))))
+    if not m < math.inf:
+        return math.inf
+    return 0.0 if m <= 0 else 2.0 ** math.ceil(math.log2(m))
+
+
+def _per_eps_truncation(f, cfg):
+    """Reference: `_truncation_points` without an envelope, its second
+    magnitude round one call per eps (the loop the batched round replaced)."""
+    floor = cfg.abs_tol / 10.0
+
+    def reach(m, eps):
+        return math.sqrt(max(math.log(10.0 * m / floor), 1.0) / eps)
+
+    m0 = _per_eps_magnitude(f, 10.0)
+    points = []
+    for eps in cfg.epsilon_schedule:
+        end, m = 10.0, m0
+        if 0.0 < m0 < math.inf:
+            end = reach(m0, eps)
+            m = _per_eps_magnitude(f, end)
+        if m == math.inf:
+            points.append((end, math.inf))
+        else:
+            points.append((reach(m, eps) if m != 0.0 else 10.0, floor))
+    return points
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+    return g
+
+
+class TestBatchedMagnitudes:
+    def test_equal_to_a_round_per_eps(self):
+        # the batched round gives the per-eps (X, tail) list, on the same
+        # points: the first round's, then every eps's grid in one call
+        rng = np.random.default_rng(3031)
+        seen = set()
+        with np.errstate(all="ignore"):
+            for _ in range(1500):
+                cfg = QuadConfig(abs_tol=10.0 ** rng.uniform(-12.0, -1.0),
+                                 epsilon_schedule=_random_schedule(rng),
+                                 extrapolation_order=0)
+                c = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-12.0, 12.0)
+                a, b = rng.uniform(0.0, 0.5), rng.uniform(0.0, 5.0)
+                onset = 10.0 * rng.random() if rng.random() < 0.1 else 0.0
+
+                def f(x, c=c, a=a, b=b, onset=onset):
+                    return np.where(x >= onset, c * np.exp(-a * x + 1j * b * x), 0.0)
+
+                ref_calls = []
+                ref = _per_eps_truncation(_recorded(f, ref_calls), cfg)
+                kind = rng.integers(3)
+                if kind:
+                    # inf or NaN at one point of one round, perhaps the
+                    # point 1e-3 that every round shares
+                    grid = ref_calls[rng.integers(len(ref_calls))]
+                    x_bad, bad = grid[rng.integers(48)], (math.inf, math.nan)[kind - 1]
+                    f = lambda x, f=f, x_bad=x_bad, bad=bad: np.where(x == x_bad, bad, f(x))
+                    ref_calls = []
+                    ref = _per_eps_truncation(_recorded(f, ref_calls), cfg)
+                calls = []
+                got = _truncation_points(_recorded(f, calls), cfg, None, None)
+                assert got == ref
+                assert np.array_equal(calls[0], ref_calls[0])
+                if len(ref_calls) > 1:
+                    assert len(calls) == 2
+                    assert np.array_equal(calls[1], np.concatenate(ref_calls[1:]))
+                else:
+                    assert len(calls) == 1
+                seen.update("zero" if tail == cfg.abs_tol / 10.0 and X == 10.0 else
+                            "unbounded" if tail == math.inf else "bounded"
+                            for X, tail in got)
+                seen.add("one probe" if len(calls) == 1 else "two probes")
+        assert seen == {"zero", "unbounded", "bounded", "one probe", "two probes"}
+
+
+class TestZeroBranch:
+    @pytest.mark.parametrize("with_bound", [True, False])
+    def test_no_weight_call_and_plus_zero(self, with_bound):
+        # a branch zero on every node of both calls never reaches the
+        # weight, and its integral is +0.0
+        radial_integral = importlib.import_module("lorentzft.transform")._radial_integral
+        g_calls, weight_calls = [], []
+
+        def g(s):
+            g_calls.append(np.size(s))
+            return 0.0
+
+        def weight(s):
+            weight_calls.append(np.size(s))
+            return np.exp(1j * s)
+
+        bound = (lambda s: 1.0) if with_bound else None
+        res = radial_integral(g, weight, CFG, 1.0, bound, lambda s: 1.0 / (1.0 + s),
+                              None, 1.0)
+        assert weight_calls == []
+        # with a bound: the widest mesh and the narrower meshes' own panels;
+        # without: the first magnitude round, then one mesh for every eps
+        assert len(g_calls) == 2
+        assert res.value == 0.0 and res.converged
+        assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == 1.0
 
 
 def _restarted_search(envelope, cfg):

@@ -58,6 +58,13 @@ class TestOrder:
         with pytest.raises(DomainError):
             Order(1.5)
 
+    def test_bool_rejected(self):
+        # bool is an int subclass; True would otherwise pass as 2 nu = 1
+        for bad in (True, False):
+            with pytest.raises(DomainError, match="twice_nu must be an integer"):
+                Order(bad)
+        assert bessel_j(Order(np.int64(1)), 2.0) == bessel_j(Order(1), 2.0)
+
 
 class TestExamples:
     def test_j0_at_zero(self):
