@@ -178,20 +178,32 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
 
 
 def _mesh_below(wide, X: float, osc_scale: float, quad_phase: float):
-    """`_mesh(X, osc_scale, quad_phase)` for an X below the end of `wide`,
-    the mesh of the same rates to wide[-1].
+    """The panels of `_mesh(X, osc_scale, quad_phase)` for an X below the
+    end of `wide`, the mesh of the same rates to wide[-1]: the number k of
+    leading panels it shares with `wide`, edge for edge, and the (a, b)
+    edges of the others, one row a panel.
 
     Walks that start at the same s1 with the same widening take the same
     steps until one reaches X, so the mesh to X is then the wide mesh's
-    edges below X followed by X; otherwise it is walked afresh.
+    edges below X followed by X: only its last panel is its own, and none
+    when X is an edge of `wide`.  Otherwise it is walked afresh, and its
+    panels from its first edge that differs from the wide mesh's on are
+    its own.
     """
     widen, _, _, s1 = _walk_start(X, osc_scale, quad_phase)
     wide_widen, _, _, wide_s1 = _walk_start(wide[-1], osc_scale, quad_phase)
     # c follows from widen, and a w_lin of X (no linear phase) caps only
     # steps that end beyond X
     if widen == wide_widen and s1 == wide_s1:
-        return np.append(wide[:np.searchsorted(wide, X)], X)
-    return _mesh(X, osc_scale, quad_phase)
+        j = int(np.searchsorted(wide, X))
+        if wide[j] == X:
+            return j, np.empty((0, 2))
+        return j - 1, np.array([[wide[j - 1], X]])
+    edges = _mesh(X, osc_scale, quad_phase)
+    m = min(len(edges), len(wide))
+    same = edges[:m] == wide[:m]
+    k = max((m if same.all() else int(same.argmin())) - 1, 0)
+    return k, np.stack((edges[k:-1], edges[k + 1:]), axis=-1)
 
 
 def _panel_nodes(edges, x):
@@ -354,40 +366,32 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     wide_nodes, wide_half = _panel_nodes(wide, _RULE_X)
     wide_values = _evaluate(f, wide_nodes)
     evals = wide_values.size
-    # each narrower mesh's edges and its panels shared with the widest: a
-    # panel is shared when both its edges are the wide mesh's, in place
-    narrow = {}
-    for X, rows in by_X.items():
-        if X != X_wide:
-            edges = _mesh_below(wide, X, osc_scale, quad_phase)
-            m = min(len(edges), len(wide))
-            same = edges[:m] == wide[:m]
-            shared = np.zeros(len(edges) - 1, dtype=bool)
-            shared[:m - 1] = same[:-1] & same[1:]
-            narrow[X] = edges, np.flatnonzero(shared), np.flatnonzero(~shared)
-            # counted once per eps, as when each eps called f on its own
-            evals += narrow[X][2].size * _RULE_X.size * len(rows)
+    # each narrower mesh: the number of leading panels it shares with the
+    # widest, node for node, and the (a, b) edges of the panels of its own
+    narrow = {X: _mesh_below(wide, X, osc_scale, quad_phase) for X in by_X if X != X_wide}
+    for X, (_, own) in narrow.items():
+        # counted once per eps, as when each eps called f on its own
+        evals += len(own) * _RULE_X.size * len(by_X[X])
     # one call on the panels of their own of every narrower mesh, in X
-    # order: (a, b) rows, whose nodes come from their edges alone (a mesh's
-    # full nodes are built below, one mesh at a time)
-    own_edges = [np.stack((edges[own], edges[own + 1]), axis=-1)
-                 for edges, _, own in narrow.values()]
-    if any(map(len, own_edges)):
-        own_values = _evaluate(
-            f, _panel_nodes(np.concatenate(own_edges), _RULE_X)[0][:, 0])
+    # order; a mesh's full nodes are built below, one mesh at a time
+    if narrow:
+        own_nodes, own_half = _panel_nodes(
+            np.concatenate([own for _, own in narrow.values()]), _RULE_X)
+        own_values = np.empty(own_nodes[:, 0].shape, dtype=complex)
+        if len(own_nodes):
+            own_values = _evaluate(f, own_nodes[:, 0])
     main_sums, panel_errs = [None] * len(Xs), [None] * len(Xs)
     start = 0
     for X, rows in by_X.items():
         if X == X_wide:
             nodes, half, values = wide_nodes, wide_half, wide_values
         else:
-            edges, reused, own = narrow[X]
-            nodes, half = _panel_nodes(edges, _RULE_X)
-            values = np.empty(nodes.shape, dtype=complex)
-            values[reused] = wide_values[reused]
-            if own.size:
-                values[own] = own_values[start:start + own.size]
-                start += own.size
+            k, n_own = narrow[X][0], len(narrow[X][1])
+            part = slice(start, start + n_own)
+            start += n_own
+            nodes = np.concatenate((wide_nodes[:k], own_nodes[part, 0]))
+            half = np.concatenate((wide_half[:k], own_half[part, 0]))
+            values = np.concatenate((wide_values[:k], own_values[part]))
         # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
         # is damped in place, as no later mesh reads its values (a second
         # array would raise peak memory).  An inf value times a real factor
