@@ -369,9 +369,9 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     # each narrower mesh: the number of leading panels it shares with the
     # widest, node for node, and the (a, b) edges of the panels of its own
     narrow = {X: _mesh_below(wide, X, osc_scale, quad_phase) for X in by_X if X != X_wide}
-    for X, (_, own) in narrow.items():
-        # counted once per eps, as when each eps called f on its own
-        evals += len(own) * _RULE_X.size * len(by_X[X])
+    # own panels count once per eps, as when each eps called f on its own
+    evals += sum(len(own) * _RULE_X.size * len(by_X[X])
+                 for X, (_, own) in narrow.items())
     # one call on the panels of their own of every narrower mesh, in X
     # order; a mesh's full nodes are built below, one mesh at a time
     if narrow:

@@ -97,10 +97,10 @@ def _as_array(x):
 
 _BLOCK = 8192          # points per pool task
 # Shorter arguments run inline.  The quadrature engines call an integrand
-# once per mesh, on 36 nodes a panel, so the pool takes the meshes of 683
-# panels or more.  A pooled call's time depends on whether the other CPUs
-# are free: pooling shorter calls spread the times of the ops that made
-# them without making those ops faster.
+# on 36 nodes a panel, a damped integral's widest mesh in one call, so the
+# pool takes the meshes of 683 panels or more.  A pooled call's time
+# depends on whether the other CPUs are free: pooling shorter calls spread
+# the times of the ops that made them without making those ops faster.
 _POOL_MIN = 3 * _BLOCK
 
 

@@ -831,8 +831,9 @@ def _edges_below(wide, X, osc_scale, quad_phase):
     """The edges of the mesh `_mesh_below` gives as shared and own panels,
     checking that the own panels chain on from the shared ones."""
     k, own = _mesh_below(wide, X, osc_scale, quad_phase)
-    assert np.array_equal(own[:, 0], np.append(wide[k], own[:-1, 1])[:len(own)])
-    return np.concatenate((wide[:k + 1], own[:, 1]))
+    edges = np.concatenate((wide[:k + 1], own[:, 1]))
+    assert np.array_equal(own[:, 0], edges[k:-1])
+    return edges
 
 
 class TestMeshBelow:
