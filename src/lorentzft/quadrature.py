@@ -20,7 +20,12 @@ A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main rule,
 then the 12 of the error rule.  f is called at most twice on the meshes:
 once on the widest, and once on the panels of their own of every narrower
 mesh together, so f's value at a point must not depend on the other points
-of a call.  Each mesh's values are then reweighted by exp(-eps x^2) for all
+of a call.  An f that returns exact zeros, skipping the rest of its work,
+when it vanishes on every point of a call (`transform`'s radial integrand
+skips its weight so) breaks this at its zeros alone: a zero is +0.0 when
+f vanishes on every point of its call, and 0 * weight (a signed zero, or
+NaN where the weight is not finite) when it does not.  A signed zero
+summed with nonzero terms keeps the sum's bits; a NaN does not.  Each mesh's values are then reweighted by exp(-eps x^2) for all
 the eps whose mesh it is in one array pass, the widest mesh last and in
 place when one eps uses it; an eps whose mesh is the widest one reuses its
 nodes as they are.  The engine damps its own copy of what f returns and
@@ -329,8 +334,11 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     f is called at most four times: at most two probe calls place the
     truncation points (none with an envelope or a support radius), one
     call evaluates the widest mesh and one the panels the narrower meshes
-    do not share with it.  As f is pointwise, the result is the same, to
-    the last bit, as with a mesh walked and f called for each eps.
+    do not share with it.  For an f whose value at a point depends on that
+    point alone, the result is the same, to the last bit, as with a mesh
+    walked and f called for each eps; an f that skips its work on a call
+    where it vanishes everywhere may differ from that at its zeros (see
+    the module docstring).
 
     Parameters
     ----------

@@ -7,15 +7,17 @@ from collections import namedtuple
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _op_kinds():
+def _op_kinds(monkeypatch):
+    # the tool imports its sibling tools/bench_pairs.py, as a script does
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("op_kinds", ROOT / "tools" / "op_kinds.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_summary_of_synthetic_timings():
-    ok = _op_kinds()
+def test_summary_of_synthetic_timings(monkeypatch):
+    ok = _op_kinds(monkeypatch)
     # each process runs at its own speed; the ratios do not see it
     speeds = {"parent": [1.0, 1.3, 0.8], "change": [1.2, 0.7, 1.0]}
     angular = {"parent": [0.70, 0.72, 0.74], "change": [0.63, 0.64, 0.68]}
@@ -39,8 +41,8 @@ def test_summary_of_synthetic_timings():
     assert closure["change_over_parent"] == 1.0
 
 
-def test_kind_names_the_profile_or_identity():
-    ok = _op_kinds()
+def test_kind_names_the_profile_or_identity(monkeypatch):
+    ok = _op_kinds(monkeypatch)
     Op = namedtuple("Op", "kind args")
     assert ok.kind_of(Op("angular", ("sinh_J0_exp", 0.5))) == "angular:sinh_J0_exp"
     assert ok.kind_of(Op("spectrum", (3, "compact_bump", "timelike", 0.1))) == \

@@ -982,6 +982,38 @@ class TestZeroBranch:
         assert res.value == 0.0 and res.converged
         assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == 1.0
 
+    def test_branch_zero_on_one_own_panel_keeps_the_per_eps_bits(self):
+        # g vanishes on the panel of its own of one narrower mesh and not on
+        # another's: the call that holds both reaches the weight, so those
+        # zeros are 0 * weight, as when each eps called f on its whole mesh
+        k, phase = 0.5, 1.0
+        kw = dict(envelope=lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)),
+                  osc_scale=2.0 * math.pi * k, quad_phase=phase)
+        Xs = sorted(set(_truncation_Xs(_chirp, CFG, kw)))
+        wide = _mesh(Xs[-1], kw["osc_scale"], phase)
+        owns = [_mesh_below(wide, X, kw["osc_scale"], phase)[1] for X in Xs[:-1]]
+        a, b = next(own[-1] for own in owns if len(own))
+
+        def g(s):
+            return np.where((s >= a) & (s <= b), 0.0, np.cos(3.0 * s) * np.exp(1j * s * s))
+
+        def zero_branch(s):
+            # the zero skip of transform's radial integrand; the weight is
+            # named so numpy cannot reuse it as the product's output, which
+            # swaps the operands of a complex product that rounds with FMA
+            gs = g(s)
+            w = np.exp(-2j * math.pi * k * s)
+            return gs * w if gs.any() else gs
+
+        own_g = [g(_panel_nodes(own, quadrature._RULE_X)[0]) for own in owns if len(own)]
+        assert sum(not v.any() for v in own_g) == 1 and len(own_g) > 1
+        res = integrate_semiinfinite_damped(zero_branch, CFG, **kw)
+        ref = _per_eps_damped(zero_branch, CFG, **kw)
+        bits = lambda z: np.array([z], dtype=complex).view(np.uint64).tolist()
+        assert bits(res.value) == bits(ref.value)
+        assert res.error_estimate == ref.error_estimate
+        assert res.converged == ref.converged
+
 
 def _restarted_search(envelope, cfg):
     """Reference: the envelope search of `_truncation_points` with each eps

@@ -2,24 +2,24 @@
 change, each kind's time as a ratio to a control kind's.
 
     python tools/op_kinds.py --parent PATH --change PATH \
-        --workload identities --control recursion --processes 4 --seed 951
+        --workload identities --seed 951
 
 Each process runs in one checkout's root with its `src/` and `perfbench/`
 on PYTHONPATH and the numeric thread pools pinned to one thread, as
 `perfbench/run.py` pins them.  It imports `perfbench/workloads.py` (and
 edits nothing there), builds the workload's setup and the seed's op list
-(the anchor round and `--rounds` seeded rounds), runs the list once to warm
-up, then `--reps` times timed.  An op's kind is its `Op.kind`, followed by
+(the anchor round and ROUNDS seeded rounds), runs the list once to warm
+up, then REPS times timed.  An op's kind is its `Op.kind`, followed by
 its first string argument when it has one (the profile or the identity),
 as in `angular:sinh_J0_exp`.  Each process reports every kind's median op
-time; divided by the control kind's median in the same process, that is
-the process's ratio for the kind.  The processes run in pairs, one a side,
-alternating which side goes first.
+time; divided by the CONTROL kind's median in the same process, that is
+the process's ratio for the kind.  PROCESSES processes a side run in
+pairs, one a side, alternating which side goes first.
 
 Why ratios: on a shared VM one process can run 30% faster or slower than
 the next, all its ops alike, which buries a 10% change in raw times; a
-ratio to a kind the change does not touch cancels that swing.  Choose a
-control the change leaves alone.
+ratio to a kind the change does not touch cancels that swing: the control,
+`recursion`, runs no quadrature.
 
 Lines before the last are a table: each kind's median ratio per side and
 change over parent.  The last line is one JSON object, for a BENCH file's
@@ -37,10 +37,16 @@ import subprocess
 import sys
 import time
 
+from bench_pairs import _env, quartiles
+
 # pinned to one thread in each process, as perfbench/run.py pins them
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SIDES = ("parent", "change")
+PROCESSES = 4       # processes a side
+ROUNDS = 3          # seeded rounds in the op list, after the anchor round
+REPS = 10           # timed runs of the op list in each process
+CONTROL = "recursion"
 
 
 def kind_of(op):
@@ -49,13 +55,13 @@ def kind_of(op):
     return op.kind + (":" + names[0] if names else "")
 
 
-def child(workload, seed, rounds, reps):
+def child(workload, seed):
     """Run in a checkout: every kind's median op time in seconds, as JSON."""
     import workloads
     setup = workloads.setup(workload)
-    ops = workloads.make_pass(workload, seed, rounds)
+    ops = workloads.make_pass(workload, seed, ROUNDS)
     times = {}
-    for rep in range(reps + 1):
+    for rep in range(REPS + 1):
         for op in ops:
             t0 = time.perf_counter()
             workloads.run_op(op, setup)
@@ -65,26 +71,18 @@ def child(workload, seed, rounds, reps):
     print(json.dumps({kind: statistics.median(t) for kind, t in times.items()}))
 
 
-def run_process(checkout, args):
+def run_process(checkout, workload, seed):
     """The per-kind median op seconds of one process in `checkout`."""
     root = pathlib.Path(checkout).resolve()
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), str(root / "perfbench")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = dict(_env(root), **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "perfbench"), env["PYTHONPATH"]])
     cmd = [sys.executable, str(pathlib.Path(__file__).resolve()), "--child",
-           args.workload, str(args.seed), str(args.rounds), str(args.reps)]
+           workload, str(seed)]
     out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited {out.returncode}:\n"
                  f"{out.stderr[-2000:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def quartiles(values):
-    if len(values) == 1:
-        return [values[0]] * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summarize(processes, control):
@@ -112,42 +110,36 @@ def summarize(processes, control):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        workload, seed, rounds, reps = argv[1:]
-        return child(workload, int(seed), int(rounds), int(reps))
+        workload, seed = argv[1:]
+        return child(workload, int(seed))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=pathlib.Path)
     ap.add_argument("--change", required=True, type=pathlib.Path)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--control", required=True, help="the kind the ratios divide by")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--processes", type=int, default=4, help="processes a side")
-    ap.add_argument("--rounds", type=int, default=1, help="seeded rounds in the op list")
-    ap.add_argument("--reps", type=int, default=10, help="timed runs of the op list")
     args = ap.parse_args(argv)
-    if args.processes < 1 or args.rounds < 1 or args.reps < 1:
-        ap.error("--processes, --rounds and --reps must be at least 1")
     checkouts = {"parent": args.parent, "change": args.change}
     processes = []
-    for pair in range(args.processes):
+    for pair in range(PROCESSES):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            medians = run_process(checkouts[side], args)
-            if args.control not in medians:
-                sys.exit(f"error: no op of kind {args.control!r}; kinds: {sorted(medians)}")
+            medians = run_process(checkouts[side], args.workload, args.seed)
+            if CONTROL not in medians:
+                sys.exit(f"error: no op of kind {CONTROL!r}; kinds: {sorted(medians)}")
             processes.append({"side": side, "medians": medians})
-            print(f"pair {pair} {side}: {args.control} "
-                  f"{1e3 * medians[args.control]:.3f} ms", flush=True)
-    summary = summarize(processes, args.control)
+            print(f"pair {pair} {side}: {CONTROL} "
+                  f"{1e3 * medians[CONTROL]:.3f} ms", flush=True)
+    summary = summarize(processes, CONTROL)
     for kind, entry in summary["kinds"].items():
         print(f"{kind:32s} parent {entry['parent']['q1_median_q3'][1]:.4f}  "
               f"change {entry['change']['q1_median_q3'][1]:.4f}  "
               f"change/parent {entry['change_over_parent']:.4f}")
-    method = (f"{args.processes} alternating processes a side; each runs the "
-              f"{args.workload} op list of seed {args.seed} ({args.rounds} seeded "
-              f"round(s)) once to warm up, then {args.reps} times; a kind's value "
-              f"is its median op time over its median {args.control} op time in "
+    method = (f"{PROCESSES} alternating processes a side; each runs the "
+              f"{args.workload} op list of seed {args.seed} ({ROUNDS} seeded "
+              f"round(s)) once to warm up, then {REPS} times; a kind's value "
+              f"is its median op time over its median {CONTROL} op time in "
               "the same process (tools/op_kinds.py)")
     print(json.dumps({"method": method, "workload": args.workload,
-                      "control": args.control, **summary}))
+                      "control": CONTROL, **summary}))
 
 
 if __name__ == "__main__":
