@@ -211,7 +211,7 @@ def window_config_for(profile: RadialProfile, k: MomentumMagnitude,
     dims=1, (0.02, 5) for dims=2.  Unbounded ones, integrated over the
     whole box, use (0.08, 3).  `k` does not change the schedule.
     """
-    if dims not in (1, 2):
+    if isinstance(dims, bool) or dims not in (1, 2):
         raise DomainError(f"the window oracle covers dims 1 and 2, got {dims!r}")
     if n_etas is not None and (isinstance(n_etas, bool)
                                or not isinstance(n_etas, (int, np.integer))):
@@ -251,15 +251,51 @@ def profile_on_invariant(profile: RadialProfile) -> Callable:
     return fw
 
 
-def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
+def _cell_signs(nodes: np.ndarray) -> np.ndarray:
+    """The sign of each cell's nodes: +1 where every node exceeds 1e-150, -1
+    where every node is below -1e-150, 0 otherwise.  A product of two nodes
+    of signed cells is at least 1e-300 in magnitude, so it cannot round to
+    0 and its sign is the product of the cells' signs."""
+    return np.where(nodes.min(axis=1) > 1e-150, 1,
+                    np.where(nodes.max(axis=1) < -1e-150, -1, 0)).astype(np.int8)
+
+
+def _fill_branches(out: np.ndarray, profile: RadialProfile, nodes: np.ndarray,
+                   cu: np.ndarray, cv: np.ndarray, signs: np.ndarray) -> None:
+    """out[j] = f(u v) on the nodes of the cell pair (cu[j], cv[j]), one
+    branch call per sign of u v: f_timelike(sqrt(w)) on the pairs where
+    w = u v > 0, f_spacelike(sqrt(-w)) where w < 0, each on 1-d radii, and
+    `profile_on_invariant` element by element on the pairs with a cell of
+    sign 0.  The values are those of `profile_on_invariant` on every pair."""
+    for sign in (1, -1, 0):
+        rows = np.flatnonzero(signs == sign)
+        if len(rows) == 0:
+            continue
+        if len(rows) == len(signs):
+            rows = slice(None)
+        w = nodes[cu[rows]][:, :, None] * nodes[cv[rows]][:, None, :]
+        if sign == 0:
+            out[rows] = profile_on_invariant(profile)(w)
+            continue
+        if sign < 0:
+            np.negative(w, out=w)
+        r = np.sqrt(w, out=w).reshape(-1)
+        branch = profile.f_timelike if sign > 0 else profile.f_spacelike
+        out[rows] = np.broadcast_to(branch(r), r.shape).reshape(w.shape)
+
+
+def _window_integral(eta: float, k: MomentumMagnitude, plane,
                      edges: np.ndarray, w_lo: float, w_hi: float):
     """One windowed (u, v)-plane integral on the cells edges x edges.
 
     The Gaussian window and the phase factor over the axes into the node
-    weights pu and pv; only fw(u v) couples them.  It is evaluated only on
-    the cell pairs whose signed (min|u|) (min|v|), the value of u v nearest 0
-    on the cell, lies in [w_lo, w_hi], one piece of `_PIECE` cell pairs at a
-    time.  Returns (value, evaluations).
+    weights pu and pv; only the plane integrand f(u v) couples them.  It is
+    evaluated only on the cell pairs whose signed (min|u|) (min|v|), the
+    value of u v nearest 0 on the cell, lies in [w_lo, w_hi], one piece of
+    `_PIECE` cell pairs at a time.  `plane` is the profile (n = 1), whose
+    branches `_fill_branches` calls once per sign of u v in a piece, or a
+    function of w (n = 2's transverse table), called once a piece.
+    Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)
     nodes, half = _panel_nodes(edges, xg)
@@ -272,6 +308,7 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
     wmin = nearest[:, None] * nearest[None, :]
     iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
     del wmin    # cells x cells floats: not held while the blocks run
+    signs = _cell_signs(nodes) if isinstance(plane, RadialProfile) else None
     buf = np.empty((min(_BLOCK, len(iu)), _GLN, _GLN), dtype=complex)
     total = 0.0 + 0.0j
     for c0 in range(0, len(iu), _BLOCK):
@@ -279,7 +316,11 @@ def _window_integral(eta: float, k: MomentumMagnitude, fw: Callable,
         g = buf[:len(bu)]
         for p0 in range(0, len(bu), _PIECE):
             cu, cv = bu[p0:p0 + _PIECE], bv[p0:p0 + _PIECE]
-            g[p0:p0 + _PIECE] = fw(nodes[cu][:, :, None] * nodes[cv][:, None, :])
+            piece = g[p0:p0 + _PIECE]
+            if signs is None:
+                piece[...] = plane(nodes[cu][:, :, None] * nodes[cv][:, None, :])
+            else:
+                _fill_branches(piece, plane, nodes, cu, cv, signs[cu] * signs[cv])
         total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
     return 0.5 * total, len(iu) * _GLN * _GLN
 
@@ -312,7 +353,7 @@ def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
     samples = []
     evals = 0
     for eta, edges in zip(cfg.epsilon_schedule, axes):
-        plane, w_hi = ((fw, support_w) if n == 1
+        plane, w_hi = ((f, support_w) if n == 1
                        else _transverse_table(fw, support_w, eta))
         val, ne = _window_integral(eta, k, plane, edges, -support_w, w_hi)
         samples.append((eta, val))

@@ -68,8 +68,20 @@ class RadialProfile:
 
 
 def _bump(s):
+    """(1 - s^2)^3 for s < 1, else 0, complex: the bits of
+    np.where(s < 1, (1 - np.minimum(s, 1) ** 2) ** 3, 0.0) + 0j, sign bits
+    included.  fmin takes a NaN radius to 1, so 1 - a^2 is already +0.0
+    wherever that expression picks 0.0; the cube skips those zeros, on
+    which pow is about four times slower than inside the support.  A scalar
+    or 0-d input gives a numpy complex scalar, as that expression does."""
     sa = np.asarray(s, dtype=float)
-    return np.where(sa < 1.0, (1.0 - np.minimum(sa, 1.0) ** 2) ** 3, 0.0) + 0j
+    a = np.fmin(sa, 1.0, out=np.empty(sa.shape))
+    np.multiply(a, a, out=a)
+    np.subtract(1.0, a, out=a)
+    np.power(a, 3, out=a, where=a != 0)
+    out = np.zeros(sa.shape, dtype=complex)
+    out.real = a
+    return out[()] if out.ndim == 0 else out
 
 
 def _zeros(s):

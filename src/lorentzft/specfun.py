@@ -36,7 +36,9 @@ runs, and a minimum of 24,576 points made the 1+1 oracle on that profile
 (pieces of 32,768 points) slower.  The Bessel minimum is three blocks
 (24,576 points).  Each block runs in a copy of the
 caller's `contextvars` context, so the caller's `np.errstate` holds in the
-workers, and every block is waited for before an error is raised.  Only
+workers, and every block is waited for before an error is raised.  A call
+made from inside a block runs inline: a block waiting on blocks queued
+behind it could leave every worker waiting.  Only
 leaf numpy and scipy ufunc calls run on the pool: the wrappers, the
 profile branches, and every other function of the package run on the
 caller's thread.
@@ -131,18 +133,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+# True in the context a pool block runs in: a block that waited on blocks
+# queued behind it would deadlock the pool, so `_ufunc` runs inline there
+_IN_BLOCK = contextvars.ContextVar("lorentzft_in_pool_block", default=False)
+
+
+def _block_context() -> contextvars.Context:
+    """A copy of the caller's context, marked as a pool block's."""
+    context = contextvars.copy_context()
+    context.run(_IN_BLOCK.set, True)
+    return context
+
+
 def _ufunc(fn, nu, arr: np.ndarray, pool_min: int = _POOL_MIN, dtype=float):
     """fn(nu, arr), split into blocks over the pool when arr holds pool_min
-    points or more.  A block is fn(nu, block, out=slice of one output array
-    of `dtype`), run in a copy of the caller's context, so the caller's
-    np.errstate holds in it.  Every block is read before an error is raised:
-    the first, in block order."""
-    pool = _pool if arr.size >= pool_min else None
+    points or more and the call is not made from one of the pool's blocks.
+    A block is fn(nu, block, out=slice of one output array of `dtype`), run
+    in a copy of the caller's context, so the caller's np.errstate holds in
+    it.  Every block is read before an error is raised: the first, in block
+    order."""
+    pool = _pool if arr.size >= pool_min and not _IN_BLOCK.get() else None
     if pool is None:
         return fn(nu, arr)
     flat = arr.ravel()
     out = np.empty(flat.shape, dtype)
-    blocks = [pool.submit(contextvars.copy_context().run, fn, nu, flat[i:i + _BLOCK],
+    blocks = [pool.submit(_block_context().run, fn, nu, flat[i:i + _BLOCK],
                           out=out[i:i + _BLOCK])
               for i in range(0, flat.size, _BLOCK)]
     # every block is read, so none is still writing when an error is raised

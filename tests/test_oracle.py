@@ -115,6 +115,16 @@ class TestWindowConfig:
         assert window_config_for(profile, mom, n_etas=np.int64(4)) == \
             window_config_for(profile, mom, n_etas=4)
 
+    def test_bool_dims_rejected(self):
+        # bool is an int subclass; True == 1 would otherwise pass as dims=1
+        profile = builtin_profile("compact_bump")
+        mom = MomentumMagnitude(1.0, TL)
+        for dims in (True, False):
+            with pytest.raises(DomainError, match="covers dims 1 and 2"):
+                window_config_for(profile, mom, dims=dims)
+        assert window_config_for(profile, mom, dims=np.int64(2)) == \
+            window_config_for(profile, mom, dims=2)
+
     def test_factory_monotone(self):
         profile = builtin_profile("compact_bump")
         w = window_config_for(profile, MomentumMagnitude(1.0, TL))
@@ -174,6 +184,15 @@ class TestCartesian1p1:
         ref = transform(1, profile, mom, QuadConfig()).value
         res = cartesian_ft_1p1(profile, mom, window_config_for(profile, mom))
         assert abs(res.value - ref) <= 1e-3 * abs(ref)
+
+    def test_scalar_zero_branch_as_array_zero(self):
+        # the branch contract: a constant branch may return a scalar
+        array = _spacelike_only_bump()
+        scalar = RadialProfile(f_timelike=lambda s: 0.0, f_spacelike=array.f_spacelike,
+                               support_radius=1.0)
+        mom = MomentumMagnitude(1.0, TL)
+        cfg = window_config_for(array, mom, n_etas=2)
+        assert cartesian_ft_1p1(scalar, mom, cfg) == cartesian_ft_1p1(array, mom, cfg)
 
     def test_window_independence(self):
         # halving the smallest window parameter moves the answer by less
@@ -351,9 +370,13 @@ class TestCellCap:
             oracle._axis_edges(profile, L, 2.0)
 
 
-def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
-    """The plane integral with one fw call per einsum block: the loop that
-    `oracle._window_integral` splits into pieces, kept as a reference."""
+def _window_integral_per_block(eta, k, plane, edges, w_lo, w_hi):
+    """The plane integral with one f(u v) call per einsum block, element by
+    element through `profile_on_invariant` for a profile: the loop that
+    `oracle._window_integral` splits into pieces and sign groups, kept as
+    a reference."""
+    fw = (oracle.profile_on_invariant(plane) if isinstance(plane, RadialProfile)
+          else plane)
     xg, wg = _gauss_legendre(oracle._GLN)
     nodes, half = _panel_nodes(edges, xg)
     window = half[:, None] * wg[None, :] * np.exp(-eta * nodes ** 2 / 2.0)
@@ -373,7 +396,8 @@ def _window_integral_per_block(eta, k, fw, edges, w_lo, w_hi):
 
 class TestPieces:
     # the plane integrand is evaluated in pieces of _PIECE cell pairs inside
-    # each _BLOCK-cell einsum; the pieces change no bit and no count
+    # each _BLOCK-cell einsum, and in 1+1 one branch call per sign of u v in
+    # a piece; neither changes a bit or a count
     CASES = [
         pytest.param(1, "compact_bump", 1.0, TL, {}, id="1p1-bump-timelike"),
         pytest.param(1, "compact_bump", 1.0, SL, {}, id="1p1-bump-spacelike"),
@@ -381,6 +405,10 @@ class TestPieces:
         # etas 0.16 and 0.08: 1.3 and 5.3 blocks, pieces spanning both signs of w
         pytest.param(1, "gauss_oscillatory", 1.0, TL, {"eta0": 0.16, "n_etas": 2},
                      id="1p1-gauss-cheap"),
+        # etas 0.31 and 0.155: 27 and 54 cells an axis; at 27 the middle cell
+        # straddles u = 0, so its pairs take profile_on_invariant's path
+        pytest.param(1, "gauss_oscillatory", 1.0, SL, {"eta0": 0.31, "n_etas": 2},
+                     id="1p1-gauss-straddling"),
     ]
 
     @pytest.mark.parametrize("n, name, k, char, schedule", CASES)
@@ -392,21 +420,28 @@ class TestPieces:
         monkeypatch.setattr(oracle, "_window_integral", _window_integral_per_block)
         assert res == oracle_ft(profile, mom, cfg)
 
-    def test_calls_bounded_by_piece(self, monkeypatch):
+    def test_straddling_cell_in_the_case(self):
+        profile = builtin_profile("gauss_oscillatory")
+        L = _box_halfwidth(profile, 0.31)
+        nodes, _ = _panel_nodes(oracle._axis_edges(profile, L, 1.0),
+                                _gauss_legendre(oracle._GLN)[0])
+        signs = oracle._cell_signs(nodes)
+        assert len(signs) % 2 == 1 and list(signs).count(0) == 1
+
+    def test_calls_bounded_by_piece(self):
         sizes = []
-        inner = oracle.profile_on_invariant
 
-        def counting(profile):
-            fw = inner(profile)
+        def counting(branch):
+            def counted(s):
+                assert s.ndim == 1
+                sizes.append(s.size)
+                return branch(s)
+            return counted
 
-            def plane(w):
-                sizes.append(w.size)
-                return fw(w)
-
-            return plane
-
-        monkeypatch.setattr(oracle, "profile_on_invariant", counting)
-        profile, mom = builtin_profile("compact_bump"), MomentumMagnitude(1.0, TL)
+        bump, mom = builtin_profile("compact_bump"), MomentumMagnitude(1.0, TL)
+        profile = RadialProfile(f_timelike=counting(bump.f_timelike),
+                                f_spacelike=counting(bump.f_spacelike),
+                                support_radius=bump.support_radius)
         res = cartesian_ft_1p1(profile, mom, window_config_for(profile, mom))
         assert max(sizes) <= oracle._PIECE * oracle._GLN ** 2
         assert sum(sizes) == res.evaluations

@@ -382,3 +382,61 @@ class TestChirp:
             assert child.exitcode == 0
         finally:
             specfun._pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# compact_bump's branch: the bits of the where-expression it replaced, with
+# no cube taken on the zeros beyond s = 1
+
+
+def _bump_expression(s):
+    sa = np.asarray(s, dtype=float)
+    return np.where(sa < 1.0, (1.0 - np.minimum(sa, 1.0) ** 2) ** 3, 0.0) + 0j
+
+
+_EDGES = np.array([0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                   -0.5, -1.0, np.nextafter(-1.0, 0.0), -3.0, -1e200, 1e-300, 5e-324,
+                   np.nan, np.inf, -np.inf])
+
+BUMP_RADII = {
+    "edges": _EDGES,
+    "random": np.random.default_rng(105).uniform(-0.5, 2.0, 10 ** 5),
+    "2d": _EDGES[:12].reshape(3, 4),
+    "empty": np.zeros((0, 3)),
+    "float32": np.array([0.25, 1.0, 0.999, 3.0], dtype=np.float32),
+    "int": np.arange(-2, 3),
+    "0d": np.array(0.5),
+    "0d-outside": np.array(2.0),
+    "float": 0.5,
+    "float-nan": float("nan"),
+    "int-scalar": 0,
+    "numpy-scalar": np.float64(0.75),
+    "list": [0.0, 0.5, 1.0, 1.5],
+}
+
+
+class TestBump:
+    @pytest.mark.parametrize("name", sorted(BUMP_RADII))
+    def test_bits_of_the_where_expression(self, name):
+        s = BUMP_RADII[name]
+        with np.errstate(over="ignore"):
+            got, ref = profiles._bump(s), _bump_expression(s)
+        assert type(got) is type(ref)
+        assert _same_bits(got, ref)
+
+    def test_no_cube_beyond_the_support(self, monkeypatch):
+        # the cube is the one pow call; its `where` leaves out every zero
+        wheres = []
+        power = np.power
+
+        def recording(*args, **kwargs):
+            wheres.append(kwargs["where"].copy())
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(profiles.np, "power", recording)
+        s = BUMP_RADII["edges"]
+        with np.errstate(over="ignore"):
+            profiles._bump(s)
+        (where,) = wheres
+        inside = (s < 1.0) & (s != -1.0)
+        assert np.array_equal(where, inside)

@@ -342,6 +342,22 @@ class TestBlockPool:
         finally:
             specfun._pool.shutdown()
 
+    def test_calls_from_a_block_run_inline(self):
+        # every block makes a call long enough for the pool; were it to
+        # queue blocks behind the two busy workers, neither would finish.
+        # It runs in a forked child, which the timeout kills if it hangs
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        child = multiprocessing.get_context("fork").Process(target=_child_nested_calls)
+        child.start()
+        child.join(timeout=20)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung
+        assert child.exitcode == 0
+
     def test_one_cpu_runs_inline(self, monkeypatch):
         monkeypatch.setattr(specfun, "_cpu_count", lambda: 1)
         assert specfun._new_pool() is None
@@ -378,6 +394,28 @@ class TestBlockPool:
         assert {ident for _, ident in calls} == {threading.get_ident()}
         if pool is not None:
             assert pool.tasks > 0
+
+
+def _nested_block(nu, block, out=None):
+    """bessel_n(nu, block) from one call of at least POOL_MIN points."""
+    repeated = np.tile(block, -(-POOL_MIN // block.size))
+    value = bessel_n(Order(round(2 * nu)), repeated)[:block.size]
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _child_nested_calls():
+    pool = specfun._pool = CountingPool()
+    x = _positive(4 * BLOCK)
+    got = specfun._ufunc(_nested_block, 0.0, x)
+    # only the four outer blocks reached the pool, and the bits are those
+    # of the inline call
+    assert pool.tasks == 4
+    assert np.array_equal(got, specfun._ufunc(_nested_block, 0.0, x, x.size + 1))
+    assert np.array_equal(got, sp.yv(0.0, x))
+    pool.shutdown()
 
 
 def _child_bessel_n(x):

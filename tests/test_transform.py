@@ -446,6 +446,30 @@ class TestRecursion:
         assert gap <= 1e-8 * max(1.0, abs(direct.value))
 
 
+class TestLightCone:
+    # As l -> 0+, with nu = (n - 1)/2, both branch weights tend to
+    # 2 Gamma(nu) pi^-nu s l^-(n-1) (DLMF 10.7, 10.30), so
+    #     l^(n-1) F(l) -> Gamma(nu) pi^-nu int f(w) dw
+    # at spacelike l, w = s^2 over both branches; the bump's integral is 1/2.
+    # At timelike l the limit is (-1)^nu times that for odd n and 0 for even
+    # n, where the spacelike branch's kernel vanishes.  Over l in {0.1, 0.03,
+    # 0.01} the gaps, relative to the spacelike limit, are at most 4.6 l^3
+    # (n = 4), so a bound of 10 l^3 also checks that they shrink with l.
+    @pytest.mark.parametrize("l", [0.1, 0.03, 0.01])
+    @pytest.mark.parametrize("char", [SL, TL], ids=["spacelike", "timelike"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_bump_tends_to_its_limit(self, n, char, l):
+        nu = (n - 1) // 2 if n % 2 else (n - 1) / 2
+        limit = math.gamma(nu) * math.pi ** -nu / 2.0
+        if char is SL:
+            expected = limit
+        else:
+            expected = (-1) ** nu * limit if n % 2 else 0.0
+        res = transform(n, builtin_profile("compact_bump"), MomentumMagnitude(l, char), CFG)
+        assert res.converged
+        assert abs(l ** (n - 1) * res.value - expected) <= 10.0 * l ** 3 * limit
+
+
 class TestGaussianReference:
     def test_small_k_limit(self):
         assert abs(gaussian_reference(1e-12) - math.pi) < 1e-12
