@@ -20,10 +20,16 @@ the 2-d node grid, and only on the cell pairs that can meet the profile's
 support.  Those cell pairs are summed in blocks of `_BLOCK`, one einsum
 each, which fixes the summation order and therefore the bits; within a
 block f(u v) is evaluated in pieces of `_PIECE` cell pairs, small enough that
-its temporaries stay in cache, into one buffer every block reuses.  The
-oracle takes the radial engine's `QuadConfig`: its `epsilon_schedule` is the
-eta schedule, which `window_config_for` sets by profile and dimension, with
-order min(3, etas - 1) and fixed tolerances.
+its temporaries stay in cache, into one buffer every block reuses.  In 1+1
+each cell has the sign of its nodes, and 0 is an edge of every compact axis,
+so the sign of u v is fixed on a cell pair: a piece calls f_timelike once on
+its pairs with u v > 0 and f_spacelike once on those with u v < 0, writing
+into the buffer's rows; only pairs with a cell that straddles 0 (the middle
+cell of an unbounded axis with an odd cell count) are split element by
+element, by `profile_on_invariant`.  In 1+2 the transverse table is called
+once a piece.  The oracle takes the radial engine's `QuadConfig`: its
+`epsilon_schedule` is the eta schedule, which `window_config_for` sets by
+profile and dimension, with order min(3, etas - 1) and fixed tolerances.
 The box halfwidth L of each eta follows from the profile and eta, and the
 panels from the profile and the momentum.  One eta loop takes n = 1 or 2.
 """

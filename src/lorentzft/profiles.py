@@ -89,8 +89,9 @@ def _zeros(s):
 
 
 # Shorter radii arrays evaluate the chirp inline: below about 64k points the
-# split saves little or nothing, and pooling the oracle's plane pieces (at
-# most 32,768 points a branch call) made the oracle slower.
+# split saves little or nothing, and pooling the oracle's branch calls (the
+# pairs of one sign of u v in a plane piece, at most 32,768 points) made the
+# oracle slower.
 _CHIRP_POOL_MIN = 65536
 
 
