@@ -279,12 +279,13 @@ def _fill_branches(out: np.ndarray, profile: RadialProfile, nodes: np.ndarray,
             continue
         if len(rows) == len(signs):
             rows = slice(None)
-        w = nodes[cu[rows]][:, :, None] * nodes[cv[rows]][:, None, :]
+        u, v = nodes[cu[rows]], nodes[cv[rows]]
         if sign == 0:
-            out[rows] = profile_on_invariant(profile)(w)
+            out[rows] = profile_on_invariant(profile)(u[:, :, None] * v[:, None, :])
             continue
-        if sign < 0:
-            np.negative(w, out=w)
+        # |u v| as (sign u) v: negating a node is exact, and no product of
+        # signed cells' nodes is 0, so einsum's products are the bits of u v
+        w = np.einsum("ci,cj->cij", u if sign > 0 else -u, v)
         r = np.sqrt(w, out=w).reshape(-1)
         branch = profile.f_timelike if sign > 0 else profile.f_spacelike
         out[rows] = np.broadcast_to(branch(r), r.shape).reshape(w.shape)

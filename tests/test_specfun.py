@@ -397,9 +397,9 @@ class TestBlockPool:
 
 
 def _nested_block(nu, block, out=None):
-    """bessel_n(nu, block) from one call of at least POOL_MIN points."""
+    """N_0(block), from one bessel_n call of at least POOL_MIN points."""
     repeated = np.tile(block, -(-POOL_MIN // block.size))
-    value = bessel_n(Order(round(2 * nu)), repeated)[:block.size]
+    value = bessel_n(ZERO, repeated)[:block.size]
     if out is None:
         return value
     out[...] = value
