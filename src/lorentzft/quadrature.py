@@ -17,21 +17,26 @@ per distinct truncation point.  Only the widest is walked panel by panel:
 a narrower mesh whose walk would start at the same edge with the same
 widening is the widest mesh's edges below its X, then X (`_mesh_below`).
 A panel's rule has 36 nodes: the 24 Gauss-Legendre nodes of the main rule,
-then the 12 of the error rule.  f is called at most twice on the meshes:
-once on the widest, and once on the panels of their own of every narrower
-mesh together, so f's value at a point must not depend on the other points
-of a call.  An f that returns exact zeros, skipping the rest of its work,
-when it vanishes on every point of a call (`transform`'s radial integrand
-skips its weight so) breaks this at its zeros alone: a zero is +0.0 when
-f vanishes on every point of its call, and 0 * weight (a signed zero, or
-NaN where the weight is not finite) when it does not.  A signed zero
-summed with nonzero terms keeps the sum's bits; a NaN does not.  Each mesh's values are then reweighted by exp(-eps x^2) for all
-the eps whose mesh it is in one array pass, the widest mesh last and in
-place when one eps uses it; an eps whose mesh is the widest one reuses its
-nodes as they are.  The engine damps its own copy of what f returns and
-never writes f's array, so f may return a read-only array or keep the one
-it returned.  The sums are formed exactly as a separate evaluation per eps
-and rule would form them, to the last bit.
+then the 12 of the error rule.  The meshes' panels form one table, the
+widest mesh's panels and then the panels of their own of every narrower
+mesh in X order, and f is called once, on all of its nodes; a narrower
+mesh is then two slices of the table, the leading panels it shares with
+the widest and its own.  So f's value at a point must not depend on the
+other points of a call.  An f that returns exact zeros, skipping the rest
+of its work, when it vanishes on every point of a call (`transform`'s
+radial integrand skips its weight so) breaks this at its zeros alone:
+they are +0.0 when f vanishes on every node of every mesh, as a call per
+eps would give them, and otherwise 0 * weight (a signed zero, or NaN where
+the weight is not finite), as a call per eps gives them on a mesh where f
+does not vanish everywhere.  A signed zero summed with nonzero terms keeps
+the sum's bits; a NaN does not.  Each mesh's values are then reweighted by
+exp(-eps x^2) for all the eps whose mesh it is in one array pass, the
+widest mesh last and in place when one eps uses it, and each eps's main
+sum and panel error are one sum over that pass's panels.  The engine damps
+its own copy of what f returns and never writes f's array, so f may
+return a read-only array or keep the one it returned.  The sums are formed
+exactly as a separate evaluation per eps and rule would form them, to the
+last bit.
 """
 
 from __future__ import annotations
@@ -331,14 +336,13 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
                                   quad_phase: float = 1.0) -> QuadResult:
     """Damped semi-infinite integral of f with extrapolation eps -> 0.
 
-    f is called at most four times: at most two probe calls place the
-    truncation points (none with an envelope or a support radius), one
-    call evaluates the widest mesh and one the panels the narrower meshes
-    do not share with it.  For an f whose value at a point depends on that
-    point alone, the result is the same, to the last bit, as with a mesh
-    walked and f called for each eps; an f that skips its work on a call
-    where it vanishes everywhere may differ from that at its zeros (see
-    the module docstring).
+    f is called at most three times: at most two probe calls place the
+    truncation points (none with an envelope or a support radius), and one
+    call evaluates the nodes of every mesh.  For an f whose value at a
+    point depends on that point alone, the result is the same, to the last
+    bit, as with a mesh walked and f called for each eps; an f that skips
+    its work on a call where it vanishes everywhere may differ from that at
+    its zeros (see the module docstring).
 
     Parameters
     ----------
@@ -368,54 +372,49 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     eps = np.array(cfg.epsilon_schedule)
     # the eps of each distinct X, widest last, as its values are damped last
     by_X = {X: [i for i, x in enumerate(Xs) if x == X] for X in sorted(set(Xs))}
-    # the widest mesh; its integrand values serve every eps that shares a panel
     X_wide = max(Xs)
     wide = _mesh(X_wide, osc_scale, quad_phase)
-    wide_nodes, wide_half = _panel_nodes(wide, _RULE_X)
-    wide_values = _evaluate(f, wide_nodes)
-    evals = wide_values.size
     # each narrower mesh: the number of leading panels it shares with the
     # widest, node for node, and the (a, b) edges of the panels of its own
     narrow = {X: _mesh_below(wide, X, osc_scale, quad_phase) for X in by_X if X != X_wide}
+    # one panel table: the widest mesh's panels, then every narrower mesh's
+    # own in X order; f is called once, on all of its nodes
+    table = np.concatenate([np.stack((wide[:-1], wide[1:]), axis=-1)]
+                           + [own for _, own in narrow.values()])
+    nodes, half = _panel_nodes(table, _RULE_X)
+    nodes, half = nodes[:, 0], half[:, 0]
+    values = _evaluate(f, nodes)
+    n_wide = len(wide) - 1
     # own panels count once per eps, as when each eps called f on its own
-    evals += sum(len(own) * _RULE_X.size * len(by_X[X])
-                 for X, (_, own) in narrow.items())
-    # one call on the panels of their own of every narrower mesh, in X
-    # order; a mesh's full nodes are built below, one mesh at a time
-    if narrow:
-        own_nodes, own_half = _panel_nodes(
-            np.concatenate([own for _, own in narrow.values()]), _RULE_X)
-        own_values = np.empty(own_nodes[:, 0].shape, dtype=complex)
-        if len(own_nodes):
-            own_values = _evaluate(f, own_nodes[:, 0])
-    main_sums, panel_errs = [None] * len(Xs), [None] * len(Xs)
-    start = 0
+    evals = _RULE_X.size * (n_wide + sum(len(own) * len(by_X[X])
+                                         for X, (_, own) in narrow.items()))
+    main_sums, panel_errs = np.empty(len(Xs), dtype=complex), np.empty(len(Xs))
+    start = n_wide
     for X, rows in by_X.items():
         if X == X_wide:
-            nodes, half, values = wide_nodes, wide_half, wide_values
+            m_nodes, m_half, m_values = nodes[:n_wide], half[:n_wide], values[:n_wide]
         else:
+            # the k panels it shares with the widest, then its own
             k, n_own = narrow[X][0], len(narrow[X][1])
-            part = slice(start, start + n_own)
+            own = slice(start, start + n_own)
             start += n_own
-            nodes = np.concatenate((wide_nodes[:k], own_nodes[part, 0]))
-            half = np.concatenate((wide_half[:k], own_half[part, 0]))
-            values = np.concatenate((wide_values[:k], own_values[part]))
+            m_nodes, m_half, m_values = (np.concatenate((a[:k], a[own]))
+                                         for a in (nodes, half, values))
         # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
         # is damped in place, as no later mesh reads its values (a second
         # array would raise peak memory).  An inf value times a real factor
         # gives NaN, which the result reports
-        damping = np.exp(-eps[rows, None, None] * nodes * nodes)
-        terms = values[None]
+        damping = np.exp(-eps[rows, None, None] * m_nodes * m_nodes)
+        terms = m_values[None]
         with np.errstate(invalid="ignore"):
             terms = np.multiply(terms, damping, out=terms if len(rows) == 1 else None)
         terms *= _RULE_W
-        p_main, p_err = _panel_sums(terms, half)
-        for r, i in enumerate(rows):
-            main_sums[i] = complex(p_main[r].sum())
-            panel_errs[i] = float(np.abs(p_main[r] - p_err[r]).sum())
+        p_main, p_err = _panel_sums(terms, m_half)
+        main_sums[rows] = p_main.sum(axis=-1)
+        panel_errs[rows] = np.abs(p_main - p_err).sum(axis=-1)
     samples = list(zip(cfg.epsilon_schedule, main_sums))
     # in schedule order from 0.0, as a running max over the eps would take it
-    quad_err = max([0.0] + panel_errs)
+    quad_err = max([0.0] + panel_errs.tolist())
     value, resid = extrapolate_to_zero(samples, cfg.extrapolation_order)
     err = resid + 4.0 * quad_err + max(tails)
     return _finish(value, err, evals, cfg)

@@ -57,8 +57,11 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
     def integrand(s):
         gs = np.broadcast_to(np.asarray(g(s), dtype=complex), np.shape(s))
         # g vanishing on every node gives exact zeros with no weight call;
-        # NaN is nonzero, so it still reaches the weight
-        return gs * weight(s) if gs.any() else gs
+        # NaN is nonzero, so it still reaches the weight.  np.multiply keeps
+        # the order gs * weight at every call size: `*` lets numpy reuse a
+        # large weight temporary as weight * gs, and a complex product can
+        # round differently in the two orders
+        return np.multiply(gs, weight(s)) if gs.any() else gs
 
     envelope = None
     if bound is not None:

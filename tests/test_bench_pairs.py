@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: a BENCH_<pr>.json is extended only with new seeds."""
 
+import fcntl
 import importlib.util
 import json
 import pathlib
@@ -43,6 +44,35 @@ class TestSeedsAlreadyRecorded:
                      "--workload", "chirped_spectrum", "--seeds", "1301-1303",
                      "--out", str(out)] + trace)
         assert out.read_text() == before
+
+
+class TestOneRunPerFile:
+    def test_a_second_run_is_refused_while_the_lock_is_held(self, tmp_path,
+                                                            monkeypatch):
+        bp = _bench_pairs()
+        out = tmp_path / "BENCH.json"
+        out.write_text('{"runs": ["kept"]}')
+        monkeypatch.setattr(bp, "commit_of", lambda checkout: pytest.fail("read a commit"))
+        monkeypatch.setattr(bp, "run_once", lambda *a: pytest.fail("ran a pair"))
+        argv = ["--parent", str(tmp_path / "p"), "--change", str(ROOT),
+                "--workload", "chirped_spectrum", "--seeds", "1301", "--out", str(out)]
+        lock = tmp_path / "BENCH.json.lock"
+        with open(lock, "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(SystemExit, match=f"another run is writing {out}"):
+                bp.main(argv)
+        assert out.read_text() == '{"runs": ["kept"]}'
+        # the refused run leaves the lock file to the run that holds it
+        assert lock.exists()
+
+    def test_the_lock_file_is_removed_at_exit(self, tmp_path, monkeypatch):
+        bp = _bench_pairs()
+        out = tmp_path / "BENCH.json"
+        monkeypatch.setattr(bp, "record", lambda args: out.write_text("{}"))
+        bp.main(["--parent", str(tmp_path / "p"), "--change", str(ROOT),
+                 "--suites", "--out", str(out)])
+        assert out.read_text() == "{}"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestSuiteTimings:

@@ -36,9 +36,14 @@ def test_summary_of_synthetic_timings(monkeypatch):
     assert j0["change"] == {"per_process": [0.63, 0.64, 0.68],
                             "q1_median_q3": [0.635, 0.64, 0.66]}
     assert j0["change_over_parent"] == round(0.64 / 0.72, 4)
+    # absolute: the median per-process op times, 6.8 ms of 7.56, 4.48 and
+    # 6.8 over 7.0 ms of 7.0, 9.36 and 5.92; the speeds do not cancel
+    assert j0["absolute_change_over_parent"] == round(6.8 / 7.0, 4)
     closure = summary["kinds"]["closure"]
     assert closure["parent"]["per_process"] == [1.2] * 3
     assert closure["change_over_parent"] == 1.0
+    # 12 ms on each side, at each side's median speed 1.0
+    assert closure["absolute_change_over_parent"] == 1.0
 
 
 def test_kind_names_the_profile_or_identity(monkeypatch):

@@ -162,19 +162,28 @@ class TestIntegrandContract:
         res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
         assert sizes == [res.evaluations]
 
-        # the widest mesh, then the panels of their own of every narrower
-        # mesh in one more call
+        # one call: the widest mesh's nodes, then the nodes of the panels of
+        # their own of every narrower mesh, in X order
         f, cfg, kw = _SCHEDULE_CASES["chirped_envelope"]
-        Xs = _truncation_Xs(f, cfg, kw)
-        meshes = [_mesh(X, 1.0, 1.0) for X in Xs]
-        wide = meshes[int(np.argmax(Xs))]
-        own = [not np.array_equal(edges, wide[:len(edges)]) for edges in meshes]
-        sizes.clear()
-        res = integrate_semiinfinite_damped(recording(f), cfg, **kw)
-        assert 0 < sum(own) < len(own)
-        assert sizes == [_panel_nodes(wide, quadrature._RULE_X)[0].size,
-                         sum(own) * (_GL_MAIN + _GL_ERR)]
-        assert sum(sizes) == res.evaluations
+        Xs = sorted(set(_truncation_Xs(f, cfg, kw)))
+        wide = _mesh(Xs[-1], 1.0, 1.0)
+        expected, own = [_panel_nodes(wide, quadrature._RULE_X)[0].ravel()], []
+        for X in Xs[:-1]:
+            edges = _mesh(X, 1.0, 1.0)
+            m = min(len(edges), len(wide))
+            differ = np.flatnonzero(edges[:m] != wide[:m])
+            # a panel is shared when both of its edges are the widest mesh's
+            k = (differ[0] if len(differ) else m) - 1
+            own.append(len(edges) - 1 - k)
+            expected.append(_panel_nodes(edges[k:], quadrature._RULE_X)[0].ravel())
+        points = []
+        res = integrate_semiinfinite_damped(lambda x: points.append(x.copy()) or f(x),
+                                            cfg, **kw)
+        # several narrower meshes, each with a panel of its own
+        assert len(own) > 1 and all(n > 0 for n in own)
+        assert len(points) == 1
+        assert np.array_equal(points[0], np.concatenate(expected))
+        assert points[0].size == res.evaluations
 
     def test_no_point_outside_the_interval(self):
         with warnings.catch_warnings():
@@ -741,8 +750,8 @@ class TestSharedMesh:
             return f(x)
 
         res = integrate_semiinfinite_damped(counting, cfg, **kw)
-        # one call on the widest mesh, one on the narrower meshes' own panels
-        assert len(received) == 2
+        # one call on the widest mesh and the narrower meshes' own panels
+        assert len(received) == 1
         # the shared mesh's own panels count once per eps, the count a call
         # per eps would give
         assert res.evaluations == 23760
@@ -959,7 +968,7 @@ class TestBatchedMagnitudes:
 class TestZeroBranch:
     @pytest.mark.parametrize("with_bound", [True, False])
     def test_no_weight_call_and_plus_zero(self, with_bound):
-        # a branch zero on every node of both calls never reaches the
+        # a branch zero on every node of every call never reaches the
         # weight, and its integral is +0.0
         radial_integral = importlib.import_module("lorentzft.transform")._radial_integral
         g_calls, weight_calls = [], []
@@ -976,9 +985,10 @@ class TestZeroBranch:
         res = radial_integral(g, weight, CFG, 1.0, bound, lambda s: 1.0 / (1.0 + s),
                               None, 1.0)
         assert weight_calls == []
-        # with a bound: the widest mesh and the narrower meshes' own panels;
-        # without: the first magnitude round, then one mesh for every eps
-        assert len(g_calls) == 2
+        # with a bound: one call on the widest mesh and the narrower meshes'
+        # own panels; without: the first magnitude round, then one mesh for
+        # every eps
+        assert len(g_calls) == (1 if with_bound else 2)
         assert res.value == 0.0 and res.converged
         assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == 1.0
 

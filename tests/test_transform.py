@@ -191,6 +191,26 @@ class TestZeroAndVanishing:
             transform(1, profile, tmom(0.8), CFG)
 
 
+class TestRadialIntegrand:
+    def test_value_independent_of_its_call(self, monkeypatch):
+        # the engine calls the integrand once on the nodes of several
+        # meshes, so a point's value must not depend on the other points of
+        # its call; with a complex weight, a product whose operand order
+        # followed the call's size would round differently (FMA)
+        integrands = []
+        monkeypatch.setattr(TRANSFORM_MODULE, "integrate_semiinfinite_damped",
+                            lambda f, *args, **kwargs: integrands.append(f))
+        TRANSFORM_MODULE._radial_integral(
+            lambda s: np.cos(3.0 * s) * np.exp(1j * s * s),
+            lambda s: np.exp(-1j * math.pi * s), CFG, 0.5, None,
+            lambda s: 1.0, None, 1.0)
+        [integrand] = integrands
+        s = np.random.default_rng(235).uniform(0.0, 50.0, 20_000)
+        whole = integrand(s).view(np.uint64)
+        parts = np.concatenate([integrand(p) for p in np.split(s, 20)]).view(np.uint64)
+        assert int((whole != parts).sum()) == 0
+
+
 class TestLinearity:
     def test_linear_combination(self):
         bump = builtin_profile("compact_bump")

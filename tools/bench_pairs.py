@@ -12,7 +12,10 @@ as they are (run.py imports the package from their `src/`); nothing under
 its side, workload, seed and order.  `--trace` runs `--seconds 4 --trace 1`
 instead, parent then change, and stores the pairs under `traced_runs`.
 A seed the file already holds for the workload (untraced or traced) is
-refused: the summary pairs runs by seed.
+refused: the summary pairs runs by seed.  One run at a time may write a
+file: a run holds an exclusive lock on `<out>.lock` beside it, removed at
+exit, and a second run on the same `--out` exits with an error before
+running anything.
 
 The output file is created, or extended when it exists: new runs are
 appended, the seeds listed per workload, and the summary recomputed from
@@ -49,6 +52,8 @@ over the parent's.  These are uncalibrated: they gate nothing.
 """
 
 import argparse
+import contextlib
+import fcntl
 import json
 import os
 import pathlib
@@ -265,6 +270,22 @@ def traced_counts_differ(traced):
     return diffs
 
 
+@contextlib.contextmanager
+def exclusive(out):
+    """Hold the lock file beside `out` for the block, and remove it after;
+    exit with an error if another run holds it."""
+    lock = out.with_name(out.name + ".lock")
+    with open(lock, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            sys.exit(f"error: another run is writing {out} (it holds {lock})")
+        try:
+            yield
+        finally:
+            lock.unlink(missing_ok=True)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=pathlib.Path,
@@ -284,7 +305,12 @@ def main(argv=None):
         ap.error("--suites takes no --trace, --workload or --seeds")
     if not args.suites and (args.workload is None or args.seeds is None):
         ap.error("--workload and --seeds are required without --suites")
+    with exclusive(args.out):
+        record(args)
 
+
+def record(args):
+    """Create or extend `args.out` with the runs `args` asks for."""
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     commits = {"parent_commit": commit_of(args.parent),
                "change_commit": commit_of(args.change)}

@@ -18,14 +18,21 @@ pairs, one a side, alternating which side goes first.
 
 Why ratios: on a shared VM one process can run 30% faster or slower than
 the next, all its ops alike, which buries a 10% change in raw times; a
-ratio to a kind the change does not touch cancels that swing: the control,
-`recursion`, runs no quadrature.
+ratio to a kind the change does not touch cancels that swing.  The
+control, `recursion`, is not independent of the package: each op runs
+four compact `transform`s, through the damped engine, the Minkowski
+kernels and Bessel K/N.  A change to any of those moves the control too,
+and then the ratios hide it; read the absolute ratio below instead.
 
 Lines before the last are a table: each kind's median ratio per side and
-change over parent.  The last line is one JSON object, for a BENCH file's
-`in_process_notes`: the method, and per kind and side the per-process
-ratios and their quartiles (inclusive method), plus the change's median
-over the parent's; `control_ms` holds the control's per-process medians.
+change over parent, and the change over parent of its absolute times (the
+median over the change's processes of the kind's median op time, over the
+same for the parent).  The last line is one JSON object, for a BENCH
+file's `in_process_notes`: the method, and per kind and side the
+per-process ratios and their quartiles (inclusive method), plus the
+change's median over the parent's (`change_over_parent`) and the absolute
+ratio (`absolute_change_over_parent`); `control_ms` holds the control's
+per-process medians.
 """
 
 import argparse
@@ -87,7 +94,8 @@ def run_process(checkout, workload, seed):
 
 def summarize(processes, control):
     """Per kind: each side's per-process ratios to `control` with their
-    quartiles, and the change's median ratio over the parent's.
+    quartiles, the change's median ratio over the parent's, and the
+    change's median op time over the parent's across processes.
     `processes` holds {"side": side, "medians": {kind: seconds}} a process."""
     kinds = dict.fromkeys(k for p in processes for k in p["medians"] if k != control)
     summary = {"control_ms": {side: [round(1e3 * p["medians"][control], 3)
@@ -103,6 +111,10 @@ def summarize(processes, control):
                            "q1_median_q3": [round(q, 4) for q in quartiles(ratios)]}
         entry["change_over_parent"] = round(
             entry["change"]["q1_median_q3"][1] / entry["parent"]["q1_median_q3"][1], 4)
+        seconds = {side: statistics.median(p["medians"][kind] for p in processes
+                                           if p["side"] == side) for side in SIDES}
+        entry["absolute_change_over_parent"] = round(
+            seconds["change"] / seconds["parent"], 4)
         summary["kinds"][kind] = entry
     return summary
 
@@ -132,7 +144,8 @@ def main(argv=None):
     for kind, entry in summary["kinds"].items():
         print(f"{kind:32s} parent {entry['parent']['q1_median_q3'][1]:.4f}  "
               f"change {entry['change']['q1_median_q3'][1]:.4f}  "
-              f"change/parent {entry['change_over_parent']:.4f}")
+              f"change/parent {entry['change_over_parent']:.4f}  "
+              f"absolute {entry['absolute_change_over_parent']:.4f}")
     method = (f"{PROCESSES} alternating processes a side; each runs the "
               f"{args.workload} op list of seed {args.seed} ({ROUNDS} seeded "
               f"round(s)) once to warm up, then {REPS} times; a kind's value "
