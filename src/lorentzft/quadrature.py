@@ -398,8 +398,9 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
             k, n_own = narrow[X][0], len(narrow[X][1])
             own = slice(start, start + n_own)
             start += n_own
-            m_nodes, m_half, m_values = (np.concatenate((a[:k], a[own]))
-                                         for a in (nodes, half, values))
+            m_nodes = np.concatenate((nodes[:k], nodes[own]))
+            m_half = np.concatenate((half[:k], half[own]))
+            m_values = np.concatenate((values[:k], values[own]))
         # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
         # is damped in place, as no later mesh reads its values (a second
         # array would raise peak memory).  An inf value times a real factor

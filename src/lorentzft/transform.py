@@ -4,11 +4,11 @@ The (n+1)-dimensional transform of a radial profile reduces to two
 one-dimensional integrals over the timelike and spacelike branch radii
 weighted by the kernels of `lorentzft.kernels`; `transform` evaluates them
 with the damped semi-infinite prescription.  A vanishing kernel is not
-integrated, and a branch that is zero on every node of a mesh is integrated
-without a kernel call (its terms are exact zeros either way).  `hankel_transform` is the purely
-Euclidean radial transform against chi_n, on the same radial driver
-(`_radial_integral`).  `recursion_step` realizes the
-dimension-raising derivative, and `gaussian_reference` is the closed-form
+integrated, and a branch that is zero on every node of its meshes is
+integrated without a kernel call (its terms are exact zeros either way).
+`hankel_transform` is the purely Euclidean radial transform against chi_n,
+on the same radial driver (`_radial_integral`).  `recursion_step` realizes
+the dimension-raising derivative, and `gaussian_reference` is the closed-form
 transform of the unit-modulus Gaussian profile in 1+1 dimensions.
 """
 
