@@ -188,10 +188,11 @@ def _mesh(X: float, osc_scale: float, quad_phase: float):
 
 
 def _mesh_below(wide, X: float, osc_scale: float, quad_phase: float):
-    """The panels of `_mesh(X, osc_scale, quad_phase)` for an X below the
+    """The panels of `_mesh(X, osc_scale, quad_phase)` for an X up to the
     end of `wide`, the mesh of the same rates to wide[-1]: the number k of
     leading panels it shares with `wide`, edge for edge, and the (a, b)
-    edges of the others, one row a panel.
+    edges of the others, one row a panel (none for X = wide[-1], whose
+    mesh is `wide`).
 
     Walks that start at the same s1 with the same widening take the same
     steps until one reaches X, so the mesh to X is then the wide mesh's
@@ -237,12 +238,24 @@ def _panel_sums(terms, half):
             terms[..., _GL_MAIN:].sum(axis=-1) * half)
 
 
+def _damped_sums(eps, nodes, half, values):
+    """Main- and error-rule sums of each panel of `nodes` (panels x rule
+    nodes) of `values` damped by exp(-eps x^2), one row an eps: the rows of
+    `_panel_sums` of one eps x panels x rule-nodes array.  An inf value
+    times a real factor gives NaN, which the result reports."""
+    damping = np.exp(-eps[:, None, None] * nodes * nodes)
+    with np.errstate(invalid="ignore"):
+        terms = values * damping
+    terms *= _RULE_W
+    return _panel_sums(terms, half)
+
+
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     """f on the float array x of any shape, in one call, as a complex array
-    the caller owns: an integrand maps a float array to an array of the
-    same shape, and the array it returns is never written."""
-    # a copy: the engine damps the widest mesh's values in place
-    out = np.array(f(x.ravel()), dtype=complex)
+    that no caller writes, f's own array when it is complex already: an
+    integrand maps a float array to an array of the same shape, and the
+    array it returns is never written."""
+    out = np.asarray(f(x.ravel()), dtype=complex)
     if out.shape != (x.size,):
         raise ValueError("an integrand must map a float array to an array of "
                          f"the same shape; got shape {out.shape} for {(x.size,)}")
@@ -370,47 +383,37 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     """
     Xs, tails = zip(*_truncation_points(f, cfg, envelope, support_radius))
     eps = np.array(cfg.epsilon_schedule)
-    # the eps of each distinct X, widest last, as its values are damped last
+    # the eps of each distinct X, in X order
     by_X = {X: [i for i, x in enumerate(Xs) if x == X] for X in sorted(set(Xs))}
-    X_wide = max(Xs)
-    wide = _mesh(X_wide, osc_scale, quad_phase)
-    # each narrower mesh: the number of leading panels it shares with the
-    # widest, node for node, and the (a, b) edges of the panels of its own
-    narrow = {X: _mesh_below(wide, X, osc_scale, quad_phase) for X in by_X if X != X_wide}
+    wide = _mesh(max(Xs), osc_scale, quad_phase)
+    # each mesh: the number of leading panels it shares with the widest,
+    # node for node, and the (a, b) edges of the panels of its own (none
+    # for the widest)
+    meshes = {X: _mesh_below(wide, X, osc_scale, quad_phase) for X in by_X}
     # one panel table: the widest mesh's panels, then every narrower mesh's
     # own in X order; f is called once, on all of its nodes
     table = np.concatenate([np.stack((wide[:-1], wide[1:]), axis=-1)]
-                           + [own for _, own in narrow.values()])
+                           + [own for _, own in meshes.values()])
     nodes, half = _panel_nodes(table, _RULE_X)
     nodes, half = nodes[:, 0], half[:, 0]
     values = _evaluate(f, nodes)
-    n_wide = len(wide) - 1
     # own panels count once per eps, as when each eps called f on its own
-    evals = _RULE_X.size * (n_wide + sum(len(own) * len(by_X[X])
-                                         for X, (_, own) in narrow.items()))
+    evals = _RULE_X.size * (len(wide) - 1 + sum(len(own) * len(by_X[X])
+                                                for X, (_, own) in meshes.items()))
     main_sums, panel_errs = np.empty(len(Xs), dtype=complex), np.empty(len(Xs))
-    start = n_wide
+    start = len(wide) - 1
     for X, rows in by_X.items():
-        if X == X_wide:
-            m_nodes, m_half, m_values = nodes[:n_wide], half[:n_wide], values[:n_wide]
-        else:
-            # the k panels it shares with the widest, then its own
-            k, n_own = narrow[X][0], len(narrow[X][1])
-            own = slice(start, start + n_own)
-            start += n_own
-            m_nodes = np.concatenate((nodes[:k], nodes[own]))
-            m_half = np.concatenate((half[:k], half[own]))
-            m_values = np.concatenate((values[:k], values[own]))
-        # one eps x panels x 36 array for the mesh's eps; a mesh of one eps
-        # is damped in place, as no later mesh reads its values (a second
-        # array would raise peak memory).  An inf value times a real factor
-        # gives NaN, which the result reports
-        damping = np.exp(-eps[rows, None, None] * m_nodes * m_nodes)
-        terms = m_values[None]
-        with np.errstate(invalid="ignore"):
-            terms = np.multiply(terms, damping, out=terms if len(rows) == 1 else None)
-        terms *= _RULE_W
-        p_main, p_err = _panel_sums(terms, m_half)
+        # the k panels it shares with the widest, then its own, each summed
+        # from views of the table; the per-panel sums are joined, not the
+        # mesh's nodes or values
+        k, own = meshes[X]
+        p_main, p_err = _damped_sums(eps[rows], nodes[:k], half[:k], values[:k])
+        if len(own):
+            part = slice(start, start + len(own))
+            start += len(own)
+            o_main, o_err = _damped_sums(eps[rows], nodes[part], half[part], values[part])
+            p_main = np.concatenate((p_main, o_main), axis=-1)
+            p_err = np.concatenate((p_err, o_err), axis=-1)
         main_sums[rows] = p_main.sum(axis=-1)
         panel_errs[rows] = np.abs(p_main - p_err).sum(axis=-1)
     samples = list(zip(cfg.epsilon_schedule, main_sums))

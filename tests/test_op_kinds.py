@@ -1,6 +1,7 @@
 """tools/op_kinds.py: per-kind ratios to a control kind, per process."""
 
 import importlib.util
+import json
 import pathlib
 from collections import namedtuple
 
@@ -44,6 +45,39 @@ def test_summary_of_synthetic_timings(monkeypatch):
     assert closure["change_over_parent"] == 1.0
     # 12 ms on each side, at each side's median speed 1.0
     assert closure["absolute_change_over_parent"] == 1.0
+
+
+def test_summary_without_a_control(monkeypatch):
+    ok = _op_kinds(monkeypatch)
+    # compact_spectrum's kinds: no recursion op, so no control ratio
+    speeds = {"parent": [1.0, 1.3, 0.8, 1.1], "change": [1.2, 0.7, 1.0, 0.9]}
+    processes = [{"side": side, "medians": {"spectrum:compact_bump": 0.020 * v,
+                                            "spectrum:gauss_decay_timelike": 0.005 * v}}
+                 for side in ("parent", "change") for v in speeds[side]]
+    summary = ok.summarize(processes, None)
+    assert summary["control_ms"] is None
+    assert list(summary["kinds"]) == ["spectrum:compact_bump",
+                                      "spectrum:gauss_decay_timelike"]
+    # each kind holds its absolute ratio alone: the median speeds 0.95 of 1.05
+    for entry in summary["kinds"].values():
+        assert entry == {"absolute_change_over_parent": round(0.95 / 1.05, 4)}
+
+
+def test_workload_without_a_control_runs_through(monkeypatch, capsys):
+    ok = _op_kinds(monkeypatch)
+    calls = []
+
+    def run_process(checkout, workload, seed):
+        calls.append(checkout.name)
+        return {"spectrum:compact_bump": 0.020 if checkout.name == "parent" else 0.018}
+
+    monkeypatch.setattr(ok, "run_process", run_process)
+    ok.main(["--parent", "parent", "--change", "change",
+             "--workload", "compact_spectrum", "--seed", "1"])
+    assert calls == ["parent", "change", "change", "parent"] * (ok.PROCESSES // 2)
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["control"] is None and last["control_ms"] is None
+    assert last["kinds"] == {"spectrum:compact_bump": {"absolute_change_over_parent": 0.9}}
 
 
 def test_kind_names_the_profile_or_identity(monkeypatch):

@@ -197,30 +197,42 @@ class TestIntegrandContract:
             integrate(lambda x: 1.0)
 
     def test_returned_array_is_never_written(self):
-        # one eps on the widest mesh: the engine damps its values in place,
-        # so it must own them; f may return a read-only array or keep it
+        # the engine reads f's array in place on every mesh relation of the
+        # schedule cases, and on one eps of the widest mesh alone, without
+        # writing it: f may return a read-only array or keep the one it
+        # returned, and the result is the plain integrand's
         envelope = lambda x: 1.0 / (1.0 + np.asarray(x))
 
         def cos_over(x):
             return np.cos(3.0 * x) / (1.0 + x) + 0j
 
-        def read_only(x):
-            out = cos_over(x)
-            out.flags.writeable = False
-            return out
+        one_eps = QuadConfig(epsilon_schedule=(0.1,), extrapolation_order=0)
+        assert len(set(_truncation_Xs(cos_over, one_eps, dict(envelope=envelope)))) == 1
+        cases = dict(_SCHEDULE_CASES, cos_over=(cos_over, CFG, dict(envelope=envelope)),
+                     one_eps=(cos_over, one_eps, dict(envelope=envelope)))
+        for case, (f, cfg, kw) in sorted(cases.items()):
+            def owned(x):
+                # complex already, so the engine takes the array as it is
+                return np.array(f(x), dtype=complex)
 
-        kept = []
+            def read_only(x):
+                out = owned(x)
+                out.flags.writeable = False
+                return out
 
-        def keeping(x):
-            out = cos_over(x)
-            kept.append((out, out.copy()))
-            return out
+            kept = []
 
-        expected = integrate_semiinfinite_damped(cos_over, CFG, envelope=envelope)
-        assert abs(expected.value - 0.0792215) < 1e-7
-        assert integrate_semiinfinite_damped(read_only, CFG, envelope=envelope) == expected
-        assert integrate_semiinfinite_damped(keeping, CFG, envelope=envelope) == expected
-        assert kept and all(np.array_equal(out, copy) for out, copy in kept)
+            def keeping(x):
+                out = owned(x)
+                kept.append((out, out.copy()))
+                return out
+
+            expected = integrate_semiinfinite_damped(f, cfg, **kw)
+            assert integrate_semiinfinite_damped(read_only, cfg, **kw) == expected, case
+            assert integrate_semiinfinite_damped(keeping, cfg, **kw) == expected, case
+            assert kept and all(np.array_equal(out, copy) for out, copy in kept), case
+        assert abs(integrate_semiinfinite_damped(cos_over, CFG, envelope=envelope).value
+                   - 0.0792215) < 1e-7
 
     @pytest.mark.parametrize("integrate", _ENGINES)
     def test_integrand_exception_propagates(self, integrate):

@@ -22,7 +22,11 @@ ratio to a kind the change does not touch cancels that swing.  The
 control, `recursion`, is not independent of the package: each op runs
 four compact `transform`s, through the damped engine, the Minkowski
 kernels and Bessel K/N.  A change to any of those moves the control too,
-and then the ratios hide it; read the absolute ratio below instead.
+and then the ratios hide it; read the absolute ratio below instead.  The
+absolute ratio does not cancel the swing: over four processes a side it
+follows the processes' speed, so it resolves only a change larger than
+that swing.  A workload with no op of the control kind (every workload but
+`identities`) gets the absolute ratio alone.
 
 Lines before the last are a table: each kind's median ratio per side and
 change over parent, and the change over parent of its absolute times (the
@@ -32,7 +36,8 @@ file's `in_process_notes`: the method, and per kind and side the
 per-process ratios and their quartiles (inclusive method), plus the
 change's median over the parent's (`change_over_parent`) and the absolute
 ratio (`absolute_change_over_parent`); `control_ms` holds the control's
-per-process medians.
+per-process medians.  Without a control, each kind holds its absolute
+ratio alone, and `control` and `control_ms` are null.
 """
 
 import argparse
@@ -95,22 +100,25 @@ def run_process(checkout, workload, seed):
 def summarize(processes, control):
     """Per kind: each side's per-process ratios to `control` with their
     quartiles, the change's median ratio over the parent's, and the
-    change's median op time over the parent's across processes.
-    `processes` holds {"side": side, "medians": {kind: seconds}} a process."""
+    change's median op time over the parent's across processes; the last
+    alone when `control` is None.  `processes` holds
+    {"side": side, "medians": {kind: seconds}} a process."""
     kinds = dict.fromkeys(k for p in processes for k in p["medians"] if k != control)
-    summary = {"control_ms": {side: [round(1e3 * p["medians"][control], 3)
-                                     for p in processes if p["side"] == side]
-                              for side in SIDES},
+    summary = {"control_ms": None if control is None else
+               {side: [round(1e3 * p["medians"][control], 3)
+                       for p in processes if p["side"] == side]
+                for side in SIDES},
                "kinds": {}}
     for kind in kinds:
         entry = {}
-        for side in SIDES:
-            ratios = [round(p["medians"][kind] / p["medians"][control], 4)
-                      for p in processes if p["side"] == side]
-            entry[side] = {"per_process": ratios,
-                           "q1_median_q3": [round(q, 4) for q in quartiles(ratios)]}
-        entry["change_over_parent"] = round(
-            entry["change"]["q1_median_q3"][1] / entry["parent"]["q1_median_q3"][1], 4)
+        if control is not None:
+            for side in SIDES:
+                ratios = [round(p["medians"][kind] / p["medians"][control], 4)
+                          for p in processes if p["side"] == side]
+                entry[side] = {"per_process": ratios,
+                               "q1_median_q3": [round(q, 4) for q in quartiles(ratios)]}
+            entry["change_over_parent"] = round(
+                entry["change"]["q1_median_q3"][1] / entry["parent"]["q1_median_q3"][1], 4)
         seconds = {side: statistics.median(p["medians"][kind] for p in processes
                                            if p["side"] == side) for side in SIDES}
         entry["absolute_change_over_parent"] = round(
@@ -135,24 +143,28 @@ def main(argv=None):
     for pair in range(PROCESSES):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             medians = run_process(checkouts[side], args.workload, args.seed)
-            if CONTROL not in medians:
-                sys.exit(f"error: no op of kind {CONTROL!r}; kinds: {sorted(medians)}")
             processes.append({"side": side, "medians": medians})
-            print(f"pair {pair} {side}: {CONTROL} "
-                  f"{1e3 * medians[CONTROL]:.3f} ms", flush=True)
-    summary = summarize(processes, CONTROL)
+            print(f"pair {pair} {side}: " + "  ".join(
+                f"{kind} {1e3 * t:.3f} ms" for kind, t in medians.items()), flush=True)
+    # the control ratio needs the control kind in every process
+    control = CONTROL if all(CONTROL in p["medians"] for p in processes) else None
+    summary = summarize(processes, control)
     for kind, entry in summary["kinds"].items():
-        print(f"{kind:32s} parent {entry['parent']['q1_median_q3'][1]:.4f}  "
-              f"change {entry['change']['q1_median_q3'][1]:.4f}  "
-              f"change/parent {entry['change_over_parent']:.4f}  "
-              f"absolute {entry['absolute_change_over_parent']:.4f}")
+        ratios = "" if control is None else (
+            f"parent {entry['parent']['q1_median_q3'][1]:.4f}  "
+            f"change {entry['change']['q1_median_q3'][1]:.4f}  "
+            f"change/parent {entry['change_over_parent']:.4f}  ")
+        print(f"{kind:32s} {ratios}absolute {entry['absolute_change_over_parent']:.4f}")
+    value = (f"a kind's value is its median op time over its median {CONTROL} "
+             "op time in the same process" if control else
+             "no op is a control: a kind's absolute ratio is the change's "
+             "median per-process op time over the parent's")
     method = (f"{PROCESSES} alternating processes a side; each runs the "
               f"{args.workload} op list of seed {args.seed} ({ROUNDS} seeded "
-              f"round(s)) once to warm up, then {REPS} times; a kind's value "
-              f"is its median op time over its median {CONTROL} op time in "
-              "the same process (tools/op_kinds.py)")
+              f"round(s)) once to warm up, then {REPS} times; {value} "
+              "(tools/op_kinds.py)")
     print(json.dumps({"method": method, "workload": args.workload,
-                      "control": CONTROL, **summary}))
+                      "control": control, **summary}))
 
 
 if __name__ == "__main__":
