@@ -30,11 +30,14 @@ eps would give them, and otherwise 0 * weight (a signed zero, or NaN where
 the weight is not finite), as a call per eps gives them on a mesh where f
 does not vanish everywhere.  A signed zero summed with nonzero terms keeps
 the sum's bits; a NaN does not.  Each mesh's values are then reweighted by
-exp(-eps x^2) for all the eps whose mesh it is in one array pass, the
-widest mesh last and in place when one eps uses it, and each eps's main
-sum and panel error are one sum over that pass's panels.  The engine damps
-its own copy of what f returns and never writes f's array, so f may
-return a read-only array or keep the one it returned.  The sums are formed
+exp(-eps x^2) for all the eps whose mesh it is, weighted and summed per
+panel straight from views of the table: one array pass over the panels it
+shares with the widest mesh and, for a mesh with panels of its own, one
+over those, whose per-panel sums alone are joined to the first pass's.
+Each eps's main sum and panel error are one sum over the mesh's panels.
+No mesh's nodes or values are gathered into an array of their own, and
+the engine reads f's array in place without writing it, so f may return
+a read-only array or keep the one it returned.  The sums are formed
 exactly as a separate evaluation per eps and rule would form them, to the
 last bit.
 """
@@ -383,7 +386,7 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     """
     Xs, tails = zip(*_truncation_points(f, cfg, envelope, support_radius))
     eps = np.array(cfg.epsilon_schedule)
-    # the eps of each distinct X, in X order
+    # the eps of each distinct X, in X order, the order of the table's own panels
     by_X = {X: [i for i, x in enumerate(Xs) if x == X] for X in sorted(set(Xs))}
     wide = _mesh(max(Xs), osc_scale, quad_phase)
     # each mesh: the number of leading panels it shares with the widest,
@@ -397,15 +400,16 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     nodes, half = _panel_nodes(table, _RULE_X)
     nodes, half = nodes[:, 0], half[:, 0]
     values = _evaluate(f, nodes)
+    n_wide = len(wide) - 1
     # own panels count once per eps, as when each eps called f on its own
-    evals = _RULE_X.size * (len(wide) - 1 + sum(len(own) * len(by_X[X])
-                                                for X, (_, own) in meshes.items()))
+    evals = _RULE_X.size * (n_wide + sum(len(own) * len(by_X[X])
+                                         for X, (_, own) in meshes.items()))
     main_sums, panel_errs = np.empty(len(Xs), dtype=complex), np.empty(len(Xs))
-    start = len(wide) - 1
+    start = n_wide
     for X, rows in by_X.items():
         # the k panels it shares with the widest, then its own, each summed
-        # from views of the table; the per-panel sums are joined, not the
-        # mesh's nodes or values
+        # from views of the table: only per-panel sums are joined, so no
+        # mesh-sized array is gathered
         k, own = meshes[X]
         p_main, p_err = _damped_sums(eps[rows], nodes[:k], half[:k], values[:k])
         if len(own):
