@@ -24,6 +24,7 @@ from .kernels import (MomentumChar, MomentumMagnitude, check_dimension, chi,
                       chi_small_argument_limit)
 from .profiles import BUILTIN_PROFILES, builtin_profile, profile_from_csv
 from .quadrature import QuadConfig, _halving
+from .specfun import DomainError
 from .transform import spectrum
 from .validation import SUITES, run_suite
 
@@ -68,7 +69,11 @@ def cmd_transform(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = spectrum(args.n, profile, grid, cfg)
+    try:
+        results = spectrum(args.n, profile, grid, cfg)
+    except DomainError as exc:        # a momentum outside the kernels' domain
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("char,l,re,im,err,converged")
     for l, r in zip(grid, results):
         print(f"{l.char.value},{l.value:.17g},{r.value.real:.17g},"

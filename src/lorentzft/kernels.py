@@ -176,7 +176,9 @@ def chi_small_argument_limit(n: int, k: float) -> float:
 def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
     """Radial weight w(s) for the given dimension, momentum and branch.
 
-    Vectorized over s >= 0; s = 0 yields the limit 0 of every kernel.
+    Vectorized over s >= 0; s = 0 yields the limit 0 of every kernel.  A
+    nonvanishing kernel raises DomainError, naming l, when 2 pi s l
+    underflows to 0 at its least s > 0.
     """
     if spec.momentum_char is not l.char:
         raise DomainError("momentum character does not match the kernel spec")
@@ -188,6 +190,11 @@ def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
         raise DomainError("minkowski_kernel requires s >= 0")
     n = spec.n
     c, Z = spec.weight
+    # the Bessel argument at the least point, in the weight's association:
+    # a momentum so small that it underflows to 0 has no Bessel value there
+    if c and lo > 0 and not 2.0 * math.pi * lo * l.value > 0:
+        raise DomainError(f"momentum magnitude l={l.value!r} is too small: "
+                          "2 pi s l underflows to 0 at s > 0")
 
     def weight(sp):
         pref = sp ** ((n + 1) / 2.0) / l.value ** ((n - 1) / 2.0)

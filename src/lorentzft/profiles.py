@@ -56,8 +56,10 @@ class RadialProfile:
     s^2 = -s1^2 < 0.  A branch maps an array of radii to complex values
     that broadcast to that array's shape, so a constant branch, such as
     `lambda s: 0.0` for a function supported on one side, may return a
-    scalar; every reader of a profile honours this.  The builtins are
-    shared frozen instances.
+    scalar; every reader of a profile honours this.  A branch's value at a
+    radius must depend on that radius alone: a transform calls a branch on
+    consecutive chunks of a mesh's radii, and the engine calls it on
+    several meshes at once.  The builtins are shared frozen instances.
     """
 
     f_timelike: Callable

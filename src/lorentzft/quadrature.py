@@ -31,13 +31,14 @@ the weight is not finite), as a call per eps gives them on a mesh where f
 does not vanish everywhere.  A signed zero summed with nonzero terms keeps
 the sum's bits; a NaN does not.  Each mesh's values are then reweighted by
 exp(-eps x^2) for all the eps whose mesh it is, weighted and summed per
-panel straight from views of the table: one array pass over the panels it
-shares with the widest mesh and, for a mesh with panels of its own, one
-over those, whose per-panel sums alone are joined to the first pass's.
-Each eps's main sum and panel error are one sum over the mesh's panels.
-No mesh's nodes or values are gathered into an array of their own, and
-the engine reads f's array in place without writing it, so f may return
-a read-only array or keep the one it returned.  The sums are formed
+panel straight from views of the table: the panels it shares with the
+widest mesh and then its own, in runs of _CHUNK // 36 panels, whose
+per-panel sums alone are joined.  Each eps's main sum and panel error are
+one sum over the mesh's panels.  No mesh's nodes or values are gathered
+into an array of their own, and the engine reads f's array in place
+without writing it, so f may return a read-only array or keep the one it
+returned.  So an integral's memory is the table's nodes and f's values
+plus O(_CHUNK) temporaries, whatever the mesh's size.  The sums are formed
 exactly as a separate evaluation per eps and rule would form them, to the
 last bit.
 """
@@ -135,6 +136,12 @@ _CASCADE = 64          # geometric panels toward 0; resolves log/sqrt endpoints
 _PHASE_STEP = math.pi / 2.0   # quadratic-phase advance allowed per panel
 _LIN_RAD = 6.0                # linear-phase advance allowed per panel
 _MAX_PANELS = 20000           # panels per mesh, cascade included
+# points a pass over a mesh holds at once: the damping pass takes its panels
+# in runs of _CHUNK // 36 panels, and `transform`'s radial integrand calls
+# its branch and weight on runs of _CHUNK points, so their temporaries do
+# not grow with the mesh; 8 of specfun's 8,192-point pool blocks, so a
+# chunk's Bessel and chirp calls still run on the pool
+_CHUNK = 65536
 
 
 def _check_rates(**rates) -> None:
@@ -241,16 +248,29 @@ def _panel_sums(terms, half):
             terms[..., _GL_MAIN:].sum(axis=-1) * half)
 
 
-def _damped_sums(eps, nodes, half, values):
-    """Main- and error-rule sums of each panel of `nodes` (panels x rule
-    nodes) of `values` damped by exp(-eps x^2), one row an eps: the rows of
-    `_panel_sums` of one eps x panels x rule-nodes array.  An inf value
-    times a real factor gives NaN, which the result reports."""
-    damping = np.exp(-eps[:, None, None] * nodes * nodes)
-    with np.errstate(invalid="ignore"):
-        terms = values * damping
-    terms *= _RULE_W
-    return _panel_sums(terms, half)
+def _damped_sums(eps, nodes, half, values, parts):
+    """Main- and error-rule sums of the panels of the table rows `parts`
+    (slices, in order) of `nodes` (panels x rule nodes) of `values` damped
+    by exp(-eps x^2), one row an eps and one column a panel: the rows of
+    `_panel_sums` of one eps x panels x rule-nodes array.  The terms are
+    formed on runs of _CHUNK // 36 panels and only their per-panel sums
+    are joined, so no mesh-sized array is formed.  An inf value times a
+    real factor gives NaN, which the result reports."""
+    step = _CHUNK // _RULE_X.size
+    chunks = [slice(i, min(i + step, part.stop))
+              for part in parts for i in range(part.start, part.stop, step)]
+    sums = []
+    for c in chunks or [slice(0, 0)]:
+        x = nodes[c]
+        damping = np.exp(-eps[:, None, None] * x * x)
+        with np.errstate(invalid="ignore"):
+            terms = values[c] * damping
+        terms *= _RULE_W
+        sums.append(_panel_sums(terms, half[c]))
+    if len(sums) == 1:
+        return sums[0]
+    main, err = zip(*sums)
+    return np.concatenate(main, axis=-1), np.concatenate(err, axis=-1)
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -407,17 +427,12 @@ def integrate_semiinfinite_damped(f: Callable, cfg: QuadConfig,
     main_sums, panel_errs = np.empty(len(Xs), dtype=complex), np.empty(len(Xs))
     start = n_wide
     for X, rows in by_X.items():
-        # the k panels it shares with the widest, then its own, each summed
-        # from views of the table: only per-panel sums are joined, so no
-        # mesh-sized array is gathered
+        # the k panels it shares with the widest, then its own, summed
+        # from the table in chunks: only per-panel sums are joined
         k, own = meshes[X]
-        p_main, p_err = _damped_sums(eps[rows], nodes[:k], half[:k], values[:k])
-        if len(own):
-            part = slice(start, start + len(own))
-            start += len(own)
-            o_main, o_err = _damped_sums(eps[rows], nodes[part], half[part], values[part])
-            p_main = np.concatenate((p_main, o_main), axis=-1)
-            p_err = np.concatenate((p_err, o_err), axis=-1)
+        parts = (slice(0, k), slice(start, start + len(own)))
+        start += len(own)
+        p_main, p_err = _damped_sums(eps[rows], nodes, half, values, parts)
         main_sums[rows] = p_main.sum(axis=-1)
         panel_errs[rows] = np.abs(p_main - p_err).sum(axis=-1)
     samples = list(zip(cfg.epsilon_schedule, main_sums))

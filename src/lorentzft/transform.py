@@ -6,6 +6,10 @@ weighted by the kernels of `lorentzft.kernels`; `transform` evaluates them
 with the damped semi-infinite prescription.  A vanishing kernel is not
 integrated, and a branch that is zero on every node of its meshes is
 integrated without a kernel call (its terms are exact zeros either way).
+The radial integrand calls the branch, then the kernel, on consecutive
+chunks of `quadrature._CHUNK` points of each call, into one output array,
+so an integral's transient memory does not grow with its mesh; whether
+the kernel runs at all is decided on the whole call, never per chunk.
 `hankel_transform` is the purely Euclidean radial transform against chi_n,
 on the same radial driver (`_radial_integral`).  `recursion_step` realizes
 the dimension-raising derivative, and `gaussian_reference` is the closed-form
@@ -30,7 +34,8 @@ from .kernels import (
     minkowski_kernel,
 )
 from .profiles import RadialProfile
-from .quadrature import QuadConfig, QuadResult, _finish, integrate_semiinfinite_damped
+from .quadrature import (_CHUNK, QuadConfig, QuadResult, _finish,
+                         integrate_semiinfinite_damped)
 from .specfun import DomainError
 
 __all__ = [
@@ -51,17 +56,26 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
     g follows the branch contract of `RadialProfile`.  k sets the linear
     phase rate 2 pi k; `bound` (an upper bound on |g|, or None) times
     `weight_envelope` places the truncation points.  A support radius
-    overrides both.  Where g is zero on every node of a call, weight is not
-    called and the zeros are returned.
+    overrides both.  The integrand calls g, then weight, on consecutive
+    chunks of at most _CHUNK points of its call and writes g * weight
+    into one complex array.  Where g is zero on every node of the whole
+    call, weight is not called and the zeros are returned; a chunk on which
+    g vanishes in a call where it does not still reaches weight.
     """
     def integrand(s):
-        gs = np.broadcast_to(np.asarray(g(s), dtype=complex), np.shape(s))
-        # g vanishing on every node gives exact zeros with no weight call;
-        # NaN is nonzero, so it still reaches the weight.  np.multiply keeps
-        # the order gs * weight at every call size: `*` lets numpy reuse a
-        # large weight temporary as weight * gs, and a complex product can
-        # round differently in the two orders
-        return np.multiply(gs, weight(s)) if gs.any() else gs
+        out = np.empty(np.shape(s), dtype=complex)
+        chunks = [slice(i, i + _CHUNK) for i in range(0, out.size, _CHUNK)]
+        for c in chunks:
+            out[c] = g(s[c])
+        # g vanishing on every node of the call gives exact zeros with no
+        # weight call; NaN is nonzero, so it still reaches the weight.
+        # np.multiply keeps the order g * weight at every call size: `*`
+        # lets numpy reuse a large weight temporary as weight * g, and a
+        # complex product can round differently in the two orders
+        if out.any():
+            for c in chunks:
+                np.multiply(out[c], weight(s[c]), out=out[c])
+        return out
 
     envelope = None
     if bound is not None:

@@ -199,6 +199,19 @@ class TestTransformCommand:
         assert out == ""
         assert err.startswith("error:") and f"n={n}" in err
 
+    @pytest.mark.parametrize("char", ["timelike", "spacelike"])
+    @pytest.mark.parametrize("kmin", ["1e-308", "2e-308", "1e-310"])
+    def test_underflowing_momentum_exits_2(self, char, kmin, capsys):
+        # 2 pi s l underflows to 0 on the quadrature's nodes: one error
+        # line naming the momentum, and no CSV
+        code, out, err = run_cli(["transform", "--n", "1",
+                                  "--profile", "builtin:compact_bump",
+                                  "--char", char, "--kmin", kmin], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"l={float(kmin)!r}" in err
+
     def test_missing_kmax_exits_2(self, capsys):
         code, _, _ = run_cli(["transform", "--n", "1",
                               "--profile", "builtin:zero",

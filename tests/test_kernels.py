@@ -260,6 +260,27 @@ class TestMinkowskiKernel:
                                        MomentumMagnitude(0.7, char))
                 assert isinstance(got, np.ndarray) and got.shape == (0,)
 
+    def test_underflowing_argument_names_the_momentum(self):
+        # 2 pi s l underflows to 0 at the least s > 0, where no Bessel value
+        # exists: DomainError naming l, for every nonvanishing kernel
+        s = np.array([1e-20, 1.0])
+        for n in (1, 2, 5):
+            for char in (TL, SL):
+                for branch in (TP, SP):
+                    spec, l = KernelSpec(n, char, branch), MomentumMagnitude(1e-308, char)
+                    if spec.vanishes:
+                        assert not minkowski_kernel(spec, s, l).any()
+                        continue
+                    with pytest.raises(DomainError, match=r"l=1e-308 is too small"):
+                        minkowski_kernel(spec, s, l)
+                    # s = 0 is the kernel's limit, with no Bessel value
+                    assert minkowski_kernel(spec, np.array([0.0, 0.0]), l).tolist() == [0.0, 0.0]
+        # a subnormal argument passes the check
+        spec, l = KernelSpec(3, SL, TP), MomentumMagnitude(1e-300, SL)
+        assert 2.0 * math.pi * 1e-20 * 1e-300 > 0
+        with np.errstate(all="ignore"):
+            assert minkowski_kernel(spec, s, l).shape == (2,)
+
     def test_nan_and_zero_entries(self):
         spec, l = KernelSpec(3, SL, SP), MomentumMagnitude(0.7, SL)
         got = minkowski_kernel(spec, np.array([0.0, 1.5]), l)

@@ -13,16 +13,20 @@ from lorentzft.quadrature import (
     QuadConfig,
     QuadResult,
     _CASCADE,
+    _CHUNK,
     _GL_ERR,
     _GL_MAIN,
     _LIN_RAD,
     _MAX_PANELS,
     _PHASE_STEP,
+    _RULE_W,
+    _damped_sums,
     _finish,
     _gauss_legendre,
     _mesh,
     _mesh_below,
     _panel_nodes,
+    _panel_sums,
     _truncation_points,
     _walk_start,
     extrapolate_to_zero,
@@ -979,11 +983,14 @@ class TestBatchedMagnitudes:
 
 class TestZeroBranch:
     @pytest.mark.parametrize("with_bound", [True, False])
-    def test_no_weight_call_and_plus_zero(self, with_bound):
+    def test_no_weight_call_and_plus_zero(self, with_bound, monkeypatch):
         # a branch zero on every node of every call never reaches the
         # weight, and its integral is +0.0
         radial_integral = importlib.import_module("lorentzft.transform")._radial_integral
-        g_calls, weight_calls = [], []
+        g_calls, weight_calls, f_calls = [], [], []
+        evaluate = quadrature._evaluate
+        monkeypatch.setattr(quadrature, "_evaluate",
+                            lambda f, x: f_calls.append(x.size) or evaluate(f, x))
 
         def g(s):
             g_calls.append(np.size(s))
@@ -997,10 +1004,17 @@ class TestZeroBranch:
         res = radial_integral(g, weight, CFG, 1.0, bound, lambda s: 1.0 / (1.0 + s),
                               None, 1.0)
         assert weight_calls == []
-        # with a bound: one call on the widest mesh and the narrower meshes'
-        # own panels; without: the first magnitude round, then one mesh for
-        # every eps
-        assert len(g_calls) == (1 if with_bound else 2)
+        # with a bound: one integrand call on the widest mesh and the
+        # narrower meshes' own panels; without: the first magnitude round,
+        # then one mesh for every eps
+        assert len(f_calls) == (1 if with_bound else 2)
+        # g runs on consecutive chunks of each integrand call, each at most
+        # _CHUNK points, their sizes summing to the call's; the table of the
+        # bounded case spans several chunks
+        assert g_calls == [min(_CHUNK, size - i) for size in f_calls
+                           for i in range(0, size, _CHUNK)]
+        if with_bound:
+            assert len(g_calls) > 1
         assert res.value == 0.0 and res.converged
         assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == 1.0
 
@@ -1035,6 +1049,51 @@ class TestZeroBranch:
         assert bits(res.value) == bits(ref.value)
         assert res.error_estimate == ref.error_estimate
         assert res.converged == ref.converged
+
+
+class TestDampedSumsInChunks:
+    @staticmethod
+    def _one_pass(eps, nodes, half, values):
+        # the damping pass on the whole table at once
+        damping = np.exp(-eps[:, None, None] * nodes * nodes)
+        with np.errstate(invalid="ignore"):
+            terms = values * damping
+        terms *= _RULE_W
+        return _panel_sums(terms, half)
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_bits_of_the_one_pass_sums(self, rows):
+        # 2.5 chunks of panels, a last chunk of one panel and an inf value:
+        # every per-panel sum keeps the bits of one pass over the table
+        step = _CHUNK // quadrature._RULE_X.size
+        rng = np.random.default_rng(36)
+        n_panels = 2 * step + step // 2 + 1
+        edges = np.cumsum(rng.uniform(1e-3, 0.05, n_panels + 1))
+        nodes, half = _panel_nodes(edges, quadrature._RULE_X)
+        values = rng.normal(size=nodes.shape) + 1j * rng.normal(size=nodes.shape)
+        values[step + 7, 3] = math.inf
+        eps = np.array(QuadConfig().epsilon_schedule[:rows])
+        bits = lambda a: a.view(np.uint64)
+        parts = [(slice(0, n_panels),),
+                 # a narrower mesh: leading panels, then panels of its own
+                 (slice(0, step + 10), slice(2 * step + 3, n_panels))]
+        for part in parts:
+            main, err = _damped_sums(eps, nodes, half, values, part)
+            ref = [self._one_pass(eps, nodes[p], half[p], values[p]) for p in part]
+            assert main.shape == err.shape == (rows, sum(len(r[0][0]) for r in ref))
+            assert np.array_equal(bits(main),
+                                  bits(np.concatenate([r[0] for r in ref], axis=-1)))
+            assert np.array_equal(bits(err),
+                                  bits(np.concatenate([r[1] for r in ref], axis=-1)))
+            assert np.isnan(main[:, step + 7]).all()
+
+    def test_empty_table(self):
+        # a support radius of 0 gives a mesh without panels
+        eps = np.array([0.1, 0.05])
+        main, err = _damped_sums(eps, np.empty((0, 36)), np.empty(0),
+                                 np.empty((0, 36), dtype=complex),
+                                 (slice(0, 0), slice(0, 0)))
+        assert main.shape == err.shape == (2, 0)
 
 
 def _restarted_search(envelope, cfg):

@@ -7,6 +7,7 @@ import importlib
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from lorentzft import specfun
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.profiles import RadialProfile, builtin_profile, profile_from_csv
-from lorentzft.quadrature import QuadConfig, QuadResult, integrate_semiinfinite_damped
+from lorentzft.quadrature import (_CHUNK as CHUNK, QuadConfig, QuadResult,
+                                  integrate_semiinfinite_damped)
 from lorentzft.specfun import DomainError
 from lorentzft.transform import (
     gaussian_reference,
@@ -191,24 +193,105 @@ class TestZeroAndVanishing:
             transform(1, profile, tmom(0.8), CFG)
 
 
+def _radial_integrand(monkeypatch, g, weight):
+    """The integrand `_radial_integral` hands the engine for g and weight."""
+    integrands = []
+    monkeypatch.setattr(TRANSFORM_MODULE, "integrate_semiinfinite_damped",
+                        lambda f, *args, **kwargs: integrands.append(f))
+    TRANSFORM_MODULE._radial_integral(g, weight, CFG, 0.5, None,
+                                      lambda s: 1.0, None, 1.0)
+    [integrand] = integrands
+    return integrand
+
+
+def _chirped_branch(s):
+    return np.cos(3.0 * s) * np.exp(1j * s * s)
+
+
 class TestRadialIntegrand:
     def test_value_independent_of_its_call(self, monkeypatch):
         # the engine calls the integrand once on the nodes of several
         # meshes, so a point's value must not depend on the other points of
         # its call; with a complex weight, a product whose operand order
         # followed the call's size would round differently (FMA)
-        integrands = []
-        monkeypatch.setattr(TRANSFORM_MODULE, "integrate_semiinfinite_damped",
-                            lambda f, *args, **kwargs: integrands.append(f))
-        TRANSFORM_MODULE._radial_integral(
-            lambda s: np.cos(3.0 * s) * np.exp(1j * s * s),
-            lambda s: np.exp(-1j * math.pi * s), CFG, 0.5, None,
-            lambda s: 1.0, None, 1.0)
-        [integrand] = integrands
+        integrand = _radial_integrand(monkeypatch, _chirped_branch,
+                                      lambda s: np.exp(-1j * math.pi * s))
         s = np.random.default_rng(235).uniform(0.0, 50.0, 20_000)
         whole = integrand(s).view(np.uint64)
         parts = np.concatenate([integrand(p) for p in np.split(s, 20)]).view(np.uint64)
         assert int((whole != parts).sum()) == 0
+
+    def test_chunks_keep_the_bits_of_one_product(self, monkeypatch):
+        # g and the weight run on consecutive chunks of the call, each point
+        # once and no call longer than a chunk, and every value is the bit
+        # pattern of g times the weight on the whole array
+        seen = {"g": [], "weight": []}
+
+        def recording(name, fn):
+            return lambda s: seen[name].append(s.copy()) or fn(s)
+
+        weight = lambda s: np.exp(-1j * math.pi * s)
+        integrand = _radial_integrand(monkeypatch, recording("g", _chirped_branch),
+                                      recording("weight", weight))
+        s = np.random.default_rng(36).uniform(0.0, 50.0, 3 * CHUNK + 4321)
+        got = integrand(s)
+        assert np.array_equal(got.view(np.uint64),
+                              np.multiply(_chirped_branch(s), weight(s)).view(np.uint64))
+        for calls in seen.values():
+            assert len(calls) == 4 and max(map(len, calls)) <= CHUNK
+            assert np.array_equal(np.concatenate(calls), s)
+
+    def test_skip_is_decided_on_the_whole_call(self, monkeypatch):
+        # g vanishes on the whole second chunk and nowhere else, and the
+        # weight is inf at one node of it: the call reaches the weight, so
+        # that node is 0 * inf = NaN and the chunk's other zeros 0 * 1
+        s = np.linspace(1.0, 2.0, 3 * CHUNK)
+        lo, hi, bad = s[CHUNK], s[2 * CHUNK - 1], s[CHUNK + 5]
+
+        def g(x):
+            return np.where((x >= lo) & (x <= hi), 0.0, 1.0 + 1j)
+
+        def weight(x):
+            return np.where(x == bad, math.inf, 1.0)
+
+        with np.errstate(invalid="ignore"):
+            got = _radial_integrand(monkeypatch, g, weight)(s)
+        assert np.isnan(got[CHUNK + 5])
+        zeros = np.delete(got[CHUNK:2 * CHUNK], 5)
+        assert (zeros == 0).all() and not np.signbit(zeros.real).any()
+        assert (got[:CHUNK] == 1.0 + 1j).all() and (got[2 * CHUNK:] == 1.0 + 1j).all()
+
+
+class TestMemory:
+    def test_transients_do_not_grow_with_the_mesh(self):
+        # the flagship point: exp(i s^2) at n = 5, timelike l = 1.25, CLI
+        # tolerances; its timelike integral's table holds about 313k nodes.
+        # Beyond the table's nodes and values, the traced peak is the
+        # chunked passes' temporaries: 3.2 MiB measured, bounded by four
+        # complex chunks.  Whole-mesh temporaries read 10.4 MiB here.
+        sizes = {}
+
+        def recording(name, g):
+            return lambda s: sizes.setdefault(name, []).append(len(s)) or g(s)
+
+        chirp = builtin_profile("gauss_oscillatory")
+        profile = dataclasses.replace(
+            chirp, f_timelike=recording("timelike", chirp.f_timelike),
+            f_spacelike=recording("spacelike", chirp.f_spacelike))
+        cfg = QuadConfig(abs_tol=1e-4, rel_tol=1e-4)
+        transform(5, profile, tmom(1.25), cfg)       # caches and pool threads
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            transform(5, profile, tmom(1.25), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each branch's calls cover its integral's table once
+        table = max(sum(calls) for calls in sizes.values())
+        assert table > 4 * CHUNK
+        nodes_and_values = table * (8 + 16)
+        assert peak - nodes_and_values < 4 * CHUNK * 16
 
 
 class TestLinearity:
