@@ -68,10 +68,9 @@ def _radial_integral(g: Callable, weight: Callable, cfg: QuadConfig, k: float,
         for c in chunks:
             out[c] = g(s[c])
         # g vanishing on every node of the call gives exact zeros with no
-        # weight call; NaN is nonzero, so it still reaches the weight.
-        # np.multiply keeps the order g * weight at every call size: `*`
-        # lets numpy reuse a large weight temporary as weight * g, and a
-        # complex product can round differently in the two orders
+        # weight call; NaN is nonzero, so it still reaches the weight.  The
+        # product is always g * weight: a complex product can round
+        # differently in the other order (FMA)
         if out.any():
             for c in chunks:
                 np.multiply(out[c], weight(s[c]), out=out[c])
