@@ -164,10 +164,12 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
 
 
 _GLN = 16
-_BLOCK = 2048   # cell pairs per einsum: fixes the summation order, so the bits
-_PIECE = 128    # cell pairs per f(u v) call: its temporaries stay in cache
-# cells per axis: the cells x cells float product and mask that select the
-# cell pairs take about 150 MB at this size
+_BLOCK = 2048   # cell pairs per partial sum added to the total: fixes the bits
+_PIECE = 128    # cell pairs per f(u v) call and value buffer: stays in cache
+_RUN = 32       # cell pairs per buffer of numpy's einsum (8192 terms)
+# cells per axis.  Selecting the cell pairs of an unbounded axis at this
+# size takes about 400 MiB: the cells x cells float product and mask, and
+# np.nonzero's two int64 index arrays (16 bytes a pair)
 _MAX_CELLS = 4096
 
 
@@ -316,20 +318,37 @@ def _window_integral(eta: float, k: MomentumMagnitude, plane,
     iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
     del wmin    # cells x cells floats: not held while the blocks run
     signs = _cell_signs(nodes) if isinstance(plane, RadialProfile) else None
-    buf = np.empty((min(_BLOCK, len(iu)), _GLN, _GLN), dtype=complex)
+    buf = np.empty((min(_PIECE, len(iu)), _GLN, _GLN), dtype=complex)
     total = 0.0 + 0.0j
     for c0 in range(0, len(iu), _BLOCK):
-        bu, bv = iu[c0:c0 + _BLOCK], iv[c0:c0 + _BLOCK]
-        g = buf[:len(bu)]
-        for p0 in range(0, len(bu), _PIECE):
-            cu, cv = bu[p0:p0 + _PIECE], bv[p0:p0 + _PIECE]
-            piece = g[p0:p0 + _PIECE]
+        block = 0.0 + 0.0j
+        for p0 in range(c0, min(c0 + _BLOCK, len(iu)), _PIECE):
+            cu, cv = iu[p0:p0 + _PIECE], iv[p0:p0 + _PIECE]
+            g = buf[:len(cu)]
             if signs is None:
-                piece[...] = plane(nodes[cu][:, :, None] * nodes[cv][:, None, :])
+                g[...] = plane(nodes[cu][:, :, None] * nodes[cv][:, None, :])
             else:
-                _fill_branches(piece, plane, nodes, cu, cv, signs[cu] * signs[cv])
-        total += np.einsum("ci,cij,cj->", pu[bu], g, pv[bv])
+                _fill_branches(g, plane, nodes, cu, cv, signs[cu] * signs[cv])
+            for run in _run_sums(pu[cu], g, pv[cv]):
+                block += run
+        total += block
     return 0.5 * total, len(iu) * _GLN * _GLN
+
+
+def _run_sums(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> list:
+    """einsum("ci,cij,cj->") of each run of `_RUN` cell pairs of (a, g, b),
+    in order, the last run possibly short.  Folded into 0 in order, these
+    are the bits of one einsum over all the pairs: numpy's einsum sums each
+    of its buffers, `_RUN` pairs of 16 x 16 terms, from 0 and adds it to
+    the total."""
+    full = len(g) - len(g) % _RUN
+    k = full // _RUN
+    sums = list(np.einsum("kci,kcij,kcj->k", a[:full].reshape(k, _RUN, _GLN),
+                          g[:full].reshape(k, _RUN, _GLN, _GLN),
+                          b[:full].reshape(k, _RUN, _GLN)))
+    if full < len(g):
+        sums.append(np.einsum("ci,cij,cj->", a[full:], g[full:], b[full:]))
+    return sums
 
 
 def _cartesian(f: RadialProfile, k: MomentumMagnitude, cfg: QuadConfig,
@@ -395,9 +414,15 @@ def _transverse_table(fw: Callable, support_w: float, eta: float):
     # the support of f(w - y^2) in y >= 0, two panels split at the kink y^2 = w
     edges = np.sqrt(np.maximum(grid[:, None] + [-support_w, 0.0, support_w], 0.0))
     nodes, half = _panel_nodes(edges, xg)
-    vals = fw((grid[:, None, None] - nodes ** 2).ravel()).reshape(nodes.shape)
-    vals = vals * np.exp(-eta * nodes ** 2)
-    panels = 2.0 * (vals * wg).sum(axis=-1) * half
+    # rows of about one plane piece's points at a time: each panel is the
+    # sum of its own row, so the bits do not depend on the rows' grouping
+    step = _PIECE * _GLN * _GLN // nodes[0].size
+    panels = np.empty(half.shape, dtype=complex)
+    for r in range(0, len(grid), step):
+        x = nodes[r:r + step]
+        vals = fw((grid[r:r + step, None, None] - x ** 2).ravel()).reshape(x.shape)
+        vals = vals * np.exp(-eta * x ** 2)
+        panels[r:r + step] = 2.0 * (vals * wg).sum(axis=-1) * half[r:r + step]
     Y = panels[:, 0] + panels[:, 1]
     return complex_pchip(grid, Y), w_cut
 
