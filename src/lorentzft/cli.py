@@ -123,7 +123,11 @@ def cmd_chi(args) -> int:
     # tabulates chi_n(k, r); the r = 0 rows are the small-argument limit
     pos = rr > 0
     vals = np.full(rr.shape, chi_small_argument_limit(args.n, args.k))
-    vals[pos] = chi(args.n, args.k, rr[pos])
+    try:
+        vals[pos] = chi(args.n, args.k, rr[pos])
+    except DomainError as exc:        # a 2 pi k r that underflows at n = 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("r,chi")
     for r, v in zip(rr, vals):
         print(f"{r:.17g},{v:.17g}")

@@ -141,7 +141,8 @@ def chi(n: int, r, k):
 
     Reduces an n-dimensional Euclidean radial Fourier transform to one
     dimension.  Swapping the arguments gives the inverse weight chi_n(k, r).
-    Broadcasts over r and k; requires k > 0, r >= 0.
+    Broadcasts over r and k; requires k > 0, r >= 0.  At n = 1 it raises
+    DomainError, naming r and k, where 2 pi r k underflows to 0 at r > 0.
     """
     check_dimension(n)
     ra, ka = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -155,8 +156,15 @@ def chi(n: int, r, k):
     nu = Order(n - 2)
     out = np.empty_like(ra)
     pos = ra > 0
+    x = 2.0 * math.pi * ra[pos] * ka[pos]
+    # J_{-1/2} (n = 1) has no value at 0, where 2 pi r k underflows at r > 0
+    if n == 1 and not np.all(x > 0):
+        i = np.argmin(x)
+        raise DomainError(f"chi(1, r, k) at r={float(ra[pos][i])!r}, "
+                          f"k={float(ka[pos][i])!r}: "
+                          "2 pi r k underflows to 0")
     out[pos] = 2.0 * math.pi * ra[pos] ** (n / 2.0) * ka[pos] ** (1.0 - n / 2.0) \
-        * bessel_j(nu, 2.0 * math.pi * ra[pos] * ka[pos])
+        * bessel_j(nu, x)
     # r = 0 limits: 2 for n = 1 (cosine kernel), 0 otherwise
     out[~pos] = 2.0 if n == 1 else 0.0
     return float(out[0]) if scalar else out

@@ -17,10 +17,13 @@ Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
 product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
-support.  Those cell pairs are summed in blocks of `_BLOCK`, one einsum
-each, which fixes the summation order and therefore the bits; within a
-block f(u v) is evaluated in pieces of `_PIECE` cell pairs, small enough that
-its temporaries stay in cache, into one buffer every block reuses.  In 1+1
+support.  f(u v) is evaluated in pieces of `_PIECE` cell pairs, small
+enough that its temporaries stay in cache, into one buffer every piece
+reuses.  The sum over the pairs has the bits of one einsum per block of
+`_BLOCK` pairs: numpy's einsum sums a block in runs of `_RUN` pairs, its
+buffer, each from 0, and adds the runs to the block's sum in order.  So a
+piece's run sums come from one batched einsum and are folded in order into
+its block's sum, which is added to the total at the block's end.  In 1+1
 each cell has the sign of its nodes, and 0 is an edge of every compact axis,
 so the sign of u v is fixed on a cell pair: a piece calls f_timelike once on
 its pairs with u v > 0 and f_spacelike once on those with u v < 0, writing
@@ -167,9 +170,10 @@ _GLN = 16
 _BLOCK = 2048   # cell pairs per partial sum added to the total: fixes the bits
 _PIECE = 128    # cell pairs per f(u v) call and value buffer: stays in cache
 _RUN = 32       # cell pairs per buffer of numpy's einsum (8192 terms)
-# cells per axis.  Selecting the cell pairs of an unbounded axis at this
-# size takes about 400 MiB: the cells x cells float product and mask, and
-# np.nonzero's two int64 index arrays (16 bytes a pair)
+# cells per axis.  Selecting the cell pairs takes 25 bytes a selected pair
+# (the cells x cells float product and mask, and np.nonzero's two int64
+# index arrays), 100 MiB at 2048 cells when every pair is selected, as on
+# an unbounded axis: about 400 MiB at this size
 _MAX_CELLS = 4096
 
 
@@ -303,7 +307,9 @@ def _window_integral(eta: float, k: MomentumMagnitude, plane,
     value of u v nearest 0 on the cell, lies in [w_lo, w_hi], one piece of
     `_PIECE` cell pairs at a time.  `plane` is the profile (n = 1), whose
     branches `_fill_branches` calls once per sign of u v in a piece, or a
-    function of w (n = 2's transverse table), called once a piece.
+    function of w (n = 2's transverse table), called once a piece.  Each
+    piece's `_run_sums` are folded in order into its block's sum, so the
+    value has the bits of one einsum per `_BLOCK` pairs.
     Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)

@@ -421,6 +421,16 @@ class TestChiCommand:
             assert out == ""
             assert err.startswith("error:") and f"n={n}" in err
 
+    def test_underflowing_argument_exits_2(self, capsys):
+        # at n = 1, 2 pi k r underflows to 0 at r > 0: one error line naming
+        # both arguments, and no CSV
+        code, out, err = run_cli(["chi", "--n", "1", "--k", "1e-320", "--rmin", "0",
+                                  "--rmax", "1e-5", "--rcount", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1e-320" in err and "5e-06" in err
+
     def test_golden_bytes(self, capsys):
         runs = golden_runs(GOLDEN_CHI)
         assert len(runs) == 21

@@ -83,6 +83,20 @@ class TestChi:
             with pytest.raises(DomainError, match="spatial dimension"):
                 chi_small_argument_limit(n, 1.0)
 
+    def test_underflowing_argument_at_n1_names_r_and_k(self):
+        # J_{-1/2} has no value where 2 pi r k underflows to 0 at r > 0:
+        # DomainError naming the first such r and k, in either order
+        for r, k in ((np.array([0.0, 5e-6, 1e-5]), 1e-320), (1e-320, np.array([1.0, 5e-6]))):
+            with pytest.raises(DomainError, match=r"at r=(5e-06|1e-320), k=(1e-320|5e-06): "
+                                                  "2 pi r k underflows to 0"):
+                chi(1, r, k)
+        # r = 0 is the limit, and a subnormal argument has a value
+        assert chi(1, np.array([0.0, 0.0]), 1e-320).tolist() == [2.0, 2.0]
+        assert abs(chi(1, 1e-160, 1e-160) - 2.0) < 1e-3
+        # n >= 2 keeps its values (n = 2: 2 pi r J_0(0))
+        assert chi(2, 1e-320, 5e-6) == 2.0 * math.pi * 1e-320
+        assert chi(3, 1e-320, 5e-6) == 0.0
+
     @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
     def test_small_argument_limit_needs_positive_k(self, k):
         with pytest.raises(DomainError, match="requires k > 0"):

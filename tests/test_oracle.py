@@ -4,6 +4,7 @@ import importlib.util
 import io
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,9 +387,10 @@ def _window_integral_per_block(eta, k, plane, edges, w_lo, w_hi):
 
 
 class TestPieces:
-    # the plane integrand is evaluated in pieces of _PIECE cell pairs inside
-    # each _BLOCK-cell einsum, and in 1+1 one branch call per sign of u v in
-    # a piece; neither changes a bit or a count
+    # the plane integrand is evaluated in pieces of _PIECE cell pairs, each
+    # summed as einsum runs folded into its _BLOCK's sum, and in 1+1 one
+    # branch call per sign of u v in a piece; none of it changes a bit or a
+    # count against one einsum per block
     CASES = [
         pytest.param(1, "compact_bump", 1.0, TL, {}, id="1p1-bump-timelike"),
         pytest.param(1, "compact_bump", 1.0, SL, {}, id="1p1-bump-spacelike"),
@@ -400,6 +402,10 @@ class TestPieces:
         # straddles u = 0, so its pairs take profile_on_invariant's path
         pytest.param(1, "gauss_oscillatory", 1.0, SL, {"eta0": 0.31, "n_etas": 2},
                      id="1p1-gauss-straddling"),
+        # etas 100 and 50: 2 cells an axis, so 4 pairs, one short run and no
+        # full one
+        pytest.param(1, "gauss_oscillatory", 1.0, TL, {"eta0": 100.0, "n_etas": 2},
+                     id="1p1-gauss-one-short-run"),
     ]
 
     @pytest.mark.parametrize("n, name, k, char, schedule", CASES)
@@ -437,6 +443,50 @@ class TestPieces:
         assert max(sizes) <= oracle._PIECE * oracle._GLN ** 2
         assert sum(sizes) == res.evaluations
         assert res.evaluations > oracle._BLOCK * oracle._GLN ** 2
+
+    @pytest.mark.parametrize("pairs", [1, 31, 32, 33, 128, 2047, 2048])
+    def test_run_sums_fold_to_the_block_einsum(self, pairs):
+        # numpy's einsum sums a block in buffers of _RUN pairs, each from 0
+        # and added to the block's sum in order; the batched form's runs are
+        # those of one call per run
+        rng = np.random.default_rng(pairs)
+        n = oracle._GLN
+
+        def operand(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a, g, b = operand(pairs, n), operand(pairs, n, n), operand(pairs, n)
+        runs = oracle._run_sums(a, g, b)
+        starts = range(0, pairs, oracle._RUN)
+        assert len(runs) == len(starts)
+        for run, r in zip(runs, starts):
+            one = np.einsum("ci,cij,cj->", *(x[r:r + oracle._RUN] for x in (a, g, b)))
+            assert run == one
+        fold = 0.0 + 0.0j
+        for run in runs:
+            fold += run
+        assert fold == np.einsum("ci,cij,cj->", a, g, b)
+
+
+class TestOracleMemory:
+    # the traced peak of one oracle call: at most one _PIECE of plane values
+    # and its temporaries beside the cell-pair selection and the transverse
+    # table.  Measured 2.5 MiB (1+1) and 5.1 MiB (1+2); one value buffer of
+    # 2048 pairs read 9.7 and 12.6 MiB
+    @pytest.mark.parametrize("n, char, k, bound_mib", [
+        (1, TL, 0.98, 4.0), (2, SL, 0.79, 7.0)], ids=["1p1-compact", "1p2"])
+    def test_peak(self, n, char, k, bound_mib):
+        profile, mom = builtin_profile("compact_bump"), MomentumMagnitude(k, char)
+        cfg = window_config_for(profile, mom, dims=n)
+        oracle_ft = {1: cartesian_ft_1p1, 2: cartesian_ft_1p2}[n]
+        oracle_ft(profile, mom, cfg)        # caches
+        tracemalloc.start()
+        try:
+            oracle_ft(profile, mom, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
 
 def _scipy_pchip(x, y):
