@@ -136,13 +136,25 @@ def exact_cos_sin_half_pi(m: int):
     return [(1, 0), (0, 1), (-1, 0), (0, -1)][m % 4]
 
 
+def _refuse_chi(n: int, r: np.ndarray, k: np.ndarray, bad: np.ndarray,
+                why: str) -> None:
+    """DomainError naming the first r and k where `bad` holds, if any."""
+    if bad.any():
+        i = np.argmax(bad)
+        raise DomainError(f"chi({n}, r, k) at r={float(r[i])!r}, "
+                          f"k={float(k[i])!r}: {why}")
+
+
 def chi(n: int, r, k):
     """Hankel weight chi_n(r, k) = 2 pi r^{n/2} k^{1-n/2} J_{n/2-1}(2 pi r k).
 
     Reduces an n-dimensional Euclidean radial Fourier transform to one
     dimension.  Swapping the arguments gives the inverse weight chi_n(k, r).
-    Broadcasts over r and k; requires k > 0, r >= 0.  At n = 1 it raises
-    DomainError, naming r and k, where 2 pi r k underflows to 0 at r > 0.
+    Broadcasts over r and k; requires k > 0, r >= 0.  It raises
+    DomainError, naming the first such r and k, where the prefactor
+    2 pi r^{n/2} k^{1-n/2} overflows, and at r > 0 and n != 2 where 2 pi r k
+    underflows to 0, or where the Bessel factor does below 2 pi r k = 1
+    against a nonzero prefactor.
     """
     check_dimension(n)
     ra, ka = np.broadcast_arrays(np.asarray(r, dtype=float),
@@ -156,15 +168,25 @@ def chi(n: int, r, k):
     nu = Order(n - 2)
     out = np.empty_like(ra)
     pos = ra > 0
-    x = 2.0 * math.pi * ra[pos] * ka[pos]
-    # J_{-1/2} (n = 1) has no value at 0, where 2 pi r k underflows at r > 0
-    if n == 1 and not np.all(x > 0):
-        i = np.argmin(x)
-        raise DomainError(f"chi(1, r, k) at r={float(ra[pos][i])!r}, "
-                          f"k={float(ka[pos][i])!r}: "
-                          "2 pi r k underflows to 0")
-    out[pos] = 2.0 * math.pi * ra[pos] ** (n / 2.0) * ka[pos] ** (1.0 - n / 2.0) \
-        * bessel_j(nu, x)
+    rp, kp = ra[pos], ka[pos]
+    x = 2.0 * math.pi * rp * kp
+    with np.errstate(over="ignore"):
+        pref = 2.0 * math.pi * rp ** (n / 2.0) * kp ** (1.0 - n / 2.0)
+    _refuse_chi(n, rp, kp, ~np.isfinite(pref),
+                f"2 pi r^({n}/2) k^(1-{n}/2) overflows")
+    # J_{-1/2} has no value at 0
+    if n == 1:
+        _refuse_chi(n, rp, kp, x == 0, "2 pi r k underflows to 0")
+    j = bessel_j(nu, x)
+    # at n >= 3 J_{n/2-1}(0) = 0 loses the limit 2 pi^{n/2} r^{n-1} / Gamma(n/2)
+    # of chi, so a 2 pi r k that underflows is refused, and so is a J that is
+    # 0 below its first zero against a nonzero prefactor (scipy's jv is 0 at
+    # orders > 0 below about 2.2e-305); at n = 2 J_0(0) = 1 gives the limit
+    if n != 2 and not j.all():
+        _refuse_chi(n, rp, kp, x == 0, "2 pi r k underflows to 0")
+        _refuse_chi(n, rp, kp, (j == 0) & (x < 1) & (pref > 0),
+                    f"J_{nu.nu:g}(2 pi r k) underflows to 0")
+    out[pos] = pref * j
     # r = 0 limits: 2 for n = 1 (cosine kernel), 0 otherwise
     out[~pos] = 2.0 if n == 1 else 0.0
     return float(out[0]) if scalar else out

@@ -17,20 +17,27 @@ Every path (1+1 compact, 1+1 unbounded, 1+2) runs the same Gauss-Legendre
 product rule on panels over [-L, L] in u and in v.  The window and the phase
 factor over the axes into two weight vectors, so only f(u v) is evaluated on
 the 2-d node grid, and only on the cell pairs that can meet the profile's
-support.  f(u v) is evaluated in pieces of `_PIECE` cell pairs, small
-enough that its temporaries stay in cache, into one buffer every piece
-reuses.  The sum over the pairs has the bits of one einsum per block of
+support.  The sum over the pairs has the bits of one einsum per block of
 `_BLOCK` pairs: numpy's einsum sums a block in runs of `_RUN` pairs, its
-buffer, each from 0, and adds the runs to the block's sum in order.  So a
-piece's run sums come from one batched einsum and are folded in order into
-its block's sum, which is added to the total at the block's end.  In 1+1
-each cell has the sign of its nodes, and 0 is an edge of every compact axis,
-so the sign of u v is fixed on a cell pair: a piece calls f_timelike once on
-its pairs with u v > 0 and f_spacelike once on those with u v < 0, writing
-into the buffer's rows; only pairs with a cell that straddles 0 (the middle
-cell of an unbounded axis with an odd cell count) are split element by
-element, by `profile_on_invariant`.  In 1+2 the transverse table is called
-once a piece.  The oracle takes the radial engine's `QuadConfig`: its
+buffer, each from 0, and adds the runs to the block's sum in order.  So
+f(u v) is evaluated in pieces of whole runs, small enough that their
+temporaries stay in cache, each into a buffer its loop reuses; a piece's
+run sums come from one batched einsum and are stored by run index, and
+once every piece is done the runs are folded in order into each block's
+sum, which is added to the total at the block's end.  The pieces can so
+run in any order and on any thread.  In 1+1 the caller runs every piece of
+`_PIECE` pairs: each cell has the sign of its nodes, and 0 is an edge of
+every compact axis, so the sign of u v is fixed on a cell pair, and a
+piece calls f_timelike once on its pairs with u v > 0 and f_spacelike once
+on those with u v < 0, writing into the buffer's rows; only pairs with a
+cell that straddles 0 (the middle cell of an unbounded axis with an odd
+cell count) are split element by element, by `profile_on_invariant`.  In
+1+2 the transverse table (a `complex_pchip` evaluator: numpy calls, no
+profile branch and no other package function) is called once a piece of
+`_RUN` pairs, and the pieces are dealt in turn to the caller and the
+`specfun` pool's other workers (`specfun._in_shares`).  The profile
+branches, the table's construction and the eta loop stay on the caller's
+thread.  The oracle takes the radial engine's `QuadConfig`: its
 `epsilon_schedule` is the eta schedule, which `window_config_for` sets by
 profile and dimension, with order min(3, etas - 1) and fixed tolerances.
 The box halfwidth L of each eta follows from the profile and eta, and the
@@ -62,7 +69,7 @@ from .quadrature import (
     integrate_finite,
     integrate_semiinfinite_damped,
 )
-from .specfun import DomainError, Order, bessel_j, bessel_k, bessel_n
+from .specfun import DomainError, Order, _in_shares, bessel_j, bessel_k, bessel_n
 
 __all__ = [
     "AngularIdentityKind",
@@ -168,7 +175,7 @@ def check_angular_identity(ident: AngularIdentity, cfg: QuadConfig):
 
 _GLN = 16
 _BLOCK = 2048   # cell pairs per partial sum added to the total: fixes the bits
-_PIECE = 128    # cell pairs per f(u v) call and value buffer: stays in cache
+_PIECE = 128    # cell pairs per 1+1 f(u v) call and value buffer: stays in cache
 _RUN = 32       # cell pairs per buffer of numpy's einsum (8192 terms)
 # cells per axis.  Selecting the cell pairs takes 25 bytes a selected pair
 # (the cells x cells float product and mask, and np.nonzero's two int64
@@ -304,12 +311,15 @@ def _window_integral(eta: float, k: MomentumMagnitude, plane,
     The Gaussian window and the phase factor over the axes into the node
     weights pu and pv; only the plane integrand f(u v) couples them.  It is
     evaluated only on the cell pairs whose signed (min|u|) (min|v|), the
-    value of u v nearest 0 on the cell, lies in [w_lo, w_hi], one piece of
-    `_PIECE` cell pairs at a time.  `plane` is the profile (n = 1), whose
-    branches `_fill_branches` calls once per sign of u v in a piece, or a
-    function of w (n = 2's transverse table), called once a piece.  Each
-    piece's `_run_sums` are folded in order into its block's sum, so the
-    value has the bits of one einsum per `_BLOCK` pairs.
+    value of u v nearest 0 on the cell, lies in [w_lo, w_hi], one piece at a
+    time.  `plane` is the profile (n = 1), whose branches `_fill_branches`
+    calls once per sign of u v in a piece of `_PIECE` pairs, all on the
+    caller's thread; or a function of w (n = 2's transverse table), called
+    once a piece of `_RUN` pairs, the pieces shared in turn between the
+    caller and the pool's other workers by `_in_shares`.  Each piece writes
+    its `_run_sums` into one array by run index; the runs are then folded in
+    order into each `_BLOCK`'s sum, so the value has the bits of one einsum
+    per block, whatever the pieces and their threads.
     Returns (value, evaluations).
     """
     xg, wg = _gauss_legendre(_GLN)
@@ -323,20 +333,34 @@ def _window_integral(eta: float, k: MomentumMagnitude, plane,
     wmin = nearest[:, None] * nearest[None, :]
     iu, iv = np.nonzero((w_lo <= wmin) & (wmin <= w_hi))
     del wmin    # cells x cells floats: not held while the blocks run
-    signs = _cell_signs(nodes) if isinstance(plane, RadialProfile) else None
-    buf = np.empty((min(_PIECE, len(iu)), _GLN, _GLN), dtype=complex)
-    total = 0.0 + 0.0j
-    for c0 in range(0, len(iu), _BLOCK):
-        block = 0.0 + 0.0j
-        for p0 in range(c0, min(c0 + _BLOCK, len(iu)), _PIECE):
-            cu, cv = iu[p0:p0 + _PIECE], iv[p0:p0 + _PIECE]
+    runs = np.empty(-(-len(iu) // _RUN), dtype=complex)
+    if isinstance(plane, RadialProfile):
+        signs, piece = _cell_signs(nodes), _PIECE
+    else:
+        signs, piece = None, _RUN
+
+    def share(first: int, shares: int) -> None:
+        # the pieces first, first + shares, ...: each run's sum into `runs`
+        buf = np.empty((min(piece, len(iu)), _GLN, _GLN), dtype=complex)
+        for p0 in range(first * piece, len(iu), shares * piece):
+            cu, cv = iu[p0:p0 + piece], iv[p0:p0 + piece]
             g = buf[:len(cu)]
             if signs is None:
                 g[...] = plane(nodes[cu][:, :, None] * nodes[cv][:, None, :])
             else:
                 _fill_branches(g, plane, nodes, cu, cv, signs[cu] * signs[cv])
-            for run in _run_sums(pu[cu], g, pv[cv]):
-                block += run
+            sums = _run_sums(pu[cu], g, pv[cv])
+            runs[p0 // _RUN:p0 // _RUN + len(sums)] = sums
+
+    if signs is None:
+        _in_shares(share)
+    else:
+        share(0, 1)
+    total = 0.0 + 0.0j
+    for r0 in range(0, len(runs), _BLOCK // _RUN):
+        block = 0.0 + 0.0j
+        for run in runs[r0:r0 + _BLOCK // _RUN]:
+            block += run
         total += block
     return 0.5 * total, len(iu) * _GLN * _GLN
 

@@ -38,10 +38,14 @@ runs, and a minimum of 24,576 points made the 1+1 oracle on that profile
 caller's `contextvars` context, so the caller's `np.errstate` holds in the
 workers, and every block is waited for before an error is raised.  A call
 made from inside a block runs inline: a block waiting on blocks queued
-behind it could leave every worker waiting.  Only
-leaf numpy and scipy ufunc calls run on the pool: the wrappers, the
-profile branches, and every other function of the package run on the
-caller's thread.
+behind it could leave every worker waiting.
+
+The 1+2 window oracle shares its transverse-table pieces between the
+caller and the pool's other workers through `_in_shares`, each share in a
+pool block's context, waited for before the first error in share order is
+raised (see `oracle`).  Those pieces and the ufunc blocks are all that runs
+on the pool: the wrappers, the profile branches, and every other function
+of the package run on the caller's thread.
 """
 
 from __future__ import annotations
@@ -165,6 +169,29 @@ def _ufunc(fn, nu, arr: np.ndarray, pool_min: int = _POOL_MIN, dtype=float):
         if error is not None:
             raise error
     return out.reshape(arr.shape)
+
+
+def _in_shares(fn) -> None:
+    """fn(share, shares) for share = 0 .. shares - 1, as many shares as the
+    pool has workers: share 0 on the caller's thread and the others on the
+    pool, each in `_block_context()`.  With no pool, or from inside a pool
+    block, fn(0, 1) runs inline.  Every share finishes before an error is
+    raised: the first, in share order."""
+    pool = None if _IN_BLOCK.get() else _pool
+    if pool is None:
+        return fn(0, 1)
+    shares = pool._max_workers
+    others = [pool.submit(_block_context().run, fn, share, shares)
+              for share in range(1, shares)]
+    first = None
+    try:
+        _block_context().run(fn, 0, shares)
+    except Exception as error:
+        first = error
+    # every share is waited for, so none is still writing when one raises
+    for error in [first] + [share.exception() for share in others]:
+        if error is not None:
+            raise error
 
 
 def _hankel_imag(order: float, sign: float, exact, nu: float, x: np.ndarray,

@@ -431,6 +431,16 @@ class TestChiCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "1e-320" in err and "5e-06" in err
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_underflowing_argument_exits_2_above_n2(self, n, capsys):
+        # chi_n(k, r) read 0 at n >= 3 where 2 pi k r underflows to 0
+        code, out, err = run_cli(["chi", "--n", str(n), "--k", "1e-320", "--rmin", "0",
+                                  "--rmax", "1e-5", "--rcount", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "r=1e-320, k=5e-06: 2 pi r k underflows to 0" in err
+
     def test_golden_bytes(self, capsys):
         runs = golden_runs(GOLDEN_CHI)
         assert len(runs) == 21

@@ -2,6 +2,7 @@
 and the closure right-hand side."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,9 +94,39 @@ class TestChi:
         # r = 0 is the limit, and a subnormal argument has a value
         assert chi(1, np.array([0.0, 0.0]), 1e-320).tolist() == [2.0, 2.0]
         assert abs(chi(1, 1e-160, 1e-160) - 2.0) < 1e-3
-        # n >= 2 keeps its values (n = 2: 2 pi r J_0(0))
+        # n = 2 keeps its value, 2 pi r J_0(0)
         assert chi(2, 1e-320, 5e-6) == 2.0 * math.pi * 1e-320
-        assert chi(3, 1e-320, 5e-6) == 0.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10])
+    def test_underflowing_argument_names_r_and_k(self, n):
+        # 2 pi r k underflowing to 0 at r > 0 gave chi = 0 at n >= 3, where
+        # the limit is 2 pi^{n/2} r^{n-1} / Gamma(n/2) (4 pi r^2 at n = 3)
+        with pytest.raises(DomainError, match=rf"chi\({n}, r, k\) at r=1e-320, "
+                                              r"k=5e-06: 2 pi r k underflows to 0"):
+            chi(n, 1e-320, np.array([1e16, 5e-6]))
+        # 2 pi r k = 6.3e-304: J_{n/2-1} is positive, or underflows where
+        # the prefactor does too, as chi's limit does
+        assert chi(n, 1e-320, 1e16) == 0.0
+
+    def test_underflowing_bessel_factor_names_r_and_k(self):
+        # 2 pi r k = 3.1e-320 is no underflow, but scipy's J_{1/2} is 0 there
+        # (where it is about 1.4e-160), so chi read 0 for the limit pi
+        with pytest.raises(DomainError, match=r"chi\(3, r, k\) at r=0.5, k=1e-320: "
+                                              r"J_0.5\(2 pi r k\) underflows to 0"):
+            chi(3, 0.5, 1e-320)
+        assert chi(3, 0.5, 1e-150) == pytest.approx(4.0 * math.pi * 0.25, rel=1e-13)
+        # a Bessel factor that underflows against a prefactor that does too
+        # gives 0, as the limit, 2 pi^5 r^9 / 4!, does
+        assert chi(10, 1e-80, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n, r, k", [(4, 0.5, 1e-320), (5, 1.0, 1e-310),
+                                         (10, 1e300, 1.0), (10, 1.0, 1e-80)])
+    def test_overflowing_prefactor_names_r_and_k(self, n, r, k):
+        # k^{1-n/2} (or r^{n/2}) overflows: chi was inf * J, or NaN, with an
+        # overflow warning, which the suite turns into an error
+        message = f"chi({n}, r, k) at r={r!r}, k={k!r}: 2 pi r^({n}/2) k^(1-{n}/2) overflows"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            chi(n, r, k)
 
     @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
     def test_small_argument_limit_needs_positive_k(self, k):

@@ -1,16 +1,20 @@
 """Cartesian window oracle and the angular-integral identities."""
 
+import dataclasses
 import importlib.util
 import io
 import math
 import pathlib
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from lorentzft import oracle
+from lorentzft import oracle, specfun
 from lorentzft.kernels import MomentumChar, MomentumMagnitude
 from lorentzft.oracle import (
     AngularIdentity,
@@ -32,6 +36,7 @@ from lorentzft.profiles import (
 from lorentzft.quadrature import QuadConfig, QuadResult, _gauss_legendre, _panel_nodes
 from lorentzft.specfun import DomainError
 from lorentzft.transform import gaussian_reference, transform
+from test_specfun import CountingPool
 
 TL, SL = MomentumChar.TIMELIKE, MomentumChar.SPACELIKE
 
@@ -387,10 +392,11 @@ def _window_integral_per_block(eta, k, plane, edges, w_lo, w_hi):
 
 
 class TestPieces:
-    # the plane integrand is evaluated in pieces of _PIECE cell pairs, each
-    # summed as einsum runs folded into its _BLOCK's sum, and in 1+1 one
-    # branch call per sign of u v in a piece; none of it changes a bit or a
-    # count against one einsum per block
+    # the plane integrand is evaluated in pieces (1+1: _PIECE cell pairs, one
+    # branch call per sign of u v in a piece; 1+2: _RUN pairs of the table,
+    # shared between the caller and the pool), each run's einsum sum is kept
+    # and the runs are folded in order into each _BLOCK's sum; none of it
+    # changes a bit or a count against one einsum per block
     CASES = [
         pytest.param(1, "compact_bump", 1.0, TL, {}, id="1p1-bump-timelike"),
         pytest.param(1, "compact_bump", 1.0, SL, {}, id="1p1-bump-spacelike"),
@@ -406,6 +412,12 @@ class TestPieces:
         # full one
         pytest.param(1, "gauss_oscillatory", 1.0, TL, {"eta0": 100.0, "n_etas": 2},
                      id="1p1-gauss-one-short-run"),
+        # etas 0.02 and 0.01: 2714 and 4654 pairs, 1.3 and 2.3 blocks, each
+        # ending in a short run (26 and 14 pairs)
+        pytest.param(2, "compact_bump", 1.0, TL, {"n_etas": 2},
+                     id="1p2-bump-short-last-run"),
+        # the default schedule: 1962 to 18,166 pairs, up to 8.9 blocks
+        pytest.param(2, "compact_bump", 0.79, SL, {}, id="1p2-bump-spacelike"),
     ]
 
     @pytest.mark.parametrize("n, name, k, char, schedule", CASES)
@@ -487,6 +499,145 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20
+
+
+def _recording_tables(monkeypatch, plane=None):
+    """Patch the oracle's `complex_pchip` so that every transverse table it
+    builds appends (table index, thread) to the returned list on each call,
+    and then calls `plane(table index, evaluator, w)` if given."""
+    calls, built = [], []
+    real = oracle.complex_pchip
+
+    def pchip(x, y):
+        f, index = real(x, y), len(built)
+        built.append(index)
+
+        def table(w):
+            calls.append((index, threading.get_ident()))
+            return f(w) if plane is None else plane(index, f, w)
+        return table
+
+    monkeypatch.setattr(oracle, "complex_pchip", pchip)
+    return calls
+
+
+class TestParallelWork:
+    # the benchmark's tracer keeps one span stack, and the profile branches
+    # may be any callable: no traced name and no profile branch runs off the
+    # caller's thread.  Only the 1+2 plane's table pieces, the evaluator of
+    # `complex_pchip` (numpy calls, no package name), go to the pool
+    MOM = MomentumMagnitude(0.79, SL)
+
+    @staticmethod
+    def _cfg(n, name="compact_bump"):
+        schedule = {"eta0": 0.16} if name == "gauss_oscillatory" else {}
+        return window_config_for(builtin_profile(name), TestParallelWork.MOM,
+                                 dims=n, n_etas=2, **schedule)
+
+    @pytest.mark.parametrize("n, name", [(1, "compact_bump"), (1, "gauss_oscillatory"),
+                                         (2, "compact_bump")])
+    def test_traced_names_and_branches_run_on_the_caller(self, n, name, monkeypatch):
+        calls = []
+
+        def record(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((label, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for label in ("extrapolate_to_zero", "window_config_for"):
+            monkeypatch.setattr(oracle, label, record(label, getattr(oracle, label)))
+        profile = builtin_profile(name)
+        profile = dataclasses.replace(
+            profile, f_timelike=record("timelike", profile.f_timelike),
+            f_spacelike=record("spacelike", profile.f_spacelike))
+        tables = _recording_tables(monkeypatch)
+        oracle_ft = {1: oracle.cartesian_ft_1p1, 2: oracle.cartesian_ft_1p2}[n]
+        with CountingPool() as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            oracle_ft(profile, self.MOM, oracle.window_config_for(profile, self.MOM,
+                                                                  dims=n, n_etas=2))
+        assert {label for label, _ in calls} == {
+            "timelike", "spacelike", "extrapolate_to_zero", "window_config_for"}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        # 1+2 sends one share of each eta's table pieces to the pool
+        assert pool.tasks == (2 if n == 2 else 0)
+        assert len(tables) > 0 if n == 2 else tables == []
+
+    def test_table_pieces_run_on_two_threads(self, monkeypatch):
+        tables = _recording_tables(monkeypatch)
+        with CountingPool() as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            cartesian_ft_1p2(builtin_profile("compact_bump"), self.MOM, self._cfg(2))
+        for index in (0, 1):
+            threads = [ident for i, ident in tables if i == index]
+            # pieces are dealt in turn, the first to the caller, whose share
+            # is the larger by one for an odd count
+            assert len(set(threads)) == 2
+            caller = threads.count(threading.get_ident())
+            assert caller == (len(threads) + 1) // 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("where", ["real pool", "two workers", "three workers",
+                                       "in a pool block"])
+    def test_same_bits_wherever_it_runs(self, n, where, monkeypatch):
+        profile, cfg = builtin_profile("compact_bump"), self._cfg(n)
+        oracle_ft = {1: cartesian_ft_1p1, 2: cartesian_ft_1p2}[n]
+        monkeypatch.setattr(specfun, "_pool", None)
+        alone = oracle_ft(profile, self.MOM, cfg)
+        if where == "real pool":
+            monkeypatch.undo()
+            assert oracle_ft(profile, self.MOM, cfg) == alone
+            return
+        tables = _recording_tables(monkeypatch)
+        with ThreadPoolExecutor(3 if where == "three workers" else 2) as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            if where == "in a pool block":
+                # one inline share on the block's thread: no deadlock
+                res = pool.submit(specfun._block_context().run, oracle_ft, profile,
+                                  self.MOM, cfg).result()
+                threads = {ident for _, ident in tables}
+                assert len(threads) == (1 if n == 2 else 0)
+                assert threading.get_ident() not in threads
+            else:
+                res = oracle_ft(profile, self.MOM, cfg)
+                assert len({ident for _, ident in tables}) == (
+                    0 if n == 1 else 3 if where == "three workers" else 2)
+        assert res == alone
+
+    @pytest.mark.parametrize("raising", [(1,), (0,), (0, 1)],
+                             ids=["worker", "caller", "both"])
+    def test_an_error_is_raised_after_every_share_finishes(self, raising, monkeypatch):
+        profile, cfg = builtin_profile("compact_bump"), self._cfg(2)
+        # the first eta's pieces: the caller's share takes the even ones
+        clean = _recording_tables(monkeypatch)
+        monkeypatch.setattr(specfun, "_pool", None)
+        cartesian_ft_1p2(profile, self.MOM, cfg)
+        pieces = sum(index == 0 for index, _ in clean)
+        caller = threading.get_ident()
+
+        def plane(index, f, w):
+            share = 0 if threading.get_ident() == caller else 1
+            if share in raising:
+                raise RuntimeError(f"share {share}")
+            if share == 1:
+                time.sleep(0.002)   # the worker's share ends well after the caller's
+            return f(w)
+
+        tables = _recording_tables(monkeypatch, plane)
+        with CountingPool() as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            with pytest.raises(RuntimeError, match=f"share {raising[0]}"):
+                cartesian_ft_1p2(profile, self.MOM, cfg)
+            # raised from the first eta, after a share that did not raise had
+            # made every call of its own, and a raising share its first only
+            # (read before the pool's exit waits for its workers)
+            threads = [ident for _, ident in tables]
+            made = {0: threads.count(caller), 1: len(threads) - threads.count(caller)}
+        assert {index for index, _ in tables} == {0}
+        share_pieces = {0: (pieces + 1) // 2, 1: pieces // 2}
+        for share in (0, 1):
+            assert made[share] == (1 if share in raising else share_pieces[share])
 
 
 def _scipy_pchip(x, y):

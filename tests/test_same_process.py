@@ -62,12 +62,19 @@ def _git(repo, *args):
                           capture_output=True, text=True, check=True).stdout
 
 
-def _commit(repo, tag, double="2 * x"):
-    """Commit a toy tree: a `lorentzft` package and its `workloads`."""
+def _commit(repo, tag, double="2 * x", cpus=None):
+    """Commit a toy tree: a `lorentzft` package and its `workloads`, and a
+    `lorentzft.specfun` whose pool is built for `cpus` CPUs if given."""
     (repo / "src" / "lorentzft").mkdir(parents=True, exist_ok=True)
     (repo / "perfbench").mkdir(exist_ok=True)
     (repo / "src" / "lorentzft" / "__init__.py").write_text(
-        PACKAGE.format(tag=tag, double=double))
+        PACKAGE.format(tag=tag, double=double)
+        + ("" if cpus is None else "\nfrom . import specfun\n"))
+    specfun = repo / "src" / "lorentzft" / "specfun.py"
+    if cpus is None:
+        specfun.unlink(missing_ok=True)
+    else:
+        specfun.write_text(f"def _cpu_count():\n    return {cpus}\n")
     (repo / "perfbench" / "workloads.py").write_text(WORKLOADS)
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", tag)
@@ -94,6 +101,7 @@ def test_one_tree_against_itself(repo, monkeypatch, capsys):
                "--workload", "toy", "--seed", "5", "--pairs", "3"])
     last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert last["parent_commit"] == last["change_commit"] == one
+    assert last["pool_cpus"] == {"parent": None, "change": None}
     assert list(last["kinds"]) == ["double:a", "double:b", "plain", "all"]
     for entry in last["kinds"].values():
         assert len(entry["ratio_q1_median_q3"]) == 3
@@ -137,7 +145,19 @@ def test_nothing_in_either_tree_is_written(repo, monkeypatch, tmp_path):
     for side, rev in zip(tool.SIDES, (one, two)):
         assert tool.extract(repo, rev, roots[side]) == rev
     before = _snapshot(repo, *roots.values())
-    summary = tool.compare(roots, "toy", 5, 2)
+    summary, pool_cpus = tool.compare(roots, "toy", 5, 2)
+    assert pool_cpus == {"parent": None, "change": None}
     assert set(summary) == {"double:a", "double:b", "plain", "all"}
     assert _snapshot(repo, *roots.values()) == before
     assert _git(repo, "status", "--porcelain", "--ignored") == ""
+
+
+def test_each_side_reports_its_pool_cpus(repo, monkeypatch, capsys):
+    # each side's own lorentzft.specfun._cpu_count(), read while that side
+    # is loaded
+    tool = _tool(monkeypatch)
+    one, two = _commit(repo, "one", cpus=1), _commit(repo, "two", cpus=2)
+    tool.main(["--parent", one, "--change", two, "--repo", str(repo),
+               "--workload", "toy", "--seed", "5", "--pairs", "2"])
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["pool_cpus"] == {"parent": 1, "change": 2}

@@ -401,6 +401,18 @@ class TestHankel:
         with pytest.raises(ValueError, match="phase rates"):
             hankel_transform(1, g, math.inf, CFG, support_radius=1.0)
 
+    @pytest.mark.parametrize("n, why", [
+        (3, r"J_0.5\(2 pi r k\) underflows to 0"), (4, r"2 pi r\^\(4/2\) k\^\(1-4/2\) overflows"),
+        (5, r"2 pi r\^\(5/2\) k\^\(1-5/2\) overflows")])
+    def test_tiny_momentum_names_r_and_k(self, n, why):
+        # at k = 1e-320 the transform of exp(-pi r^2) is about 1; chi gave
+        # 0j with converged=True at n = 3 and NaN with overflow warnings at
+        # n = 4 and 5
+        g = lambda r: np.exp(-math.pi * np.asarray(r, dtype=float) ** 2)
+        with pytest.raises(DomainError, match=rf"chi\({n}, r, k\) at r=\S+, "
+                                              rf"k=1e-320: {why}"):
+            hankel_transform(n, g, 1e-320, CFG)
+
     @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
     def test_k_not_positive_raises_before_any_call(self, k):
         calls = []

@@ -30,7 +30,9 @@ swing in the machine's speed reaches both alike: that is what the ratio
 cancels and what separate processes do not.  Lines before the last are a
 table: per kind, the quartiles of its ratios (inclusive method), the pairs
 the change wins (a lower time) and each side's median time.  The last line
-is one JSON object for a BENCH file's `in_process_notes`.
+is one JSON object for a BENCH file's `in_process_notes`; its `pool_cpus`
+gives, per side, the CPU count `lorentzft.specfun` built its thread pool
+for, so a record says whether an op could use a second CPU.
 """
 
 import argparse
@@ -87,9 +89,11 @@ def _provided(root):
 
 def load(root):
     """`perfbench/workloads.py` of the tree at `root`, imported against the
-    tree's own `src/lorentzft`, with no bytecode written.  Modules of the
-    same names loaded before are set aside while it loads and put back
-    after, and the tree's own are dropped from `sys.modules`."""
+    tree's own `src/lorentzft`, with no bytecode written, and the CPU count
+    its `lorentzft.specfun` built the thread pool for (`_cpu_count()`; None
+    when the tree has none).  Modules of the same names loaded before are
+    set aside while it loads and put back after, and the tree's own are
+    dropped from `sys.modules`."""
     root = pathlib.Path(root).resolve()
     names = _provided(root)
     saved = {name: module for name, module in sys.modules.items()
@@ -102,7 +106,9 @@ def load(root):
     sys.dont_write_bytecode = True
     importlib.invalidate_caches()
     try:
-        return importlib.import_module("workloads")
+        workloads = importlib.import_module("workloads")
+        specfun = sys.modules.get("lorentzft.specfun")
+        return workloads, getattr(specfun, "_cpu_count", lambda: None)()
     finally:
         sys.dont_write_bytecode = dont_write
         del sys.path[:len(paths)]
@@ -142,8 +148,9 @@ def summarize(runs):
 
 def compare(roots, workload, seed, pairs):
     """Load both trees, check that their results agree, and time `pairs`
-    alternating pairs; returns the summary."""
-    modules = {side: load(roots[side]) for side in SIDES}
+    alternating pairs; returns the summary and each side's pool CPU count."""
+    loaded = {side: load(roots[side]) for side in SIDES}
+    modules = {side: loaded[side][0] for side in SIDES}
     setups = {side: modules[side].setup(workload) for side in SIDES}
     ops = {side: modules[side].make_pass(workload, seed, ROUNDS) for side in SIDES}
     if list(map(repr, ops["parent"])) != list(map(repr, ops["change"])):
@@ -162,7 +169,7 @@ def compare(roots, workload, seed, pairs):
         print(f"pair {pair} {' then '.join(order)}: change/parent "
               f"{sum(run['change'].values()) / sum(run['parent'].values()):.4f}",
               flush=True)
-    return summarize(runs)
+    return summarize(runs), {side: loaded[side][1] for side in SIDES}
 
 
 def main(argv=None):
@@ -180,7 +187,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: pathlib.Path(tmp, side) for side in SIDES}
         commits = {side: extract(args.repo, revs[side], roots[side]) for side in SIDES}
-        summary = compare(roots, args.workload, args.seed, args.pairs)
+        summary, pool_cpus = compare(roots, args.workload, args.seed, args.pairs)
     for kind, entry in summary.items():
         q1, med, q3 = entry["ratio_q1_median_q3"]
         print(f"{kind:32s} change/parent {med:.4f} ({q1:.4f}-{q3:.4f})  "
@@ -193,7 +200,8 @@ def main(argv=None):
               "time over the parent's in the pair (tools/same_process.py)")
     print(json.dumps({"method": method, "workload": args.workload,
                       "parent_commit": commits["parent"],
-                      "change_commit": commits["change"], "kinds": summary}))
+                      "change_commit": commits["change"], "pool_cpus": pool_cpus,
+                      "kinds": summary}))
 
 
 if __name__ == "__main__":
