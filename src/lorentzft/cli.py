@@ -125,7 +125,7 @@ def cmd_chi(args) -> int:
     vals = np.full(rr.shape, chi_small_argument_limit(args.n, args.k))
     try:
         vals[pos] = chi(args.n, args.k, rr[pos])
-    except DomainError as exc:        # a 2 pi k r that underflows, say
+    except DomainError as exc:        # chi refuses an underflow or overflow
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("r,chi")

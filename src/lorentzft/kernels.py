@@ -136,11 +136,12 @@ def exact_cos_sin_half_pi(m: int):
     return [(1, 0), (0, 1), (-1, 0), (0, -1)][m % 4]
 
 
-def _refuse_chi(n: int, r: np.ndarray, k: np.ndarray, bad: np.ndarray,
-                why: str) -> None:
-    """DomainError naming the first r and k where `bad` holds, if any."""
+def _refuse_chi(n: int, r: np.ndarray, k: np.ndarray, pos: np.ndarray,
+                bad: np.ndarray, why: str) -> None:
+    """DomainError naming the first r and k where `bad`, one entry per
+    point of the mask `pos`, holds, if any."""
     if bad.any():
-        i = np.argmax(bad)
+        i = np.flatnonzero(pos)[np.argmax(bad)]
         raise DomainError(f"chi({n}, r, k) at r={float(r[i])!r}, "
                           f"k={float(k[i])!r}: {why}")
 
@@ -168,23 +169,25 @@ def chi(n: int, r, k):
     nu = Order(n - 2)
     out = np.empty_like(ra)
     pos = ra > 0
-    rp, kp = ra[pos], ka[pos]
-    x = 2.0 * math.pi * rp * kp
-    with np.errstate(over="ignore"):
-        pref = 2.0 * math.pi * rp ** (n / 2.0) * kp ** (1.0 - n / 2.0)
-    _refuse_chi(n, rp, kp, ~np.isfinite(pref),
-                f"2 pi r^({n}/2) k^(1-{n}/2) overflows")
+    # ra[pos] and ka[pos] are taken where used, not held: two more arrays
+    # of the call's size made the heap trim and fault back about 180 pages
+    # a call on 13k radii
+    x = 2.0 * math.pi * ra[pos] * ka[pos]
     # J_{-1/2} has no value at 0
     if n == 1:
-        _refuse_chi(n, rp, kp, x == 0, "2 pi r k underflows to 0")
+        _refuse_chi(n, ra, ka, pos, x == 0, "2 pi r k underflows to 0")
     j = bessel_j(nu, x)
+    with np.errstate(over="ignore"):
+        pref = 2.0 * math.pi * ra[pos] ** (n / 2.0) * ka[pos] ** (1.0 - n / 2.0)
+    _refuse_chi(n, ra, ka, pos, ~np.isfinite(pref),
+                f"2 pi r^({n}/2) k^(1-{n}/2) overflows")
     # at n >= 3 J_{n/2-1}(0) = 0 loses the limit 2 pi^{n/2} r^{n-1} / Gamma(n/2)
     # of chi, so a 2 pi r k that underflows is refused, and so is a J that is
     # 0 below its first zero against a nonzero prefactor (scipy's jv is 0 at
     # orders > 0 below about 2.2e-305); at n = 2 J_0(0) = 1 gives the limit
     if n != 2 and not j.all():
-        _refuse_chi(n, rp, kp, x == 0, "2 pi r k underflows to 0")
-        _refuse_chi(n, rp, kp, (j == 0) & (x < 1) & (pref > 0),
+        _refuse_chi(n, ra, ka, pos, x == 0, "2 pi r k underflows to 0")
+        _refuse_chi(n, ra, ka, pos, (j == 0) & (x < 1) & (pref > 0),
                     f"J_{nu.nu:g}(2 pi r k) underflows to 0")
     out[pos] = pref * j
     # r = 0 limits: 2 for n = 1 (cosine kernel), 0 otherwise

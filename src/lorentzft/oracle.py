@@ -365,7 +365,7 @@ def _window_integral(eta: float, k: MomentumMagnitude, plane,
     return 0.5 * total, len(iu) * _GLN * _GLN
 
 
-def _run_sums(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> list:
+def _run_sums(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """einsum("ci,cij,cj->") of each run of `_RUN` cell pairs of (a, g, b),
     in order, the last run possibly short.  Folded into 0 in order, these
     are the bits of one einsum over all the pairs: numpy's einsum sums each
@@ -373,11 +373,11 @@ def _run_sums(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> list:
     the total."""
     full = len(g) - len(g) % _RUN
     k = full // _RUN
-    sums = list(np.einsum("kci,kcij,kcj->k", a[:full].reshape(k, _RUN, _GLN),
-                          g[:full].reshape(k, _RUN, _GLN, _GLN),
-                          b[:full].reshape(k, _RUN, _GLN)))
+    sums = np.einsum("kci,kcij,kcj->k", a[:full].reshape(k, _RUN, _GLN),
+                     g[:full].reshape(k, _RUN, _GLN, _GLN),
+                     b[:full].reshape(k, _RUN, _GLN))
     if full < len(g):
-        sums.append(np.einsum("ci,cij,cj->", a[full:], g[full:], b[full:]))
+        sums = np.append(sums, np.einsum("ci,cij,cj->", a[full:], g[full:], b[full:]))
     return sums
 
 

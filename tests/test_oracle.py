@@ -5,6 +5,7 @@ import importlib.util
 import io
 import math
 import pathlib
+import sys
 import threading
 import time
 import tracemalloc
@@ -604,6 +605,22 @@ class TestParallelWork:
                 assert len({ident for _, ident in tables}) == (
                     0 if n == 1 else 3 if where == "three workers" else 2)
         assert res == alone
+
+    def test_same_bits_with_more_shares_than_cpus(self, monkeypatch):
+        # each share writes its own runs of one array: with more shares than
+        # CPUs and a thread switch every 10 microseconds, a lost or misplaced
+        # run would change the value
+        profile, cfg = builtin_profile("compact_bump"), self._cfg(2)
+        monkeypatch.setattr(specfun, "_pool", None)
+        alone = cartesian_ft_1p2(profile, self.MOM, cfg)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(2 * specfun._cpu_count() + 1) as pool:
+            monkeypatch.setattr(specfun, "_pool", pool)
+            sys.setswitchinterval(1e-5)
+            try:
+                assert cartesian_ft_1p2(profile, self.MOM, cfg) == alone
+            finally:
+                sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("raising", [(1,), (0,), (0, 1)],
                              ids=["worker", "caller", "both"])
