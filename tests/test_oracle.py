@@ -530,10 +530,9 @@ class TestParallelWork:
     MOM = MomentumMagnitude(0.79, SL)
 
     @staticmethod
-    def _cfg(n, name="compact_bump"):
-        schedule = {"eta0": 0.16} if name == "gauss_oscillatory" else {}
-        return window_config_for(builtin_profile(name), TestParallelWork.MOM,
-                                 dims=n, n_etas=2, **schedule)
+    def _cfg(n):
+        return window_config_for(builtin_profile("compact_bump"), TestParallelWork.MOM,
+                                 dims=n, n_etas=2)
 
     @pytest.mark.parametrize("n, name", [(1, "compact_bump"), (1, "gauss_oscillatory"),
                                          (2, "compact_bump")])
