@@ -49,6 +49,7 @@ __all__ = [
     "chi_small_argument_limit",
     "minkowski_kernel",
     "kernel_envelope",
+    "check_weight",
     "chi_envelope",
     "closure_rhs",
     "exact_cos_sin_half_pi",
@@ -241,6 +242,25 @@ def minkowski_kernel(spec: KernelSpec, s, l: MomentumMagnitude):
             pos = arr > 0
             out[pos] = weight(arr[pos])
     return float(out[0]) if scalar else out
+
+
+def check_weight(spec: KernelSpec, l: MomentumMagnitude) -> None:
+    """Raise DomainError, naming l, where the weight is not finite at s = 1.
+
+    Every weight divides by l^((n-1)/2), which underflows to 0 at small l,
+    and near the light cone the N and K weights tend to
+    2 Gamma(nu) pi^-nu s l^(1-n), nu = (n-1)/2 > 0 (DLMF 10.7, 10.30), which
+    overflows before it.  Either leaves NaN on a transform's radii, so
+    `transform` calls this before any integral or `kernel_envelope` runs.
+    No Bessel function is evaluated.
+    """
+    c, Z = spec.weight
+    nu = (spec.n - 1) / 2.0
+    scale = l.value ** nu
+    if c and (scale == 0 or Z is not bessel_j and nu > 0 and not math.isfinite(
+            2.0 * math.gamma(nu) * math.pi ** -nu / scale / scale)):
+        raise DomainError(f"momentum magnitude l={l.value!r} is too small: the "
+                          f"n={spec.n} weight is not finite at s = 1")
 
 
 def kernel_envelope(spec: KernelSpec, l: MomentumMagnitude):

@@ -9,10 +9,10 @@ hint for oscillatory profiles.
 
 The builtin `gauss_oscillatory` branches return the bits of
 np.exp(+-1j * np.asarray(s) ** 2), values and signs.  A radii array of
-65,536 points or more is evaluated in blocks on the `specfun` thread pool,
-each block doing those numpy operations in place in its slice of one
-output; shorter arrays, scalars and 0-d inputs are evaluated inline.  The
-branch call itself stays on the caller's thread.
+65,536 points or more is evaluated in blocks shared between the caller and
+the `specfun` thread pool, each block doing those numpy operations in place
+in its slice of one output; shorter arrays, scalars and 0-d inputs are
+evaluated inline.  The branch call itself stays on the caller's thread.
 
 Tabulated profiles are read from CSV with header
 

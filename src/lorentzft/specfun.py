@@ -23,29 +23,22 @@ place of three.  `jv` is kept where -Im hankel1 is NaN (x below about
 2.2e-305, above about 2.25e15, and x = inf); -yv there would differ from
 `jv` near 0.  Every other order of `bessel_j` is `jv` itself.
 
-scipy's Bessel ufuncs release the GIL, so an argument array of three blocks
-or more is split into blocks that run on a thread pool sized from the CPUs
-the process may use and built at import, each block writing its own slice
-of one output array.  The ufunc is elementwise, so the result is
-bit-identical to one call.  The same splitter, `_ufunc`, serves the chirp
-exp(+-i s^2) of the `gauss_oscillatory` profile, from its own minimum of
-65,536 points (see `profiles`).  Measured on a 2-core machine, one branch
-call of 64k points took 2.3-2.9 ms pooled against 2.8-3.8 ms inline; at
-16k points the split gained nothing, at 32k its gain came and went between
-runs, and a minimum of 24,576 points made the 1+1 oracle on that profile
-(pieces of 32,768 points) slower.  The Bessel minimum is three blocks
-(24,576 points).  Each block runs in a copy of the
-caller's `contextvars` context, so the caller's `np.errstate` holds in the
-workers, and every block is waited for before an error is raised.  A call
-made from inside a block runs inline: a block waiting on blocks queued
-behind it could leave every worker waiting.
-
-The 1+2 window oracle shares its transverse-table pieces between the
-caller and the pool's other workers through `_in_shares`, each share in a
-pool block's context, waited for before the first error in share order is
-raised (see `oracle`).  Those pieces and the ufunc blocks are all that runs
-on the pool: the wrappers, the profile branches, and every other function
-of the package run on the caller's thread.
+The package has one thread pool, sized from the CPUs the process may use
+and built at import, and one way onto it, `_in_shares`: share 0 of a task
+runs on the caller's thread and the others on the pool's workers, each in a
+copy of the caller's `contextvars` context, so the caller's `np.errstate`
+holds in every share.  Every share ends before an error is raised: the
+first, in share order.  A call made from inside a share runs inline, since
+a share waiting on shares queued behind it could leave every worker
+waiting.  scipy's Bessel ufuncs release the GIL, so `_ufunc` deals an
+argument of three blocks (24,576 points) or more to the shares in
+interleaved 8192-point blocks, each writing its own slice of one output
+array: the ufunc is elementwise, so the result is bit-identical to one
+call.  `_ufunc` also serves the chirp exp(+-i s^2) of the `gauss_oscillatory`
+profile from 65,536 points (see `profiles`), and `_in_shares` the 1+2
+window oracle's transverse-table pieces (see `oracle`).  Those are all that
+runs on the pool: the wrappers, the profile branches and every other
+function of the package run on the caller's thread.
 """
 
 from __future__ import annotations
@@ -101,7 +94,7 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-_BLOCK = 8192          # points per pool task
+_BLOCK = 8192          # points per block of a pooled ufunc call
 # Shorter arguments run inline.  The quadrature engines call an integrand
 # on 36 nodes a panel, a damped integral's widest mesh in one call, so the
 # pool takes the meshes of 683 panels or more.  A pooled call's time
@@ -137,8 +130,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-# True in the context a pool block runs in: a block that waited on blocks
-# queued behind it would deadlock the pool, so `_ufunc` runs inline there
+# True in the context a share runs in, where `_in_shares` runs inline
 _IN_BLOCK = contextvars.ContextVar("lorentzft_in_pool_block", default=False)
 
 
@@ -150,24 +142,23 @@ def _block_context() -> contextvars.Context:
 
 
 def _ufunc(fn, nu, arr: np.ndarray, pool_min: int = _POOL_MIN, dtype=float):
-    """fn(nu, arr), split into blocks over the pool when arr holds pool_min
-    points or more and the call is not made from one of the pool's blocks.
-    A block is fn(nu, block, out=slice of one output array of `dtype`), run
-    in a copy of the caller's context, so the caller's np.errstate holds in
-    it.  Every block is read before an error is raised: the first, in block
-    order."""
-    pool = _pool if arr.size >= pool_min and not _IN_BLOCK.get() else None
-    if pool is None:
+    """fn(nu, arr), split into `_BLOCK`-point blocks when arr holds pool_min
+    points or more.  A block is fn(nu, block, out=slice of one output array
+    of `dtype`); the blocks are dealt in turn to the shares of `_in_shares`,
+    share 0 on the caller's thread.  With no pool, or from inside a share,
+    the call is inline."""
+    if arr.size < pool_min or _pool is None or _IN_BLOCK.get():
         return fn(nu, arr)
     flat = arr.ravel()
     out = np.empty(flat.shape, dtype)
-    blocks = [pool.submit(_block_context().run, fn, nu, flat[i:i + _BLOCK],
-                          out=out[i:i + _BLOCK])
-              for i in range(0, flat.size, _BLOCK)]
-    # every block is read, so none is still writing when an error is raised
-    for error in [block.exception() for block in blocks]:
-        if error is not None:
-            raise error
+
+    def blocks(share: int, shares: int) -> None:
+        # the blocks share, share + shares, ...: a mesh's radii are sorted,
+        # so interleaved blocks give each share every region's cost
+        for i in range(share * _BLOCK, flat.size, shares * _BLOCK):
+            fn(nu, flat[i:i + _BLOCK], out=out[i:i + _BLOCK])
+
+    _in_shares(blocks)
     return out.reshape(arr.shape)
 
 

@@ -28,6 +28,7 @@ from .kernels import (
     KernelSpec,
     MomentumMagnitude,
     check_dimension,
+    check_weight,
     chi,
     chi_envelope,
     kernel_envelope,
@@ -92,7 +93,9 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
 
     Sums the damped radial integrals of both profile branches against the
     matching Minkowski kernels.  Branches whose quadrature fails to converge
-    are named in the result's failed_branches.  A profile zero on one side
+    are named in the result's failed_branches.  A momentum at which a
+    kernel's weight is not finite at s = 1 raises DomainError, naming l,
+    before any integral (`kernels.check_weight`).  A profile zero on one side
     (as `gauss_decay_timelike` is on the spacelike one) costs that branch's
     integrand calls but no kernel call; a zero branch may return the scalar
     0.0, under the branch contract of `RadialProfile`, to the same result.
@@ -107,6 +110,7 @@ def transform(n: int, profile: RadialProfile, l: MomentumMagnitude,
         # only add its truncation allowance to the error estimate
         if spec.vanishes:
             continue
+        check_weight(spec, l)
         res = _radial_integral(
             g, lambda s: minkowski_kernel(spec, s, l), cfg, l.value,
             profile.envelope_hint, kernel_envelope(spec, l),
@@ -130,11 +134,15 @@ def hankel_transform(n: int, g: Callable, k: float, cfg: QuadConfig,
     symmetry of chi_n the same operation with the transform as input
     inverts it: hankel_transform(n, F, r, cfg) recovers g(r).  An
     unsupported n and a k that is not > 0 raise DomainError before g is
-    called.
+    called; with an envelope, so does a k at which `chi` refuses r = 1,
+    before the envelope is called.
     """
     check_dimension(n)
     if not k > 0:
         raise DomainError("hankel_transform requires k > 0")
+    if envelope is not None:
+        # chi_envelope's k^(1-n/2) would overflow first, or warn
+        chi(n, 1.0, k)
     return _radial_integral(g, lambda r: chi(n, r, k), cfg, k, envelope,
                             chi_envelope(n, k), support_radius, phase_scale)
 

@@ -212,6 +212,20 @@ class TestTransformCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"l={float(kmin)!r}" in err
 
+    @pytest.mark.parametrize("n, profile, char, kmin", [
+        ("5", "gauss_decay_timelike", "timelike", "1e-300"),
+        ("10", "compact_bump", "spacelike", "1e-160"),
+        ("3", "compact_bump", "spacelike", "1e-300")])
+    def test_overflowing_weight_exits_2(self, n, profile, char, kmin, capsys):
+        # the weight is not finite at s = 1: warnings and a NaN row before
+        code, out, err = run_cli(["transform", "--n", n,
+                                  "--profile", f"builtin:{profile}",
+                                  "--char", char, "--kmin", kmin], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"l={float(kmin)!r} is too small" in err
+
     def test_missing_kmax_exits_2(self, capsys):
         code, _, _ = run_cli(["transform", "--n", "1",
                               "--profile", "builtin:zero",

@@ -16,6 +16,7 @@ from lorentzft.kernels import (
     chi,
     chi_envelope,
     chi_small_argument_limit,
+    check_weight,
     closure_rhs,
     exact_cos_sin_half_pi,
     kernel_envelope,
@@ -325,6 +326,19 @@ class TestMinkowskiKernel:
         assert 2.0 * math.pi * 1e-20 * 1e-300 > 0
         with np.errstate(all="ignore"):
             assert minkowski_kernel(spec, s, l).shape == (2,)
+
+    def test_weight_not_finite_at_unit_radius_names_the_momentum(self):
+        # N and K overflow against 1 / l^((n-1)/2) at n = 3; at n = 4 that
+        # prefactor is inf and J_{3/2} underflows to 0 (NaN)
+        for n, char, branch in ((3, SL, SP), (3, SL, TP), (3, TL, TP), (4, TL, TP)):
+            with pytest.raises(DomainError, match=rf"l=1e-300 is too small: "
+                                                  rf"the n={n} weight is not finite"):
+                check_weight(KernelSpec(n, char, branch), MomentumMagnitude(1e-300, char))
+        # a vanishing kernel, a finite weight at a tiny momentum (n = 1) and
+        # a large momentum pass
+        check_weight(KernelSpec(4, TL, SP), MomentumMagnitude(1e-300, TL))
+        check_weight(KernelSpec(1, SL, SP), MomentumMagnitude(1e-300, SL))
+        check_weight(KernelSpec(10, SL, SP), MomentumMagnitude(1e30, SL))
 
     def test_nan_and_zero_entries(self):
         spec, l = KernelSpec(3, SL, SP), MomentumMagnitude(0.7, SL)

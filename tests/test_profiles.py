@@ -300,8 +300,8 @@ class TestChirp:
         got, ref = branch(s), np.exp(rate * np.asarray(s) ** 2)
         assert type(got) is type(ref)
         assert _same_bits(got, ref)
-        size = np.size(s)
-        assert pool.tasks == (-(-size // BLOCK) if size >= CHIRP_MIN else 0)
+        # a pooled call sends one share, the worker's, to the pool
+        assert pool.tasks == (np.size(s) >= CHIRP_MIN)
 
     def test_oracle_pieces_stay_inline(self):
         # the 1+n oracle sends f(u v) one piece of cell pairs at a time;
@@ -318,7 +318,7 @@ class TestChirp:
             with pytest.raises(RuntimeWarning) as pooled:
                 branch(s)
         assert str(pooled.value) == str(inline.value)
-        assert pool.tasks == -(-s.size // BLOCK)
+        assert pool.tasks == 1
 
     @pytest.mark.parametrize("s", NON_FINITE_RADII)
     @pytest.mark.parametrize("branch, rate", CHIRP_BRANCHES)
@@ -331,18 +331,23 @@ class TestChirp:
                 ref = np.exp(rate * s ** 2)
                 got = branch(s)
         assert _same_bits(got, ref)
-        assert pool.tasks == -(-s.size // BLOCK)
+        assert pool.tasks == 1
 
-    def test_a_failing_block_raises_after_every_block_ends(self, pool, monkeypatch):
+    def test_a_failing_block_raises_after_every_share_ends(self, pool, monkeypatch):
         block = profiles._chirp_block
         s = CHIRP_RADII["300001"]
+        # of the 37 blocks the caller's share takes the even ones, the
+        # worker's the odd ones; block 0 raises at once, the worker's last,
+        # block 35, after the others of its share have run
+        last = 35
         ran = []
 
         def failing(rate, x, out=None):
-            if x[0] == s[0]:
-                raise ZeroDivisionError("block 0")
+            index = int(np.flatnonzero(s == x[0])[0]) // BLOCK
+            if index in (0, last):
+                raise ZeroDivisionError(f"block {index}")
             time.sleep(0.01)
-            ran.append(x.size)
+            ran.append(index)
             return block(rate, x, out=out)
 
         futures = []
@@ -356,9 +361,10 @@ class TestChirp:
         monkeypatch.setattr(pool, "submit", recording_submit)
         with pytest.raises(ZeroDivisionError, match="block 0"):
             CHIRP.f_timelike(s)
-        assert len(futures) == -(-s.size // BLOCK)
+        # no share is still running: the worker's share ran to its own error
+        assert len(futures) == 1
         assert all(f.done() for f in futures)
-        assert sum(ran) == s.size - BLOCK
+        assert ran == list(range(1, last, 2))
 
     def test_forked_child_after_the_pool_ran(self, monkeypatch):
         if not hasattr(os, "fork"):

@@ -264,7 +264,8 @@ RAW = [(bessel_j, sp.jv), (bessel_n, sp.yv), (bessel_k, sp.kv)]
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A two-worker pool that counts the blocks submitted to it."""
+    """A two-worker pool that counts the tasks submitted to it: one, the
+    worker's share, per pooled call."""
 
     def __init__(self):
         super().__init__(2)
@@ -316,8 +317,30 @@ class TestBlockPool:
             ref = raw(abs(nu) if raw is sp.kv else nu, x)
             assert np.array_equal(fn(Order(twice_nu), x), ref)
         if pool is not None:
-            blocks = -(-x.size // BLOCK) if x.size >= POOL_MIN else 0
-            assert pool.tasks == 3 * blocks
+            # three calls, each pooled call one share on the worker
+            assert pool.tasks == (3 if x.size >= POOL_MIN else 0)
+
+    def test_blocks_are_dealt_in_turn(self, monkeypatch):
+        # blocks 0, 2, 4, ... on the caller's thread, the others on one worker
+        x = ARGUMENTS["5block+17"]
+        first = {x[i]: i // BLOCK for i in range(0, x.size, BLOCK)}
+        threads = {}
+        neumann = specfun._neumann
+
+        def recording(nu, block, out=None):
+            threads[first[block[0]]] = threading.get_ident()
+            return neumann(nu, block, out=out)
+
+        monkeypatch.setattr(specfun, "_neumann", recording)
+        with CountingPool() as counting:
+            monkeypatch.setattr(specfun, "_pool", counting)
+            assert np.array_equal(bessel_n(ZERO, x), sp.yv(0.0, x))
+        assert sorted(threads) == list(range(len(first)))
+        caller = threading.get_ident()
+        assert [threads[i] == caller for i in sorted(threads)] == [
+            i % 2 == 0 for i in sorted(threads)]
+        assert len({threads[i] for i in threads if i % 2}) == 1
+        assert counting.tasks == 1
 
     def test_forked_child_after_the_pool_ran(self, monkeypatch):
         if not hasattr(os, "fork"):
@@ -410,9 +433,9 @@ def _child_nested_calls():
     pool = specfun._pool = CountingPool()
     x = _positive(4 * BLOCK)
     got = specfun._ufunc(_nested_block, 0.0, x)
-    # only the four outer blocks reached the pool, and the bits are those
-    # of the inline call
-    assert pool.tasks == 4
+    # only the outer call's worker share reached the pool, and the bits are
+    # those of the inline call
+    assert pool.tasks == 1
     assert np.array_equal(got, specfun._ufunc(_nested_block, 0.0, x, x.size + 1))
     assert np.array_equal(got, sp.yv(0.0, x))
     pool.shutdown()
@@ -466,7 +489,7 @@ class TestNeumannBits:
         assert np.array_equal(out, ref, equal_nan=True)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
         if pool is not None:
-            assert pool.tasks == -(-_NEUMANN_X.size // BLOCK)
+            assert pool.tasks == 1
 
     @pytest.mark.parametrize("fn, raw, twice_nu", _hankel_cases([-1, 0, 1, 9, 21]))
     def test_scalar_and_zero_d(self, fn, raw, twice_nu):

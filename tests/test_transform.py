@@ -413,6 +413,27 @@ class TestHankel:
                                               rf"k=1e-320: {why}"):
             hankel_transform(n, g, 1e-320, CFG)
 
+    @pytest.mark.parametrize("envelope", [False, True], ids=["bare", "envelope"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tiny_momentum_raises_before_the_envelope(self, n, envelope):
+        # with an envelope, chi_envelope's k^(1-n/2) overflowed (an
+        # OverflowError at n = 4 and 5, warnings at n = 3) before chi's
+        # refusal: now chi refuses r and k before the envelope is called,
+        # as it refuses them on g's first nodes without one
+        calls = []
+
+        def g(r):
+            calls.append("g")
+            return np.exp(-math.pi * np.asarray(r, dtype=float) ** 2)
+
+        def env(r):
+            calls.append("envelope")
+            return np.exp(-2.0 * np.asarray(r, dtype=float))
+
+        with pytest.raises(DomainError, match=rf"chi\({n}, r, k\) at r=\S+, k=1e-320"):
+            hankel_transform(n, g, 1e-320, CFG, envelope=env if envelope else None)
+        assert calls == (["g"] if not envelope else [])
+
     @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
     def test_k_not_positive_raises_before_any_call(self, k):
         calls = []
@@ -583,6 +604,34 @@ class TestLightCone:
         res = transform(n, builtin_profile("compact_bump"), MomentumMagnitude(l, char), CFG)
         assert res.converged
         assert abs(l ** (n - 1) * res.value - expected) <= 10.0 * l ** 3 * limit
+
+
+class TestTinyMomentum:
+    # the weight c s^((n+1)/2) l^(-(n-1)/2) Z(2 pi s l) is not finite at
+    # s = 1: transform gave NaN with overflow warnings.  It is refused,
+    # naming l, before any branch or kernel_envelope call
+    @pytest.mark.parametrize("n, name, mom", [
+        (5, "gauss_decay_timelike", tmom(1e-300)), (10, "compact_bump", smom(1e-160)),
+        (3, "compact_bump", smom(1e-300))])
+    def test_refused_before_any_integral(self, n, name, mom, monkeypatch):
+        calls = []
+
+        def record(label, fn):
+            def wrapper(*args):
+                calls.append(label)
+                return fn(*args)
+            return wrapper
+
+        profile = builtin_profile(name)
+        profile = dataclasses.replace(
+            profile, f_timelike=record("timelike", profile.f_timelike),
+            f_spacelike=record("spacelike", profile.f_spacelike))
+        monkeypatch.setattr(TRANSFORM_MODULE, "kernel_envelope",
+                            record("kernel_envelope", TRANSFORM_MODULE.kernel_envelope))
+        with pytest.raises(DomainError, match=rf"l={mom.value!r} is too small: "
+                                              rf"the n={n} weight is not finite at s = 1"):
+            transform(n, profile, mom, CFG)
+        assert calls == []
 
 
 class TestGaussianReference:
