@@ -257,7 +257,8 @@ def check_weight(spec: KernelSpec, l: MomentumMagnitude) -> None:
     c, Z = spec.weight
     nu = (spec.n - 1) / 2.0
     scale = l.value ** nu
-    if c and (scale == 0 or Z is not bessel_j and nu > 0 and not math.isfinite(
+    grows = Z is not bessel_j and nu > 0
+    if c and (scale == 0 or grows and not math.isfinite(
             2.0 * math.gamma(nu) * math.pi ** -nu / scale / scale)):
         raise DomainError(f"momentum magnitude l={l.value!r} is too small: the "
                           f"n={spec.n} weight is not finite at s = 1")

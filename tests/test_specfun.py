@@ -337,8 +337,7 @@ class TestBlockPool:
             assert np.array_equal(bessel_n(ZERO, x), sp.yv(0.0, x))
         assert sorted(threads) == list(range(len(first)))
         caller = threading.get_ident()
-        assert [threads[i] == caller for i in sorted(threads)] == [
-            i % 2 == 0 for i in sorted(threads)]
+        assert all((threads[i] == caller) == (i % 2 == 0) for i in threads)
         assert len({threads[i] for i in threads if i % 2}) == 1
         assert counting.tasks == 1
 
